@@ -2,7 +2,7 @@
 //! (DESIGN.md's design-choice list).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mtasts::{Mode, MxPattern, Policy, PolicyCache};
+use mtasts::{classify, Mode, MxPattern, Policy, PolicyCache};
 use netbase::{DomainName, SimDate};
 use std::hint::black_box;
 
@@ -14,18 +14,20 @@ fn bench_cache(c: &mut Criterion) {
         vec![MxPattern::parse("mx.example.com").unwrap()],
     );
     let t0 = SimDate::ymd(2024, 6, 1).at_midnight();
+    let same_id = vec!["v=STSv1; id=id1;".to_string()];
+    let new_id = vec!["v=STSv1; id=id2;".to_string()];
 
     c.bench_function("cache/hit", |b| {
         let mut cache = PolicyCache::new();
         cache.store(domain.clone(), policy.clone(), "id1", t0);
-        b.iter(|| cache.decide(black_box(&domain), Some("id1"), t0))
+        b.iter(|| classify(Some(&same_id), cache.peek(black_box(&domain)), t0))
     });
     c.bench_function("cache/miss-id-changed", |b| {
         let mut cache = PolicyCache::new();
         cache.store(domain.clone(), policy.clone(), "id1", t0);
-        b.iter(|| cache.decide(black_box(&domain), Some("id2"), t0))
+        b.iter(|| classify(Some(&new_id), cache.peek(black_box(&domain)), t0))
     });
-    // The ablation: always refetch = store + decide on every delivery.
+    // The ablation: always refetch = store + evict on every delivery.
     c.bench_function("cache/always-refetch", |b| {
         let mut cache = PolicyCache::new();
         b.iter(|| {

@@ -11,14 +11,165 @@
 //! `max_age` reproduces the boundary: the warm sender loses nothing while
 //! `max_age` covers the window (plus the priming gap), the cache-less
 //! sender loses every in-window message.
+//!
+//! Each delivery is one [`SenderEngine::evaluate`] call — the workspace's
+//! single RFC 8461 sender decision — fed by the simulated world, with an
+//! omniscient interception label and RFC 8460 TLSRPT accounting through
+//! [`ReportBuilder`].
 
-use mtasts::{Mode, ResultType};
+use mtasts::{
+    DeliveryObservation, Mode, ReportBuilder, ResultType, SenderAction, SenderEngine, StsFailure,
+    StsOutcome, TlsReport,
+};
 use netbase::{DomainName, Duration, SimDate, SimInstant};
-use sender::{DeliveryConfig, DeliveryEngine, DeliveryStats};
+use pkix::validate_chain;
 use serde::Serialize;
 use simnet::endpoint::Reachability;
 use simnet::{AttackKind, AttackSchedule, MxEndpoint, WebEndpoint, World};
 use std::collections::BTreeMap;
+
+/// Running totals over every delivery attempt.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct DeliveryStats {
+    /// Messages attempted.
+    pub attempted: u64,
+    /// Delivered with validated TLS.
+    pub delivered_validated: u64,
+    /// Delivered without MTA-STS protection.
+    pub delivered_unvalidated: u64,
+    /// Refused under `enforce`.
+    pub refused: u64,
+    /// Validation failures delivered anyway under `testing` (the
+    /// soft-fail account RFC 8461 §5.2 trades for TLSRPT visibility).
+    pub soft_fails: u64,
+    /// Resolutions a retained cached policy governed after a failed
+    /// refresh or record lookup (RFC 8461 §3.3 degraded mode).
+    pub stale_fallbacks: u64,
+    /// Deliveries the active attacker could read or redirect: delivered
+    /// without validated TLS while an attack window covered the domain or
+    /// its MX. This is the attacker's win count.
+    pub intercepted: u64,
+}
+
+/// TLSRPT reporting organization of the sweep's sender.
+const ORGANIZATION: &str = "MTA-STS Lab Sender";
+/// TLSRPT contact address of the sweep's sender.
+const CONTACT: &str = "mailto:tlsrpt@sender.example";
+
+/// A sending MTA for the sweep: one [`SenderEngine`] (and so one TOFU
+/// cache), one TLSRPT ledger, running totals.
+#[derive(Debug)]
+pub struct SweepSender {
+    engine: SenderEngine,
+    use_cache: bool,
+    report: ReportBuilder,
+    stats: DeliveryStats,
+}
+
+impl SweepSender {
+    /// A sender with an empty cache; `use_cache: false` is the
+    /// always-refetch ablation (a fresh engine for every delivery).
+    pub fn new(use_cache: bool) -> SweepSender {
+        SweepSender {
+            engine: SenderEngine::new(),
+            use_cache,
+            report: ReportBuilder::new(),
+            stats: DeliveryStats::default(),
+        }
+    }
+
+    /// Running totals.
+    pub fn stats(&self) -> DeliveryStats {
+        self.stats
+    }
+
+    /// The TLSRPT report over every delivery so far.
+    pub fn tls_report(&self, day: SimDate) -> TlsReport {
+        self.report.build(ORGANIZATION, CONTACT, day)
+    }
+
+    /// Delivers one message to `domain` at `now` against `world` and
+    /// returns the protocol outcome.
+    pub fn deliver(&mut self, world: &World, domain: &DomainName, now: SimInstant) -> StsOutcome {
+        // The best-preference published MX, or the apex when the domain
+        // publishes none (RFC 5321 implicit MX).
+        let mx = world
+            .mx_records(domain, now)
+            .ok()
+            .and_then(|hosts| hosts.first().cloned())
+            .unwrap_or_else(|| domain.clone());
+        let record_txts = world.mta_sts_txts(domain, now).ok();
+        let probe = world.probe_mx(&mx, now);
+        if !self.use_cache {
+            self.engine = SenderEngine::new();
+        }
+        let fallbacks = self.engine.fetch_fallbacks();
+        let (outcome, action) = self.engine.evaluate(DeliveryObservation {
+            domain,
+            record_txts: record_txts.as_deref(),
+            fetch_policy: || {
+                world
+                    .fetch_policy(domain, now)
+                    .result
+                    .map(|(_, raw)| raw)
+                    .map_err(|e| e.to_string())
+            },
+            mx_host: &mx,
+            check_mx_tls: || {
+                if !probe.starttls_offered {
+                    return Err(StsFailure::StartTlsUnavailable);
+                }
+                let chain = probe.chain.as_deref().unwrap_or_default();
+                validate_chain(chain, &mx, now, world.pki.trust_store())
+                    .map_err(StsFailure::CertInvalid)
+            },
+            now,
+        });
+
+        let stats = &mut self.stats;
+        stats.attempted += 1;
+        stats.stale_fallbacks += self.engine.fetch_fallbacks() - fallbacks;
+        match action {
+            SenderAction::Deliver => stats.delivered_validated += 1,
+            SenderAction::DeliverUnvalidated => stats.delivered_unvalidated += 1,
+            SenderAction::Refuse => stats.refused += 1,
+        }
+        let unvalidated = action == SenderAction::DeliverUnvalidated;
+        if unvalidated
+            && matches!(
+                outcome,
+                StsOutcome::Failed {
+                    mode: Mode::Testing,
+                    ..
+                }
+            )
+        {
+            stats.soft_fails += 1;
+        }
+        // The attacker wins a message delivered without validated TLS
+        // while any attack window covers the domain or its MX
+        // (omniscient labelling — the sim knows what a real sender
+        // cannot).
+        let attacked = !world.attacks_active(domain, now).is_empty()
+            || !world.attacks_active(&mx, now).is_empty();
+        if unvalidated && attacked {
+            stats.intercepted += 1;
+        }
+        self.report.record(domain, &mx, &outcome);
+        outcome
+    }
+
+    /// TLSRPT failure counts by result type over every delivery so far.
+    pub fn tlsrpt_failures(&self, day: SimDate) -> BTreeMap<ResultType, u64> {
+        let mut failures: BTreeMap<ResultType, u64> = BTreeMap::new();
+        for policy in &self.tls_report(day).policies {
+            for detail in &policy.failure_details {
+                *failures.entry(detail.result_type).or_default() += detail.failed_session_count;
+            }
+        }
+        failures
+    }
+}
 
 /// One downgrade-scenario configuration.
 #[derive(Debug, Clone)]
@@ -164,12 +315,7 @@ pub fn build_world(cfg: &DowngradeConfig) -> (World, Vec<DomainName>) {
 /// [`STEP`] through the attack window and a six-hour tail.
 pub fn run_downgrade(cfg: &DowngradeConfig) -> DowngradeOutcome {
     let (world, victims) = build_world(cfg);
-    let delivery_cfg = if cfg.use_cache {
-        DeliveryConfig::default()
-    } else {
-        DeliveryConfig::without_cache()
-    };
-    let mut engine = DeliveryEngine::new(delivery_cfg);
+    let mut sender = SweepSender::new(cfg.use_cache);
 
     let start = t0();
     let attack_start = start + ATTACK_LEAD;
@@ -178,7 +324,7 @@ pub fn run_downgrade(cfg: &DowngradeConfig) -> DowngradeOutcome {
 
     // Prime: one delivery per victim before the attack begins.
     for v in &victims {
-        engine.deliver(&world, v, start);
+        sender.deliver(&world, v, start);
     }
 
     let mut in_window_attempts = 0;
@@ -191,23 +337,15 @@ pub fn run_downgrade(cfg: &DowngradeConfig) -> DowngradeOutcome {
             if attack_start <= now && now < attack_end {
                 in_window_attempts += 1;
             }
-            engine.deliver(&world, v, now);
+            sender.deliver(&world, v, now);
         }
         now += STEP;
     }
 
-    let report = engine.tls_report(start.date());
-    let mut tlsrpt_failures: BTreeMap<ResultType, u64> = BTreeMap::new();
-    for policy in &report.policies {
-        for detail in &policy.failure_details {
-            *tlsrpt_failures.entry(detail.result_type).or_default() += detail.failed_session_count;
-        }
-    }
-
     DowngradeOutcome {
-        stats: engine.stats(),
+        stats: sender.stats(),
         in_window_attempts,
-        tlsrpt_failures,
+        tlsrpt_failures: sender.tlsrpt_failures(start.date()),
     }
 }
 
@@ -264,17 +402,20 @@ pub fn tlsrpt_failure_coverage(seed: u64) -> BTreeMap<ResultType, u64> {
     let attack_start = start + ATTACK_LEAD;
     let attack_end = attack_start + Duration::hours(6);
     let mut totals: BTreeMap<ResultType, u64> = BTreeMap::new();
-    let mut merge = |outcome: &DowngradeOutcome| {
-        for (ty, n) in &outcome.tlsrpt_failures {
-            *totals.entry(*ty).or_default() += n;
+    let mut merge = |failures: BTreeMap<ResultType, u64>| {
+        for (ty, n) in failures {
+            *totals.entry(ty).or_default() += n;
         }
     };
 
     // validation-failure via soft-failing MX redirection.
-    merge(&run_downgrade(&DowngradeConfig {
-        mode: Mode::Testing,
-        ..DowngradeConfig::new(seed, 604_800, Duration::hours(6))
-    }));
+    merge(
+        run_downgrade(&DowngradeConfig {
+            mode: Mode::Testing,
+            ..DowngradeConfig::new(seed, 604_800, Duration::hours(6))
+        })
+        .tlsrpt_failures,
+    );
 
     // sts-webpki-invalid via an HTTPS MITM on the policy host.
     {
@@ -291,14 +432,9 @@ pub fn tlsrpt_failure_coverage(seed: u64) -> BTreeMap<ResultType, u64> {
             attack_start,
             attack_end,
         ));
-        let mut engine = DeliveryEngine::new(DeliveryConfig::without_cache());
-        engine.deliver(&world, &victim, attack_start + STEP);
-        let report = engine.tls_report(start.date());
-        for policy in &report.policies {
-            for detail in &policy.failure_details {
-                *totals.entry(detail.result_type).or_default() += detail.failed_session_count;
-            }
-        }
+        let mut sender = SweepSender::new(cfg.use_cache);
+        sender.deliver(&world, &victim, attack_start + STEP);
+        merge(sender.tlsrpt_failures(start.date()));
     }
 
     // sts-policy-fetch-error via an unreachable policy host.
@@ -309,14 +445,9 @@ pub fn tlsrpt_failure_coverage(seed: u64) -> BTreeMap<ResultType, u64> {
         for ip in world.web_ips() {
             world.with_web(ip, |ep| ep.reachability = Reachability::Refused);
         }
-        let mut engine = DeliveryEngine::new(DeliveryConfig::without_cache());
-        engine.deliver(&world, &victim, attack_start);
-        let report = engine.tls_report(start.date());
-        for policy in &report.policies {
-            for detail in &policy.failure_details {
-                *totals.entry(detail.result_type).or_default() += detail.failed_session_count;
-            }
-        }
+        let mut sender = SweepSender::new(false);
+        sender.deliver(&world, &victim, attack_start);
+        merge(sender.tlsrpt_failures(start.date()));
     }
 
     totals

@@ -9,6 +9,7 @@
 //! unable to downgrade an already-seen domain (and what makes improper
 //! removal, §2.6, cause lingering delivery failures).
 
+use crate::engine::{classify, conclude, Classified, Disposition, ResolvedPolicy};
 use crate::policy::Policy;
 use netbase::{DomainName, SimInstant};
 use serde::{Deserialize, Serialize};
@@ -44,35 +45,12 @@ impl CachedPolicy {
     }
 }
 
-/// Why the cache asks the caller to fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshReason {
-    /// Nothing cached for the domain.
-    NoEntry,
-    /// The cached entry has passed `max_age`.
-    Expired,
-    /// The DNS record's `id` changed.
-    IdChanged,
-}
-
-/// What the cache says about a domain before a delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheDecision {
-    /// Use this cached policy; no fetch needed.
-    UseCached(CachedPolicy),
-    /// Fetch (or refetch) the policy over HTTPS.
-    Fetch(RefreshReason),
-    /// The cached policy applies even though the current record is absent
-    /// or unreadable (TOFU protection against downgrade-by-DNS-blocking).
-    UseCachedDespiteDns(CachedPolicy),
-}
-
 /// The sender's policy cache.
 ///
 /// Instrumented with hit/refresh counters for the `cache` benchmark and the
-/// always-refetch ablation in DESIGN.md. `hits` counts decisions served
-/// from cache; `fetches` counts **completed** fetches (a [`store`]) — a
-/// recommended fetch whose HTTPS leg then fails does not inflate the
+/// always-refetch ablation in DESIGN.md. `hits` counts resolutions served
+/// from a fresh entry; `fetches` counts **completed** fetches (a
+/// [`store`]) — a fetch whose HTTPS leg fails does not inflate the
 /// counter, so `stats()` stays reconcilable with TLSRPT/ledger totals.
 ///
 /// [`store`]: PolicyCache::store
@@ -89,61 +67,44 @@ impl PolicyCache {
         PolicyCache::default()
     }
 
-    /// The decision for `domain`, computed without touching counters or
-    /// entries — the resolver's read-locked fast path. The entry is
-    /// borrowed for the whole classification; a `Policy` clone happens
-    /// only in the `UseCached*` arms that hand it out.
+    /// Resolves `domain` at `now`: the two-step decision
+    /// ([`classify`], then [`conclude`] on the HTTPS `fetch` it asks
+    /// for) composed with [`store`]. `record_txts` is the `_mta-sts` TXT
+    /// lookup (`None` = the lookup failed). `fetch` runs only when the
+    /// decision needs the policy document. Counts cache uses; a fetched
+    /// policy is counted by the store.
     ///
-    /// Expired entries are **never** evicted here, whatever the record
-    /// lookup said: when a DNS outage coincides with expiry the entry is
-    /// exactly what the RFC 8461 §3.3 stale fallback needs, so disposal
-    /// belongs to the caller ([`evict`] / [`evict_expired`]), not to the
-    /// decision.
+    /// Expired entries are **never** evicted here: when a DNS outage
+    /// coincides with expiry the entry is exactly what the RFC 8461 §3.3
+    /// stale fallback needs, so disposal belongs to the caller
+    /// ([`evict`] / [`evict_expired`]), not to the decision.
     ///
+    /// [`store`]: PolicyCache::store
     /// [`evict`]: PolicyCache::evict
     /// [`evict_expired`]: PolicyCache::evict_expired
-    pub fn assess(
-        &self,
-        domain: &DomainName,
-        current_record_id: Option<&str>,
-        now: SimInstant,
-    ) -> CacheDecision {
-        match (self.entries.get(domain), current_record_id) {
-            (Some(cached), Some(id)) if cached.is_fresh(now) && cached.record_id == id => {
-                CacheDecision::UseCached(cached.clone())
-            }
-            (Some(cached), Some(_id_changed)) if cached.is_fresh(now) => {
-                CacheDecision::Fetch(RefreshReason::IdChanged)
-            }
-            (Some(cached), None) if cached.is_fresh(now) => {
-                // Record gone/unreadable but policy still valid: keep
-                // enforcing (this is the RFC's protection, and the §2.6
-                // removal-ordering hazard).
-                CacheDecision::UseCachedDespiteDns(cached.clone())
-            }
-            (Some(_expired), _) => CacheDecision::Fetch(RefreshReason::Expired),
-            (None, _) => CacheDecision::Fetch(RefreshReason::NoEntry),
-        }
-    }
-
-    /// Decides between cached use and refetching, given the outcome of the
-    /// `_mta-sts` record lookup (`Some(id)` when a valid record was read,
-    /// `None` when the record was absent or unreadable). Counts cache
-    /// uses; fetch completions are counted by [`PolicyCache::store`].
-    pub fn decide(
+    pub fn resolve(
         &mut self,
         domain: &DomainName,
-        current_record_id: Option<&str>,
+        record_txts: Option<&[String]>,
+        fetch: impl FnOnce() -> Result<String, String>,
         now: SimInstant,
-    ) -> CacheDecision {
-        let decision = self.assess(domain, current_record_id, now);
-        if matches!(
-            decision,
-            CacheDecision::UseCached(_) | CacheDecision::UseCachedDespiteDns(_)
-        ) {
-            self.hits += 1;
+    ) -> (ResolvedPolicy, Disposition) {
+        let record_id = match classify(record_txts, self.entries.get(domain), now) {
+            Classified::Resolved(resolved, disposition) => {
+                if disposition.is_hit() {
+                    self.hits += 1;
+                }
+                return (resolved, disposition);
+            }
+            Classified::Fetch(record_id) => record_id,
+        };
+        match conclude(fetch(), self.entries.get(domain), now) {
+            Ok(policy) => {
+                self.store(domain.clone(), policy.clone(), &record_id, now);
+                (ResolvedPolicy::fetched(policy), Disposition::Fetched)
+            }
+            Err(answer) => answer,
         }
-        decision
     }
 
     /// Stores a freshly fetched policy. This is the fetch-completion
@@ -240,12 +201,28 @@ mod tests {
         SimDate::ymd(2024, 6, 1).at_midnight()
     }
 
+    fn record(id: &str) -> Vec<String> {
+        vec![format!("v=STSv1; id={id};")]
+    }
+
+    /// Step one of the decision against `cache`'s entry for `domain`.
+    fn decide(
+        cache: &PolicyCache,
+        domain: &str,
+        txts: Option<&[String]>,
+        now: SimInstant,
+    ) -> Classified {
+        classify(txts, cache.peek(&n(domain)), now)
+    }
+
+    const DOC: &str = "version: STSv1\r\nmode: enforce\r\nmx: mx.example.com\r\nmax_age: 3600\r\n";
+
     #[test]
     fn first_contact_fetches() {
-        let mut cache = PolicyCache::new();
+        let cache = PolicyCache::new();
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id1"), t0()),
-            CacheDecision::Fetch(RefreshReason::NoEntry)
+            decide(&cache, "example.com", Some(&record("id1")), t0()),
+            Classified::Fetch("id1".to_string())
         );
     }
 
@@ -254,11 +231,22 @@ mod tests {
         let mut cache = PolicyCache::new();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
         let later = t0() + Duration::days(3);
-        let CacheDecision::UseCached(entry) = cache.decide(&n("example.com"), Some("id1"), later)
-        else {
-            panic!("expected cached use")
-        };
-        assert_eq!(entry.record_id, "id1");
+        let (resolved, disposition) = cache.resolve(
+            &n("example.com"),
+            Some(&record("id1")),
+            || panic!("a fresh hit never fetches"),
+            later,
+        );
+        assert_eq!(disposition, Disposition::Hit);
+        assert_eq!(
+            resolved,
+            ResolvedPolicy::Active {
+                policy: policy(604_800),
+                from_cache: true,
+                stale: false,
+            }
+        );
+        assert_eq!(cache.peek(&n("example.com")).unwrap().record_id, "id1");
     }
 
     #[test]
@@ -266,8 +254,13 @@ mod tests {
         let mut cache = PolicyCache::new();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id2"), t0() + Duration::hours(1)),
-            CacheDecision::Fetch(RefreshReason::IdChanged)
+            decide(
+                &cache,
+                "example.com",
+                Some(&record("id2")),
+                t0() + Duration::hours(1)
+            ),
+            Classified::Fetch("id2".to_string())
         );
     }
 
@@ -276,8 +269,13 @@ mod tests {
         let mut cache = PolicyCache::new();
         cache.store(n("example.com"), policy(3600), "id1", t0());
         assert_eq!(
-            cache.decide(&n("example.com"), Some("id1"), t0() + Duration::hours(2)),
-            CacheDecision::Fetch(RefreshReason::Expired)
+            decide(
+                &cache,
+                "example.com",
+                Some(&record("id1")),
+                t0() + Duration::hours(2)
+            ),
+            Classified::Fetch("id1".to_string())
         );
     }
 
@@ -287,21 +285,37 @@ mod tests {
         // still applies (TOFU downgrade protection).
         let mut cache = PolicyCache::new();
         cache.store(n("example.com"), policy(604_800), "id1", t0());
-        let decision = cache.decide(&n("example.com"), None, t0() + Duration::days(1));
-        assert!(matches!(decision, CacheDecision::UseCachedDespiteDns(_)));
+        let decision = decide(&cache, "example.com", None, t0() + Duration::days(1));
+        assert!(matches!(
+            decision,
+            Classified::Resolved(_, Disposition::HitDespiteDns)
+        ));
     }
 
     #[test]
-    fn record_removed_and_cache_expired_recommends_fetch_but_keeps_entry() {
-        // Regression (stale-fallback erasure): the old `decide` evicted
-        // the entry in the (expired, no-record) arm, so a DNS outage
-        // coinciding with expiry erased exactly the entry the §3.3
-        // stale fallback needs. The decision still says Fetch(Expired);
-        // disposal is the caller's (`evict_expired`), not the decision's.
+    fn record_lookup_failure_at_expiry_keeps_the_entry_governing() {
+        // Regression (stale-fallback erasure): an old decision evicted
+        // the entry when the record lookup failed past expiry, so a DNS
+        // outage coinciding with expiry erased exactly the entry the
+        // §3.3 stale fallback needs. The retained entry now governs as a
+        // stale fallback; disposal is the caller's (`evict_expired`).
         let mut cache = PolicyCache::new();
         cache.store(n("example.com"), policy(3600), "id1", t0());
-        let decision = cache.decide(&n("example.com"), None, t0() + Duration::days(1));
-        assert_eq!(decision, CacheDecision::Fetch(RefreshReason::Expired));
+        let (resolved, disposition) = cache.resolve(
+            &n("example.com"),
+            None,
+            || panic!("no readable record: no fetch"),
+            t0() + Duration::days(1),
+        );
+        assert_eq!(disposition, Disposition::StaleFallback);
+        assert!(matches!(
+            resolved,
+            ResolvedPolicy::Active {
+                from_cache: true,
+                stale: true,
+                ..
+            }
+        ));
         assert!(
             cache.peek(&n("example.com")).is_some(),
             "expired entry must survive the decision for stale fallback"
@@ -326,48 +340,53 @@ mod tests {
     #[test]
     fn stats_count_uses_and_completed_fetches() {
         let mut cache = PolicyCache::new();
-        let _ = cache.decide(&n("a.com"), Some("1"), t0()); // fetch recommended
-        cache.store(n("a.com"), policy(3600), "1", t0()); // fetch completed
-        let _ = cache.decide(&n("a.com"), Some("1"), t0()); // hit
-        let _ = cache.decide(&n("a.com"), Some("2"), t0()); // fetch recommended (id)
-                                                            // Only the completed fetch counts; the two recommendations alone
-                                                            // don't.
+        let a = n("a.com");
+        let ok = || Ok(DOC.to_string());
+        let down = || Err("tcp reset".to_string());
+        let _ = cache.resolve(&a, Some(&record("1")), ok, t0()); // fetched
+        let _ = cache.resolve(&a, Some(&record("1")), ok, t0()); // hit
+        let _ = cache.resolve(&a, Some(&record("2")), down, t0()); // failed refresh
+                                                                   // Only the completed fetch counts; the failed refresh doesn't.
         assert_eq!(cache.stats(), (1, 1));
-        cache.store(n("a.com"), policy(3600), "2", t0());
+        let _ = cache.resolve(&a, Some(&record("2")), ok, t0()); // refetched
         assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]
     fn failed_fetch_does_not_inflate_fetch_counter() {
-        // Regression (counter drift): a caller whose HTTPS fetch fails
-        // after `decide` recommended one must not shift `stats()` away
-        // from the TLSRPT/ledger totals — the counter moves on `store`.
+        // Regression (counter drift): a fetch that fails after the
+        // decision asked for one must not shift `stats()` away from the
+        // TLSRPT/ledger totals — the counter moves on `store`.
         let mut cache = PolicyCache::new();
         for _ in 0..5 {
-            let d = cache.decide(&n("a.com"), Some("1"), t0());
-            assert!(matches!(d, CacheDecision::Fetch(_)));
-            // Simulated fetch failure: the caller never stores.
+            let (resolved, disposition) = cache.resolve(
+                &n("a.com"),
+                Some(&record("1")),
+                || Err("tcp reset".to_string()),
+                t0(),
+            );
+            assert_eq!(disposition, Disposition::Unavailable);
+            assert!(matches!(resolved, ResolvedPolicy::Unavailable { .. }));
         }
         assert_eq!(cache.stats(), (0, 0));
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn max_age_zero_is_never_served() {
+    fn max_age_zero_is_never_fresh() {
         let mut cache = PolicyCache::new();
         cache.store(n("a.com"), policy(0), "1", t0());
         // Not even at the very instant it was stored.
         assert_eq!(
-            cache.decide(&n("a.com"), Some("1"), t0()),
-            CacheDecision::Fetch(RefreshReason::Expired)
+            decide(&cache, "a.com", Some(&record("1")), t0()),
+            Classified::Fetch("1".to_string())
         );
-        // And a record outage must not serve it either: the entry is
-        // expired, so the decision is a fetch (the entry itself survives
-        // for the caller's stale-fallback policy to dispose of).
-        cache.store(n("a.com"), policy(0), "1", t0());
-        assert_eq!(
-            cache.decide(&n("a.com"), None, t0()),
-            CacheDecision::Fetch(RefreshReason::Expired)
-        );
+        // A record outage never serves it as a fresh hit: the expired
+        // entry survives and governs only as a §3.3 stale fallback.
+        assert!(matches!(
+            decide(&cache, "a.com", None, t0()),
+            Classified::Resolved(_, Disposition::StaleFallback)
+        ));
         assert!(cache.peek(&n("a.com")).is_some());
     }
 
@@ -386,8 +405,8 @@ mod tests {
             let far_future = t0() + Duration::days(365 * 100);
             assert!(entry.is_fresh(far_future), "max_age={max_age}");
             assert!(matches!(
-                cache.decide(&n("a.com"), Some("1"), far_future),
-                CacheDecision::UseCached(_)
+                decide(&cache, "a.com", Some(&record("1")), far_future),
+                Classified::Resolved(_, Disposition::Hit)
             ));
         }
     }
@@ -399,8 +418,8 @@ mod tests {
         let exactly = t0() + Duration::seconds(3600);
         // At exactly max_age the entry is expired (strict <).
         assert_eq!(
-            cache.decide(&n("a.com"), Some("1"), exactly),
-            CacheDecision::Fetch(RefreshReason::Expired)
+            decide(&cache, "a.com", Some(&record("1")), exactly),
+            Classified::Fetch("1".to_string())
         );
     }
 }

@@ -1,16 +1,27 @@
 //! The sender decision procedure: RFC 8461 §4/§5 end to end.
 //!
-//! Given the observations a sending MTA makes — the `_mta-sts` TXT lookup,
-//! the HTTPS policy fetch, the chosen MX host, and the STARTTLS certificate
-//! verdict — the engine produces the protocol outcome and the final action
-//! (deliver / refuse). It owns the TOFU [`PolicyCache`], so repeated
-//! deliveries to the same domain exercise caching, `id`-triggered refresh
-//! and the downgrade protections the paper discusses (§2.4, §2.6).
+//! Resolution — which policy, if any, governs a recipient domain right
+//! now — is one pure two-step decision every sender in the workspace
+//! shares: [`classify`] weighs the `_mta-sts` TXT lookup against the
+//! cached entry and either settles the answer or asks for an HTTPS
+//! fetch under the record's `id`; [`conclude`] turns that fetch into the
+//! policy to store or the §3.3 stale-or-unavailable answer. The TOFU
+//! [`PolicyCache`] composes the two steps with its store, and the
+//! `sender` crate's queue and resolution service run them under their
+//! own locking, admission and single-flight.
 //!
-//! The engine is deliberately transport-free: the `sender` and `simnet`
-//! crates plug in real lookups; unit tests script the observations.
+//! [`SenderEngine`] adds the MX/TLS half for one delivery: given the
+//! observations a sending MTA makes — the record lookup, the policy
+//! fetch, the chosen MX host, and the STARTTLS certificate verdict — it
+//! produces the protocol outcome and the final action (deliver /
+//! refuse). Repeated deliveries to the same domain exercise caching,
+//! `id`-triggered refresh and the downgrade protections the paper
+//! discusses (§2.4, §2.6).
+//!
+//! Everything here is transport-free: the `sender` and `simnet` crates
+//! plug in real lookups; unit tests script the observations.
 
-use crate::cache::{CacheDecision, PolicyCache};
+use crate::cache::{CachedPolicy, PolicyCache};
 use crate::matching::mx_matches_policy;
 use crate::policy::{parse_policy, Mode, Policy};
 use crate::record::{evaluate_record_set, RecordError};
@@ -112,6 +123,209 @@ pub fn action_for(outcome: &StsOutcome) -> SenderAction {
     }
 }
 
+/// Which policy governs a recipient domain, as resolution concluded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolvedPolicy {
+    /// No `_mta-sts` record and nothing cached: MTA-STS does not apply.
+    NotApplicable,
+    /// A record exists but is invalid — counts as not deployed
+    /// (RFC 8461 §3.1); no protection applies.
+    RecordInvalid(RecordError),
+    /// The record was fine but no policy could be fetched and nothing
+    /// fresh was cached; delivery proceeds unprotected.
+    Unavailable {
+        /// Human-readable fetch/parse failure.
+        reason: String,
+    },
+    /// A policy governs the domain.
+    Active {
+        /// The governing policy.
+        policy: Policy,
+        /// Whether it came from cache rather than a fresh fetch.
+        from_cache: bool,
+        /// True when a retained cached policy took over because the
+        /// record lookup or the refresh failed — §3.3 stale fallback.
+        stale: bool,
+    },
+}
+
+impl ResolvedPolicy {
+    /// The governing policy, when one applies.
+    pub fn policy(&self) -> Option<&Policy> {
+        match self {
+            ResolvedPolicy::Active { policy, .. } => Some(policy),
+            _ => None,
+        }
+    }
+
+    /// A policy that was just fetched (and stored by the caller).
+    pub fn fetched(policy: Policy) -> ResolvedPolicy {
+        ResolvedPolicy::Active {
+            policy,
+            from_cache: false,
+            stale: false,
+        }
+    }
+
+    fn cached(entry: &CachedPolicy, stale: bool) -> ResolvedPolicy {
+        ResolvedPolicy::Active {
+            policy: entry.policy.clone(),
+            from_cache: true,
+            stale,
+        }
+    }
+}
+
+/// How a resolution was satisfied — the ledger-facing classification
+/// behind the resolution service's counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Disposition {
+    /// Fresh cache entry, record id unchanged.
+    Hit,
+    /// Fresh cache entry despite a failed record lookup (TOFU
+    /// downgrade protection).
+    HitDespiteDns,
+    /// A completed HTTPS fetch (this caller was the flight leader).
+    Fetched,
+    /// Parked on another caller's in-flight fetch and reused its result.
+    Coalesced,
+    /// Refresh failed; a retained cached policy governs (RFC 8461 §3.3).
+    StaleFallback,
+    /// No record (or NXDOMAIN): MTA-STS does not apply.
+    Undeployed,
+    /// A record exists but is invalid (counts as not deployed, §3.1).
+    RecordInvalid,
+    /// Fetch failed and nothing cached could take over.
+    Unavailable,
+    /// Admission control refused the fetch leg (token bucket empty or
+    /// delay past the bound).
+    Shed,
+}
+
+impl Disposition {
+    /// Served by a fresh cache entry (`Hit` or `HitDespiteDns`).
+    pub fn is_hit(self) -> bool {
+        matches!(self, Disposition::Hit | Disposition::HitDespiteDns)
+    }
+}
+
+/// The first decision step's verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Classified {
+    /// The lookup and the cache settle the answer; nothing is fetched.
+    Resolved(ResolvedPolicy, Disposition),
+    /// Fetch the policy over HTTPS and store it under this record `id`.
+    Fetch(String),
+}
+
+impl Classified {
+    /// Served by a fresh cache entry.
+    pub fn is_hit(&self) -> bool {
+        matches!(self, Classified::Resolved(_, d) if d.is_hit())
+    }
+}
+
+/// Step one: what the `_mta-sts` TXT lookup and the cached entry settle
+/// on their own. `record_txts` is `None` when the lookup failed
+/// (SERVFAIL-class) and empty for NXDOMAIN / no record.
+///
+/// - A fresh entry governs (§3.3) unless a readable record carries a
+///   new `id` (§3.1), which asks for a fetch.
+/// - A failed lookup keeps any retained entry governing, even past
+///   `max_age`: a sender cannot tell blocked DNS from an outage
+///   (§10.2). An answered "no record" releases an expired entry (§8.3);
+///   disposal of the entry itself belongs to
+///   [`PolicyCache::evict_expired`], never to the decision.
+/// - An invalid record counts as not deployed (§3.1).
+/// - A valid record with nothing fresh cached under its `id` asks for a
+///   fetch.
+pub fn classify(
+    record_txts: Option<&[String]>,
+    cached: Option<&CachedPolicy>,
+    now: SimInstant,
+) -> Classified {
+    let fresh = cached.filter(|entry| entry.is_fresh(now));
+    let (resolved, disposition) = match (record_txts.map(evaluate_record_set), fresh) {
+        (Some(Ok(record)), Some(entry)) if entry.record_id == record.id => {
+            (ResolvedPolicy::cached(entry, false), Disposition::Hit)
+        }
+        (Some(Ok(record)), _) => return Classified::Fetch(record.id),
+        (_, Some(entry)) => (
+            ResolvedPolicy::cached(entry, false),
+            Disposition::HitDespiteDns,
+        ),
+        (None, None) => match cached {
+            Some(entry) => (
+                ResolvedPolicy::cached(entry, true),
+                Disposition::StaleFallback,
+            ),
+            None => (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
+        },
+        (Some(Err(RecordError::NoRecord)), None) => {
+            (ResolvedPolicy::NotApplicable, Disposition::Undeployed)
+        }
+        (Some(Err(e)), None) => (ResolvedPolicy::RecordInvalid(e), Disposition::RecordInvalid),
+    };
+    Classified::Resolved(resolved, disposition)
+}
+
+/// Step two, after the fetch [`classify`] asked for: the parsed policy,
+/// which the caller stores, or the §3.3 answer for a failed or garbage
+/// refresh — a still-fresh cached policy keeps governing (an attacker
+/// who bumps the `id` and blocks or defaces the refresh gains nothing),
+/// an expired one never resurrects.
+pub fn conclude(
+    fetched: Result<String, String>,
+    cached: Option<&CachedPolicy>,
+    now: SimInstant,
+) -> Result<Policy, (ResolvedPolicy, Disposition)> {
+    let reason = match fetched {
+        Ok(body) => match parse_policy(&body) {
+            Ok(policy) => return Ok(policy),
+            Err(e) => format!("policy parse failure: {e}"),
+        },
+        Err(e) => format!("policy fetch failure: {e}"),
+    };
+    Err(match cached.filter(|entry| entry.is_fresh(now)) {
+        Some(entry) => (
+            ResolvedPolicy::cached(entry, true),
+            Disposition::StaleFallback,
+        ),
+        None => (
+            ResolvedPolicy::Unavailable { reason },
+            Disposition::Unavailable,
+        ),
+    })
+}
+
+/// Maps a resolution plus the delivery's validation failure (if any) to
+/// the protocol outcome a report carries.
+pub fn report_outcome(
+    resolution: Option<&ResolvedPolicy>,
+    soft_failure: Option<&StsFailure>,
+) -> StsOutcome {
+    match resolution {
+        None | Some(ResolvedPolicy::NotApplicable) => StsOutcome::NotApplicable,
+        Some(ResolvedPolicy::RecordInvalid(e)) => StsOutcome::RecordInvalid(e.clone()),
+        Some(ResolvedPolicy::Unavailable { reason }) => StsOutcome::PolicyUnavailable {
+            reason: reason.clone(),
+        },
+        Some(ResolvedPolicy::Active {
+            policy, from_cache, ..
+        }) => match soft_failure {
+            Some(failure) => StsOutcome::Failed {
+                mode: policy.mode,
+                failure: failure.clone(),
+                from_cache: *from_cache,
+            },
+            None => StsOutcome::Validated {
+                mode: policy.mode,
+                from_cache: *from_cache,
+            },
+        },
+    }
+}
+
 /// The observations the engine needs for one delivery attempt.
 pub struct DeliveryObservation<'a, FetchFn, CertFn>
 where
@@ -146,30 +360,10 @@ impl SenderEngine {
         SenderEngine::default()
     }
 
-    /// Access to the cache (instrumentation; the `cache` bench reads
-    /// hit/fetch counters).
-    pub fn cache(&self) -> &PolicyCache {
-        &self.cache
-    }
-
-    /// Drops any cached policy for `domain` (the always-refetch ablation).
-    pub fn evict(&mut self, domain: &DomainName) -> bool {
-        self.cache.evict(domain)
-    }
-
-    /// How many times a failed refresh fell back to a still-fresh cached
-    /// policy (RFC 8461 §3.3 degraded mode).
+    /// How many resolutions fell back to a retained cached policy
+    /// (RFC 8461 §3.3 degraded mode).
     pub fn fetch_fallbacks(&self) -> u64 {
         self.fetch_fallbacks
-    }
-
-    /// The still-fresh cached policy for `domain`, if a failed refresh can
-    /// fall back to it.
-    fn stale_fallback(&self, domain: &DomainName, now: SimInstant) -> Option<Policy> {
-        self.cache
-            .peek(domain)
-            .filter(|entry| entry.is_fresh(now))
-            .map(|entry| entry.policy.clone())
     }
 
     /// Evaluates one delivery, updating the cache, and returns the
@@ -182,132 +376,36 @@ impl SenderEngine {
         FetchFn: FnOnce() -> Result<String, String>,
         CertFn: FnOnce() -> Result<(), StsFailure>,
     {
-        let record = obs.record_txts.map(evaluate_record_set);
-        let record_id: Option<String> = match &record {
-            Some(Ok(r)) => Some(r.id.clone()),
-            _ => None,
-        };
-
-        // Cache consultation drives whether we fetch.
-        let decision = self.cache.decide(obs.domain, record_id.as_deref(), obs.now);
-
-        let (policy, from_cache): (Policy, bool) = match decision {
-            CacheDecision::UseCached(entry) | CacheDecision::UseCachedDespiteDns(entry) => {
-                (entry.policy, true)
-            }
-            CacheDecision::Fetch(_) => {
-                // A fetch requires a currently valid record.
-                let record = match record {
-                    None => return (StsOutcome::NotApplicable, SenderAction::DeliverUnvalidated),
-                    Some(Err(RecordError::NoRecord)) => {
-                        return (StsOutcome::NotApplicable, SenderAction::DeliverUnvalidated)
-                    }
-                    Some(Err(e)) => {
-                        let outcome = StsOutcome::RecordInvalid(e);
-                        let action = action_for(&outcome);
-                        return (outcome, action);
-                    }
-                    Some(Ok(r)) => r,
-                };
-                match (obs.fetch_policy)() {
-                    Ok(document) => match parse_policy(&document) {
-                        Ok(policy) => {
-                            self.cache.store(
-                                obs.domain.clone(),
-                                policy.clone(),
-                                &record.id,
-                                obs.now,
-                            );
-                            (policy, false)
-                        }
-                        Err(e) => {
-                            // A refresh that yields garbage must not defeat
-                            // a still-fresh cached policy (RFC 8461 §3.3):
-                            // an attacker able to swap the document (after
-                            // changing the record id) would otherwise
-                            // downgrade the domain to unprotected delivery.
-                            if let Some(policy) = self.stale_fallback(obs.domain, obs.now) {
-                                self.fetch_fallbacks += 1;
-                                (policy, true)
-                            } else {
-                                // Unparsable (e.g. empty) policy: sender
-                                // treats the domain as unprotected
-                                // (≈ `none`, §5).
-                                let outcome = StsOutcome::PolicyUnavailable {
-                                    reason: format!("policy parse failure: {e}"),
-                                };
-                                let action = action_for(&outcome);
-                                return (outcome, action);
-                            }
-                        }
-                    },
-                    Err(e) => {
-                        // Same degraded mode for a broken fetch: keep
-                        // honoring the cached policy until `max_age` runs
-                        // out rather than dropping to unprotected delivery.
-                        if let Some(policy) = self.stale_fallback(obs.domain, obs.now) {
-                            self.fetch_fallbacks += 1;
-                            (policy, true)
-                        } else {
-                            let outcome = StsOutcome::PolicyUnavailable {
-                                reason: format!("policy fetch failure: {e}"),
-                            };
-                            let action = action_for(&outcome);
-                            return (outcome, action);
-                        }
-                    }
+        let (resolved, disposition) =
+            self.cache
+                .resolve(obs.domain, obs.record_txts, obs.fetch_policy, obs.now);
+        if disposition == Disposition::StaleFallback {
+            self.fetch_fallbacks += 1;
+        }
+        // `none` mode validates nothing; MX pattern matching precedes the
+        // TLS session (§2.4).
+        let failure = match resolved.policy() {
+            Some(policy) if policy.mode != Mode::None => {
+                if mx_matches_policy(obs.mx_host, policy) {
+                    (obs.check_mx_tls)().err()
+                } else {
+                    Some(StsFailure::MxNotListed)
                 }
             }
+            _ => None,
         };
-
-        // `none` mode: no validation at all.
-        if policy.mode == Mode::None {
-            let outcome = StsOutcome::Validated {
-                mode: Mode::None,
-                from_cache,
-            };
-            let action = action_for(&outcome);
-            return (outcome, action);
-        }
-
-        // MX pattern matching precedes the TLS session (§2.4).
-        if !mx_matches_policy(obs.mx_host, &policy) {
-            let outcome = StsOutcome::Failed {
-                mode: policy.mode,
-                failure: StsFailure::MxNotListed,
-                from_cache,
-            };
-            let action = action_for(&outcome);
-            return (outcome, action);
-        }
-
-        // STARTTLS + certificate validation.
-        match (obs.check_mx_tls)() {
-            Ok(()) => {
-                let outcome = StsOutcome::Validated {
-                    mode: policy.mode,
-                    from_cache,
-                };
-                let action = action_for(&outcome);
-                (outcome, action)
-            }
-            Err(failure) => {
-                let outcome = StsOutcome::Failed {
-                    mode: policy.mode,
-                    failure,
-                    from_cache,
-                };
-                let action = action_for(&outcome);
-                (outcome, action)
-            }
-        }
+        let outcome = report_outcome(Some(&resolved), failure.as_ref());
+        let action = action_for(&outcome);
+        (outcome, action)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::MxPattern;
     use netbase::{Duration, SimDate};
+    use std::cell::Cell;
 
     fn n(s: &str) -> DomainName {
         s.parse().unwrap()
@@ -344,6 +442,263 @@ mod tests {
             now,
         })
     }
+
+    // -----------------------------------------------------------------
+    // RFC 8461 conformance table for the two-step decision
+    // -----------------------------------------------------------------
+
+    /// The `_mta-sts` TXT lookup a row starts from.
+    #[derive(Debug, Clone, Copy)]
+    enum Txt {
+        /// The lookup failed (SERVFAIL-class).
+        Failed,
+        /// Empty answer / NXDOMAIN.
+        NoRecord,
+        /// A record without an `id`.
+        Invalid,
+        /// A valid record with the cached `id`.
+        SameId,
+        /// A valid record with a new `id`.
+        NewId,
+    }
+
+    /// The cached entry before the row runs.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Entry {
+        Empty,
+        Fresh,
+        /// Past `max_age` but retained (never evicted by the decision).
+        Expired,
+    }
+
+    /// What the HTTPS fetch returns, if the row reaches it.
+    #[derive(Debug, Clone, Copy)]
+    enum Body {
+        Policy,
+        Garbage,
+        Down,
+    }
+
+    /// The governing answer's variant.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Want {
+        NotApplicable,
+        RecordInvalid,
+        Unavailable,
+        Active,
+    }
+
+    /// One conformance row: lookup, cache, fetch → variant,
+    /// `from_cache`, `stale`, disposition, whether the fetch ran, and
+    /// the RFC 8461 section the row follows.
+    type Row = (
+        Txt,
+        Entry,
+        Body,
+        Want,
+        bool,
+        bool,
+        Disposition,
+        bool,
+        &'static str,
+    );
+
+    const FETCHED_DOC: &str =
+        "version: STSv1\r\nmode: enforce\r\nmx: mx.example.com\r\nmax_age: 604800\r\n";
+
+    fn entry_policy(max_age: u64) -> Policy {
+        Policy::new(
+            Mode::Enforce,
+            max_age,
+            vec![MxPattern::parse("mx.example.com").unwrap()],
+        )
+    }
+
+    /// Every combination of record lookup × cache state × fetch result,
+    /// driven through [`PolicyCache::resolve`] (classify, fetch,
+    /// conclude, store), one [`Row`] each.
+    #[test]
+    fn rfc8461_resolution_conformance_table() {
+        use Body::*;
+        use Disposition as D;
+        use Entry::*;
+        use Txt::*;
+        use Want::*;
+        #[rustfmt::skip]
+        let rows: [Row; 45] = [
+            (Failed, Empty, Policy, NotApplicable, false, false, D::Undeployed, false, "§3.3"),
+            (Failed, Empty, Garbage, NotApplicable, false, false, D::Undeployed, false, "§3.3"),
+            (Failed, Empty, Down, NotApplicable, false, false, D::Undeployed, false, "§3.3"),
+            (Failed, Fresh, Policy, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Failed, Fresh, Garbage, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Failed, Fresh, Down, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Failed, Expired, Policy, Active, true, true, D::StaleFallback, false, "§10.2"),
+            (Failed, Expired, Garbage, Active, true, true, D::StaleFallback, false, "§10.2"),
+            (Failed, Expired, Down, Active, true, true, D::StaleFallback, false, "§10.2"),
+            (NoRecord, Empty, Policy, NotApplicable, false, false, D::Undeployed, false, "§3.1"),
+            (NoRecord, Empty, Garbage, NotApplicable, false, false, D::Undeployed, false, "§3.1"),
+            (NoRecord, Empty, Down, NotApplicable, false, false, D::Undeployed, false, "§3.1"),
+            (NoRecord, Fresh, Policy, Active, true, false, D::HitDespiteDns, false, "§8.3"),
+            (NoRecord, Fresh, Garbage, Active, true, false, D::HitDespiteDns, false, "§8.3"),
+            (NoRecord, Fresh, Down, Active, true, false, D::HitDespiteDns, false, "§8.3"),
+            (NoRecord, Expired, Policy, NotApplicable, false, false, D::Undeployed, false, "§8.3"),
+            (NoRecord, Expired, Garbage, NotApplicable, false, false, D::Undeployed, false, "§8.3"),
+            (NoRecord, Expired, Down, NotApplicable, false, false, D::Undeployed, false, "§8.3"),
+            (Invalid, Empty, Policy, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (Invalid, Empty, Garbage, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (Invalid, Empty, Down, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (Invalid, Fresh, Policy, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Invalid, Fresh, Garbage, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Invalid, Fresh, Down, Active, true, false, D::HitDespiteDns, false, "§3.3"),
+            (Invalid, Expired, Policy, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (Invalid, Expired, Garbage, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (Invalid, Expired, Down, RecordInvalid, false, false, D::RecordInvalid, false, "§3.1"),
+            (SameId, Empty, Policy, Active, false, false, D::Fetched, true, "§3.3"),
+            (SameId, Empty, Garbage, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (SameId, Empty, Down, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (SameId, Fresh, Policy, Active, true, false, D::Hit, false, "§3.1"),
+            (SameId, Fresh, Garbage, Active, true, false, D::Hit, false, "§3.1"),
+            (SameId, Fresh, Down, Active, true, false, D::Hit, false, "§3.1"),
+            (SameId, Expired, Policy, Active, false, false, D::Fetched, true, "§5.1"),
+            (SameId, Expired, Garbage, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (SameId, Expired, Down, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (NewId, Empty, Policy, Active, false, false, D::Fetched, true, "§3.3"),
+            (NewId, Empty, Garbage, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (NewId, Empty, Down, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (NewId, Fresh, Policy, Active, false, false, D::Fetched, true, "§3.1"),
+            (NewId, Fresh, Garbage, Active, true, true, D::StaleFallback, true, "§3.3"),
+            (NewId, Fresh, Down, Active, true, true, D::StaleFallback, true, "§3.3"),
+            (NewId, Expired, Policy, Active, false, false, D::Fetched, true, "§5.1"),
+            (NewId, Expired, Garbage, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+            (NewId, Expired, Down, Unavailable, false, false, D::Unavailable, true, "§3.3"),
+        ];
+
+        let domain = n("example.com");
+        let now = t0();
+        for (i, (txt, entry, body, want, from_cache, stale, disposition, fetches, section)) in
+            rows.into_iter().enumerate()
+        {
+            let row = format!("row {i} ({txt:?}, {entry:?}, {body:?}; RFC 8461 {section})");
+            let seeded = match entry {
+                Empty => None,
+                Fresh => Some(CachedPolicy {
+                    policy: entry_policy(86_400),
+                    record_id: "a1".to_string(),
+                    fetched_at: now - Duration::hours(1),
+                }),
+                Expired => Some(CachedPolicy {
+                    policy: entry_policy(3_600),
+                    record_id: "a1".to_string(),
+                    fetched_at: now - Duration::days(2),
+                }),
+            };
+            let mut cache = PolicyCache::from_snapshot(
+                seeded.iter().map(|e| (domain.clone(), e.clone())).collect(),
+            );
+            let txts: Option<Vec<String>> = match txt {
+                Failed => None,
+                NoRecord => Some(Vec::new()),
+                Invalid => Some(vec!["v=STSv1".to_string()]),
+                SameId => Some(vec!["v=STSv1; id=a1;".to_string()]),
+                NewId => Some(vec!["v=STSv1; id=a2;".to_string()]),
+            };
+            let ran = Cell::new(false);
+            let (resolved, got) = cache.resolve(
+                &domain,
+                txts.as_deref(),
+                || {
+                    ran.set(true);
+                    match body {
+                        Policy => Ok(FETCHED_DOC.to_string()),
+                        Garbage => Ok("<html>defaced</html>".to_string()),
+                        Down => Err("tcp reset".to_string()),
+                    }
+                },
+                now,
+            );
+
+            assert_eq!(got, disposition, "{row}");
+            assert_eq!(ran.get(), fetches, "{row}: fetch ran");
+            let (variant, flags) = match &resolved {
+                ResolvedPolicy::NotApplicable => (NotApplicable, (false, false)),
+                ResolvedPolicy::RecordInvalid(_) => (RecordInvalid, (false, false)),
+                ResolvedPolicy::Unavailable { reason } => {
+                    let prefix = match body {
+                        Garbage => "policy parse failure: ",
+                        _ => "policy fetch failure: ",
+                    };
+                    assert!(reason.starts_with(prefix), "{row}: {reason}");
+                    (Unavailable, (false, false))
+                }
+                ResolvedPolicy::Active {
+                    policy,
+                    from_cache,
+                    stale,
+                } => {
+                    // A cached answer is the seeded policy; a fresh one
+                    // is the fetched document (both enforce-mode).
+                    let expected = if *from_cache {
+                        seeded.as_ref().map(|e| e.policy.clone())
+                    } else {
+                        Some(parse_policy(FETCHED_DOC).unwrap())
+                    };
+                    assert_eq!(Some(policy.clone()), expected, "{row}");
+                    (Active, (*from_cache, *stale))
+                }
+            };
+            assert_eq!(variant, want, "{row}");
+            assert_eq!(flags, (from_cache, stale), "{row}: (from_cache, stale)");
+
+            // Only a completed fetch writes (and counts); every other
+            // row leaves the entry — expired or not — exactly as seeded.
+            let after = cache.peek(&domain).cloned();
+            if got == D::Fetched {
+                let stored = after.expect("fetch stores");
+                let id = if matches!(txt, SameId) { "a1" } else { "a2" };
+                assert_eq!(stored.record_id, id, "{row}");
+                assert_eq!(stored.fetched_at, now, "{row}");
+            } else {
+                assert_eq!(after, seeded, "{row}: entry changed");
+            }
+            let hits = u64::from(got.is_hit());
+            let stores = u64::from(got == D::Fetched);
+            assert_eq!(cache.stats(), (hits, stores), "{row}: (hits, fetches)");
+        }
+    }
+
+    #[test]
+    fn report_outcome_types_soft_failures() {
+        let active = ResolvedPolicy::Active {
+            policy: Policy::new(
+                Mode::Testing,
+                604_800,
+                vec![MxPattern::parse("mx.example.com").unwrap()],
+            ),
+            from_cache: true,
+            stale: false,
+        };
+        let out = report_outcome(Some(&active), Some(&StsFailure::StartTlsUnavailable));
+        assert!(matches!(
+            out,
+            StsOutcome::Failed {
+                mode: Mode::Testing,
+                failure: StsFailure::StartTlsUnavailable,
+                from_cache: true,
+            }
+        ));
+        assert!(matches!(
+            report_outcome(Some(&active), None),
+            StsOutcome::Validated { .. }
+        ));
+        assert!(matches!(
+            report_outcome(None, None),
+            StsOutcome::NotApplicable
+        ));
+    }
+
+    // -----------------------------------------------------------------
+    // The engine end to end: resolution plus the MX/TLS check
+    // -----------------------------------------------------------------
 
     #[test]
     fn no_record_means_not_applicable() {
@@ -488,6 +843,41 @@ mod tests {
     }
 
     #[test]
+    fn dns_blocking_at_expiry_keeps_the_retained_policy() {
+        // A failed record lookup past `max_age` cannot be told apart
+        // from an attacker blocking DNS, so the retained entry keeps
+        // governing (the queue's and the resolver's semantics).
+        let mut e = SenderEngine::new();
+        let short = "version: STSv1\r\nmode: enforce\r\nmx: mx.example.com\r\nmax_age: 3600\r\n";
+        let _ = eval(
+            &mut e,
+            Some(record()),
+            Ok(short.to_string()),
+            "mx.example.com",
+            Ok(()),
+            t0(),
+        );
+        let (outcome, action) = eval(
+            &mut e,
+            None,
+            Err("blocked".into()),
+            "evil.attacker.net",
+            Ok(()),
+            t0() + Duration::days(1),
+        );
+        assert_eq!(
+            outcome,
+            StsOutcome::Failed {
+                mode: Mode::Enforce,
+                failure: StsFailure::MxNotListed,
+                from_cache: true
+            }
+        );
+        assert_eq!(action, SenderAction::Refuse);
+        assert_eq!(e.fetch_fallbacks(), 1);
+    }
+
+    #[test]
     fn enforce_refuses_on_bad_cert() {
         let mut e = SenderEngine::new();
         let (outcome, action) = eval(
@@ -578,7 +968,7 @@ mod tests {
         let StsOutcome::PolicyUnavailable { reason } = &outcome else {
             panic!("expected PolicyUnavailable, got {outcome:?}")
         };
-        assert!(reason.contains("empty"), "{reason}");
+        assert_eq!(reason, "policy parse failure: policy document is empty");
         assert_eq!(action, SenderAction::DeliverUnvalidated);
     }
 
@@ -621,9 +1011,9 @@ mod tests {
 
     #[test]
     fn tofu_refresh_race_keeps_old_policy() {
-        // Satellite: record id changed (attacker- or operator-initiated)
-        // while the HTTPS fetch is faulted. RFC 8461 §3.3: the still-fresh
-        // cached policy must keep applying — the engine must NOT drop to
+        // Record id changed (attacker- or operator-initiated) while the
+        // HTTPS fetch is faulted. RFC 8461 §3.3: the still-fresh cached
+        // policy must keep applying — the engine must NOT drop to
         // unprotected delivery.
         let mut e = SenderEngine::new();
         let _ = eval(

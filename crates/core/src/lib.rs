@@ -19,8 +19,10 @@
 //!   typos with edit distance ≤ 3, §4.4);
 //! - [`cache`]: the sender-side TOFU policy cache with `max_age` expiry and
 //!   `id`-triggered refresh (§2.4);
-//! - [`engine`]: the sender decision procedure — fetch, match, validate,
-//!   and the enforce/testing/none semantics deciding delivery;
+//! - [`engine`]: the sender decision procedure — the one two-step
+//!   policy resolution every sender shares ([`classify`] the record
+//!   lookup against the cache, [`conclude`] the fetch), then MX matching,
+//!   validation, and the enforce/testing/none semantics deciding delivery;
 //! - [`delegation`]: CNAME-based policy-delegation analysis (§2.5, §5) and
 //!   the same-provider inference of §4.5.1;
 //! - [`removal`]: the RFC 8461 §8.3 removal procedure checker (§2.6);
@@ -36,8 +38,11 @@ pub mod removal;
 pub mod tlsrpt;
 pub mod tlsrpt_report;
 
-pub use cache::{CacheDecision, CachedPolicy, PolicyCache, RefreshReason};
-pub use engine::{DeliveryObservation, SenderAction, SenderEngine, StsFailure, StsOutcome};
+pub use cache::{CachedPolicy, PolicyCache};
+pub use engine::{
+    classify, conclude, report_outcome, Classified, DeliveryObservation, Disposition,
+    ResolvedPolicy, SenderAction, SenderEngine, StsFailure, StsOutcome,
+};
 pub use matching::{
     classify_mismatch, classify_policy_mismatches, mx_matches_policy, MismatchKind,
 };

@@ -32,7 +32,7 @@ pub mod time;
 
 pub use editdist::{levenshtein, levenshtein_within};
 pub use name::{DomainName, NameError};
-pub use pool::{map_sharded, shard_bounds};
+pub use pool::{default_scan_threads, map_sharded, shard_bounds};
 pub use rate::TokenBucket;
 pub use retry::{AttemptEvent, RetryOutcome, RetryPolicy, RetryVerdict};
 pub use rng::DetRng;

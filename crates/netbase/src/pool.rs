@@ -14,6 +14,38 @@
 //! depend only on `(len, shards)`, never on timing, which is what makes
 //! the parallel scan engine's byte-identity guarantee provable rather
 //! than probabilistic.
+//!
+//! [`default_scan_threads`] is the one reader of the `SCAN_THREADS`
+//! environment variable: every engine whose config asks for the default
+//! thread count (0) resolves it here.
+
+/// Hard cap on auto-detected parallelism (an explicit `SCAN_THREADS`
+/// may exceed it).
+const AUTO_THREAD_CAP: usize = 8;
+
+/// The default worker-thread count: the `SCAN_THREADS` environment
+/// variable when it is set to a positive integer, 1 when it is set to
+/// anything else, and the machine's available parallelism capped at 8
+/// when it is unset (beyond that the in-memory world's shared mutexes
+/// start to dominate).
+pub fn default_scan_threads() -> usize {
+    scan_threads_from(std::env::var("SCAN_THREADS").ok().as_deref(), || {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
+}
+
+/// The `SCAN_THREADS` parsing rule, pure: a set value that trims to a
+/// positive integer is used as is, any other set value gives 1, and an
+/// unset one (`None`) gives `available()` capped at 8.
+fn scan_threads_from(value: Option<&str>, available: impl FnOnce() -> usize) -> usize {
+    match value {
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => 1,
+        },
+        None => available().clamp(1, AUTO_THREAD_CAP),
+    }
+}
 
 /// Contiguous shard boundaries for `len` items over `shards` workers:
 /// `ceil`/`floor` balanced (sizes differ by at most one, larger shards
@@ -101,6 +133,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scan_threads_parsing_rule() {
+        let unused = || panic!("a set value never probes the machine");
+        assert_eq!(scan_threads_from(Some("4"), unused), 4);
+        assert_eq!(scan_threads_from(Some(" 12\n"), unused), 12);
+        assert_eq!(scan_threads_from(Some("64"), unused), 64);
+        for junk in ["0", "", "  ", "-3", "two", "1.5", "0x4"] {
+            assert_eq!(scan_threads_from(Some(junk), unused), 1, "{junk:?}");
+        }
+        assert_eq!(scan_threads_from(None, || 3), 3);
+        assert_eq!(scan_threads_from(None, || 64), 8);
+        assert_eq!(scan_threads_from(None, || 0), 1);
+    }
+
+    #[test]
+    fn default_thread_count_is_positive() {
+        assert!(default_scan_threads() >= 1);
+    }
 
     #[test]
     fn bounds_cover_exactly_and_balance() {

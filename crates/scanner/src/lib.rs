@@ -11,9 +11,9 @@
 //!   third parties, same-eSLD self-management, ≤5-domain policy hosts,
 //!   and the single-administrator IP-grouping nuance);
 //! - [`scan`]: one full-component snapshot scan of a world;
-//! - [`parallel`]: the deterministic parallel scan engine's thread-count
-//!   resolution and its determinism argument (sharding, per-shard
-//!   clocks, in-order merge);
+//! - [`parallel`]: the deterministic parallel scan engine's determinism
+//!   argument (sharding, per-shard clocks, in-order merge); its thread
+//!   count is [`netbase::default_scan_threads`];
 //! - [`longitudinal`]: the weekly record series and monthly full scans
 //!   over the whole study calendar, retaining MX history for Figure 9;
 //! - [`incremental`]: the change-driven rescan cache that makes the
@@ -37,7 +37,7 @@ pub mod taxonomy;
 pub use classify::{EntityClass, EntityClassifier};
 pub use incremental::{CacheStats, IncrementalScanner};
 pub use longitudinal::{LongitudinalRun, Study};
-pub use parallel::default_scan_threads;
+pub use netbase::default_scan_threads;
 pub use scan::{scan_domain, scan_snapshot, scan_snapshot_with_threads, ScanConfig, Snapshot};
 pub use supervisor::{DegradationReport, SupervisedOutcome, SupervisorConfig};
 pub use taxonomy::{

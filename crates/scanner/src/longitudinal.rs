@@ -9,10 +9,10 @@
 //! which are kept as the reference oracles for the digest suite.
 
 use crate::incremental::{cache_forced, CacheStats, HitKind};
-use crate::parallel::default_scan_threads;
 use crate::scan::{scan_snapshot_with_threads, ScanConfig, Snapshot};
 use ecosystem::{DomainSpec, Ecosystem, IncrementalWorld, SnapshotDetail, TldId};
 use mtasts::evaluate_record_set;
+use netbase::default_scan_threads;
 use netbase::{map_sharded, DomainName, SimDate, SimInstant};
 use serde::Serialize;
 use simnet::World;

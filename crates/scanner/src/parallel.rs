@@ -1,6 +1,6 @@
-//! The deterministic parallel scan engine's plumbing: thread-count
-//! resolution and the `Send + Sync` audit of everything a shard worker
-//! touches.
+//! The deterministic parallel scan engine's plumbing: the `Send + Sync`
+//! audit of everything a shard worker touches. The thread count comes
+//! from [`netbase::default_scan_threads`].
 //!
 //! # Determinism argument
 //!
@@ -25,26 +25,6 @@
 //! maps) is folded sequentially from that ordered vector, so a parallel
 //! snapshot is byte-identical to a sequential one for any `K`.
 
-/// Hard cap on auto-detected scan parallelism (an explicit
-/// `SCAN_THREADS` may exceed it).
-const AUTO_THREAD_CAP: usize = 8;
-
-/// The scan engine's thread count: the `SCAN_THREADS` environment
-/// variable when set to a positive integer, otherwise the machine's
-/// available parallelism capped at 8 (beyond that the in-memory world's
-/// shared mutexes start to dominate). Always at least 1.
-pub fn default_scan_threads() -> usize {
-    match std::env::var("SCAN_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get().min(AUTO_THREAD_CAP))
-            .unwrap_or(1),
-    }
-}
-
 // The Send + Sync audit, encoded as compile-time assertions: a shard
 // worker holds `&World`, `&Ecosystem` and `&ScanConfig` across threads.
 // None of these may grow thread-hostile interior mutability (`Rc`,
@@ -56,14 +36,4 @@ fn static_assert_scan_inputs_are_shareable() {
     shareable::<ecosystem::Ecosystem>();
     shareable::<crate::scan::ScanConfig>();
     shareable::<crate::taxonomy::DomainScan>();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_thread_count_is_positive() {
-        assert!(default_scan_threads() >= 1);
-    }
 }

@@ -1,12 +1,12 @@
 //! Snapshot scanning: §4.1's methodology against a world.
 
 use crate::classify::EntityClassifier;
-use crate::parallel::default_scan_threads;
 use crate::taxonomy::{
     DomainScan, MxVerdict, PolicyLayer, PolicyLayerError, ScanAttempts, StageAttempts,
 };
 use dns::RecordType;
 use mtasts::{classify_policy_mismatches, evaluate_record_set, MismatchKind, Policy, RecordError};
+use netbase::default_scan_threads;
 use netbase::{
     map_sharded, AttemptEvent, DetRng, DomainName, RetryPolicy, SimDate, SimInstant, TokenBucket,
 };

@@ -30,10 +30,10 @@
 
 use crate::incremental::{cache_forced, CacheStats, ScanCache};
 use crate::longitudinal::Study;
-use crate::parallel::default_scan_threads;
 use crate::scan::{ScanConfig, Snapshot};
 use crate::taxonomy::DomainScan;
 use ecosystem::{DomainFingerprint, IncrementalWorld, SnapshotDetail};
+use netbase::default_scan_threads;
 use netbase::{map_sharded, shard_bounds, DomainName, SimDate};
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;

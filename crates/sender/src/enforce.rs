@@ -1,16 +1,17 @@
 //! MTA-STS enforcement inside the delivery queue (RFC 8461 §5).
 //!
-//! The PR 2 [`crate::delivery::DeliveryEngine`] evaluates the full
-//! sender state machine one message at a time; this module is the piece
-//! of it the *queue* needs, refactored around the queue's determinism
-//! contract:
+//! Resolution itself — which policy governs a recipient domain — is the
+//! core decision [`mtasts::classify`] / [`mtasts::conclude`] every
+//! sender in the workspace shares; this module is what the *queue* adds
+//! around it, shaped by the queue's determinism contract:
 //!
 //! - **Per-(domain, wave) resolution.** The policy for a recipient
 //!   domain is resolved once per wave — at the admission instant of the
-//!   wave's first message for that domain — through the TOFU
-//!   [`PolicyCache`] with RFC 8461 §3.3 stale fallback. Workers then
-//!   see an immutable [`WavePolicies`] snapshot, so resolution order
-//!   (and therefore cache state) is independent of thread count.
+//!   wave's first message for that domain — through the shared TOFU
+//!   cache with RFC 8461 §3.3 stale fallback
+//!   ([`crate::resolver::resolve_shared`]). Workers then see an
+//!   immutable [`WavePolicies`] snapshot, so resolution order (and
+//!   therefore cache state) is independent of thread count.
 //! - **Typed TLS requirements.** Policy mode maps to a per-attempt
 //!   [`TlsRequirement`]: `enforce` ⇒ PKIX-required, `testing` ⇒
 //!   opportunistic-with-accounting, `none`/no policy ⇒ plain
@@ -24,14 +25,13 @@
 //! `pipeline.rs`), so kill/resume replays the same resolution sequence
 //! a straight-through run performs.
 
-use mtasts::{
-    evaluate_record_set, parse_policy, CacheDecision, Mode, Policy, PolicyCache, RecordError,
-    StsFailure,
-};
-use netbase::{DomainName, SimInstant};
+use mtasts::Mode;
+use netbase::DomainName;
 use pkix::CertError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+pub use mtasts::{report_outcome, ResolvedPolicy};
 
 /// Queue-level enforcement knobs.
 #[derive(Debug, Clone)]
@@ -47,42 +47,6 @@ impl Default for EnforcementConfig {
     fn default() -> EnforcementConfig {
         EnforcementConfig {
             dane_precedence: true,
-        }
-    }
-}
-
-/// What one wave's resolution concluded for a recipient domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolvedPolicy {
-    /// No `_mta-sts` record and nothing cached: MTA-STS does not apply.
-    NotApplicable,
-    /// A record exists but is invalid — counts as not deployed
-    /// (RFC 8461 §3.1); no protection applies.
-    RecordInvalid(RecordError),
-    /// The record was fine but no policy could be fetched and nothing
-    /// fresh was cached; delivery proceeds unprotected.
-    Unavailable {
-        /// Human-readable fetch/parse failure.
-        reason: String,
-    },
-    /// A policy governs the domain for this wave.
-    Active {
-        /// The governing policy.
-        policy: Policy,
-        /// Whether it came from cache rather than a fresh fetch.
-        from_cache: bool,
-        /// True when the fetch failed (or returned garbage) and a
-        /// still-fresh cached policy took over — §3.3 stale fallback.
-        stale: bool,
-    },
-}
-
-impl ResolvedPolicy {
-    /// The governing policy, when one applies.
-    pub fn policy(&self) -> Option<&Policy> {
-        match self {
-            ResolvedPolicy::Active { policy, .. } => Some(policy),
-            _ => None,
         }
     }
 }
@@ -150,392 +114,5 @@ impl StsApplication {
     /// `Sts`/`Dane` with `Active` resolution, for ledger assertions.
     pub fn covered(&self) -> bool {
         !matches!(self, StsApplication::None)
-    }
-}
-
-/// Resolves the policy for `domain` at `now` through `cache`, with the
-/// §3.3 stale fallback. `record_txts` is the `_mta-sts` TXT lookup
-/// (`None` = lookup failed); `fetch` performs the strict-TLS HTTPS
-/// fetch and returns the raw policy body.
-///
-/// Mirrors the cache/fetch half of `SenderEngine::evaluate`, without
-/// the MX/TLS half — the queue applies that per attempt instead.
-pub fn resolve_domain(
-    cache: &mut PolicyCache,
-    domain: &DomainName,
-    record_txts: Option<&[String]>,
-    fetch: impl FnOnce() -> Result<String, String>,
-    now: SimInstant,
-) -> ResolvedPolicy {
-    let record = record_txts.map(evaluate_record_set);
-    let record_id = match &record {
-        Some(Ok(r)) => Some(r.id.clone()),
-        _ => None,
-    };
-
-    match cache.decide(domain, record_id.as_deref(), now) {
-        CacheDecision::UseCached(entry) | CacheDecision::UseCachedDespiteDns(entry) => {
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: false,
-            }
-        }
-        CacheDecision::Fetch(_) => {
-            let record = match record {
-                // The record *lookup failed* (SERVFAIL-class). With a
-                // fresh entry we never reach this arm (the cache answers
-                // `UseCachedDespiteDns`); with a retained expired entry
-                // the §3.3 stale fallback keeps governing — a sender
-                // cannot tell attacker-blocked DNS from an outage, and
-                // genuine removal (NXDOMAIN → `NoRecord` below) is the
-                // path that releases the domain. Disposal of truly dead
-                // entries belongs to `PolicyCache::evict_expired`.
-                None => {
-                    return match cache.peek(domain) {
-                        Some(entry) => ResolvedPolicy::Active {
-                            policy: entry.policy.clone(),
-                            from_cache: true,
-                            stale: true,
-                        },
-                        None => ResolvedPolicy::NotApplicable,
-                    }
-                }
-                Some(Err(RecordError::NoRecord)) => return ResolvedPolicy::NotApplicable,
-                Some(Err(e)) => return ResolvedPolicy::RecordInvalid(e),
-                Some(Ok(r)) => r,
-            };
-            match fetch() {
-                Ok(body) => match parse_policy(&body) {
-                    Ok(policy) => {
-                        cache.store(domain.clone(), policy.clone(), &record.id, now);
-                        ResolvedPolicy::Active {
-                            policy,
-                            from_cache: false,
-                            stale: false,
-                        }
-                    }
-                    Err(e) => stale_or(cache, domain, now, format!("policy parse failure: {e:?}")),
-                },
-                Err(e) => stale_or(cache, domain, now, format!("policy fetch failure: {e}")),
-            }
-        }
-    }
-}
-
-/// RFC 8461 §3.3: when a refresh fails, a **still-fresh** cached policy
-/// continues to govern; an expired one never resurrects.
-fn stale_or(
-    cache: &PolicyCache,
-    domain: &DomainName,
-    now: SimInstant,
-    reason: String,
-) -> ResolvedPolicy {
-    match cache.peek(domain).filter(|e| e.is_fresh(now)) {
-        Some(entry) => ResolvedPolicy::Active {
-            policy: entry.policy.clone(),
-            from_cache: true,
-            stale: true,
-        },
-        None => ResolvedPolicy::Unavailable { reason },
-    }
-}
-
-/// Maps a resolution plus attempt evidence to the TLSRPT outcome for
-/// one terminal delivery (soft failure typed in engine order) or
-/// policy bounce.
-pub fn report_outcome(
-    resolution: Option<&ResolvedPolicy>,
-    soft_failure: Option<&StsFailure>,
-) -> mtasts::StsOutcome {
-    use mtasts::StsOutcome;
-    match resolution {
-        None | Some(ResolvedPolicy::NotApplicable) => StsOutcome::NotApplicable,
-        Some(ResolvedPolicy::RecordInvalid(e)) => StsOutcome::RecordInvalid(e.clone()),
-        Some(ResolvedPolicy::Unavailable { reason }) => StsOutcome::PolicyUnavailable {
-            reason: reason.clone(),
-        },
-        Some(ResolvedPolicy::Active {
-            policy, from_cache, ..
-        }) => match soft_failure {
-            Some(failure) => StsOutcome::Failed {
-                mode: policy.mode,
-                failure: failure.clone(),
-                from_cache: *from_cache,
-            },
-            None => StsOutcome::Validated {
-                mode: policy.mode,
-                from_cache: *from_cache,
-            },
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mtasts::{Mode, MxPattern, Policy};
-    use netbase::{Duration, SimDate};
-
-    fn n(s: &str) -> DomainName {
-        s.parse().unwrap()
-    }
-
-    fn t0() -> SimInstant {
-        SimDate::ymd(2024, 6, 1).at_midnight()
-    }
-
-    fn record(id: &str) -> Vec<String> {
-        vec![format!("v=STSv1; id={id};")]
-    }
-
-    const GOOD_POLICY: &str =
-        "version: STSv1\r\nmode: enforce\r\nmx: mx.example.com\r\nmax_age: 604800\r\n";
-
-    #[test]
-    fn first_contact_fetches_and_stores() {
-        let mut cache = PolicyCache::new();
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Ok(GOOD_POLICY.to_string()),
-            t0(),
-        );
-        assert!(
-            matches!(&r, ResolvedPolicy::Active { from_cache: false, stale: false, policy } if policy.mode == Mode::Enforce)
-        );
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn fresh_hit_never_calls_fetch() {
-        let mut cache = PolicyCache::new();
-        let _ = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Ok(GOOD_POLICY.to_string()),
-            t0(),
-        );
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || panic!("fresh hit must not fetch"),
-            t0() + Duration::days(1),
-        );
-        assert!(matches!(
-            r,
-            ResolvedPolicy::Active {
-                from_cache: true,
-                stale: false,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn dns_outage_with_fresh_cache_keeps_enforcing() {
-        // Record lookup fails entirely; the TOFU cache still governs.
-        let mut cache = PolicyCache::new();
-        let _ = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Ok(GOOD_POLICY.to_string()),
-            t0(),
-        );
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            None,
-            || panic!("no record id, fresh cache: no fetch"),
-            t0() + Duration::days(2),
-        );
-        assert!(matches!(
-            r,
-            ResolvedPolicy::Active {
-                from_cache: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn id_change_with_failed_fetch_falls_back_stale() {
-        let mut cache = PolicyCache::new();
-        let _ = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Ok(GOOD_POLICY.to_string()),
-            t0(),
-        );
-        // The id rolled but the policy host is dark: §3.3 says keep the
-        // fresh cached policy.
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a2")),
-            || Err("tcp reset".to_string()),
-            t0() + Duration::hours(1),
-        );
-        assert!(matches!(
-            r,
-            ResolvedPolicy::Active {
-                from_cache: true,
-                stale: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn garbage_refresh_document_falls_back_stale() {
-        let mut cache = PolicyCache::new();
-        let _ = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Ok(GOOD_POLICY.to_string()),
-            t0(),
-        );
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a2")),
-            || Ok("<html>defaced</html>".to_string()),
-            t0() + Duration::hours(1),
-        );
-        assert!(matches!(
-            r,
-            ResolvedPolicy::Active {
-                from_cache: true,
-                stale: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn expired_entry_never_resurrects() {
-        let mut cache = PolicyCache::new();
-        cache.store(
-            n("example.com"),
-            Policy::new(
-                Mode::Enforce,
-                3600,
-                vec![MxPattern::parse("mx.example.com").unwrap()],
-            ),
-            "a1",
-            t0(),
-        );
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&record("a1")),
-            || Err("tcp reset".to_string()),
-            t0() + Duration::days(1),
-        );
-        assert!(matches!(r, ResolvedPolicy::Unavailable { .. }));
-    }
-
-    #[test]
-    fn dns_outage_at_expiry_keeps_stale_policy() {
-        // Regression for the stale-fallback erasure: DNS outage
-        // coinciding with cache expiry used to evict the entry inside
-        // `decide`, so enforcement silently dropped to opportunistic at
-        // the exact moment an attacker blocking DNS would want it to.
-        let mut cache = PolicyCache::new();
-        cache.store(
-            n("example.com"),
-            Policy::new(
-                Mode::Enforce,
-                3600,
-                vec![MxPattern::parse("mx.example.com").unwrap()],
-            ),
-            "a1",
-            t0(),
-        );
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            None, // lookup failed (SERVFAIL-class), not NXDOMAIN
-            || panic!("no valid record: no fetch"),
-            t0() + Duration::days(1), // well past max_age
-        );
-        assert!(
-            matches!(
-                &r,
-                ResolvedPolicy::Active {
-                    from_cache: true,
-                    stale: true,
-                    policy,
-                } if policy.mode == Mode::Enforce
-            ),
-            "expired entry must keep governing through a DNS outage, got {r:?}"
-        );
-        // Genuine removal (NXDOMAIN → empty record set) still releases
-        // the domain even with the entry retained.
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&[]),
-            || panic!("no record: no fetch"),
-            t0() + Duration::days(1),
-        );
-        assert_eq!(r, ResolvedPolicy::NotApplicable);
-    }
-
-    #[test]
-    fn no_record_and_invalid_record_resolve_as_undeployed() {
-        let mut cache = PolicyCache::new();
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&[]),
-            || panic!("no record: no fetch"),
-            t0(),
-        );
-        assert_eq!(r, ResolvedPolicy::NotApplicable);
-        let r = resolve_domain(
-            &mut cache,
-            &n("example.com"),
-            Some(&["v=STSv1".to_string()]),
-            || panic!("invalid record: no fetch"),
-            t0(),
-        );
-        assert!(matches!(r, ResolvedPolicy::RecordInvalid(_)));
-    }
-
-    #[test]
-    fn report_outcome_types_soft_failures() {
-        let active = ResolvedPolicy::Active {
-            policy: Policy::new(
-                Mode::Testing,
-                604_800,
-                vec![MxPattern::parse("mx.example.com").unwrap()],
-            ),
-            from_cache: true,
-            stale: false,
-        };
-        let out = report_outcome(Some(&active), Some(&StsFailure::StartTlsUnavailable));
-        assert!(matches!(
-            out,
-            mtasts::StsOutcome::Failed {
-                mode: Mode::Testing,
-                failure: StsFailure::StartTlsUnavailable,
-                from_cache: true,
-            }
-        ));
-        assert!(matches!(
-            report_outcome(Some(&active), None),
-            mtasts::StsOutcome::Validated { .. }
-        ));
-        assert!(matches!(
-            report_outcome(None, None),
-            mtasts::StsOutcome::NotApplicable
-        ));
     }
 }

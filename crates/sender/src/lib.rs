@@ -28,9 +28,10 @@
 //!   per-recipient envelope status, multi-MX fail-over, typed
 //!   4xx-requeue / 5xx-bounce classification, and checkpoint/resume;
 //! - [`enforce`]: MTA-STS enforcement *inside* the queue — per-(domain,
-//!   wave) policy resolution through the TOFU cache with RFC 8461 §3.3
-//!   stale fallback, typed per-attempt TLS requirements, and DANE
-//!   precedence (RFC 7672);
+//!   wave) policy resolution through the core's one RFC 8461 decision
+//!   ([`mtasts::classify`] / [`mtasts::conclude`]) with §3.3 stale
+//!   fallback, typed per-attempt TLS requirements, and DANE precedence
+//!   (RFC 7672);
 //! - [`resolver`]: the shared-concurrency policy-resolution service —
 //!   sharded TOFU cache with lock-free reads, single-flight refresh,
 //!   token-bucket fetch admission, and a Prometheus `/metrics` surface;
@@ -39,7 +40,6 @@
 
 pub mod analysis;
 pub mod breaker;
-pub mod delivery;
 pub mod enforce;
 pub mod mx_select;
 pub mod pipeline;
@@ -50,10 +50,8 @@ pub mod scenario;
 
 pub use analysis::{analyze, SenderStats};
 pub use breaker::{Admission, BreakerBoard, BreakerConfig, BreakerState, HostEvent};
-pub use delivery::{DeliveryConfig, DeliveryEngine, DeliveryPhase, DeliveryRecord, DeliveryStats};
 pub use enforce::{
-    resolve_domain, EnforcementConfig, ResolvedPolicy, StsApplication, TlsEvidence, TlsRequirement,
-    WavePolicies,
+    EnforcementConfig, ResolvedPolicy, StsApplication, TlsEvidence, TlsRequirement, WavePolicies,
 };
 pub use mx_select::{filter_ladder_for_policy, implicit_mx, mx_ladder, MxCandidate};
 pub use pipeline::{

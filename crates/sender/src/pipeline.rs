@@ -4,8 +4,8 @@
 //!
 //! The paper's sender-side story (§2.4, §6) is about what a *sending*
 //! MTA does when the recipient's infrastructure misbehaves. The
-//! per-message engine in [`crate::delivery`] answers the policy
-//! question (what does MTA-STS buy?); this module answers the
+//! per-message [`mtasts::SenderEngine`] answers the policy question
+//! (what does MTA-STS buy?); this module answers the
 //! operational one: **when an MX is down, degraded, flapping, or
 //! greylisting, does the mail still flow — and at what retry cost?**
 //!
@@ -339,8 +339,8 @@ impl QueueStats {
 pub struct QueueConfig {
     /// Root seed for the MX shuffle and retry jitter.
     pub seed: u64,
-    /// Worker threads (0 = read `SCAN_THREADS`, default 1). The ledger
-    /// is byte-identical for every value.
+    /// Worker threads (0 = [`netbase::default_scan_threads`]). The
+    /// ledger is byte-identical for every value.
     pub threads: usize,
     /// Messages per wave. Wave boundaries sit at fixed multiples of
     /// this, so checkpoint/resume composes with determinism. Must be
@@ -394,17 +394,13 @@ impl Default for QueueConfig {
 }
 
 impl QueueConfig {
-    /// The effective worker-thread count (mirrors the scan engine's
-    /// `SCAN_THREADS` contract without a scanner dependency).
+    /// The effective worker-thread count (0 =
+    /// [`netbase::default_scan_threads`]).
     fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            return self.threads;
+        match self.threads {
+            0 => netbase::default_scan_threads(),
+            n => n,
         }
-        std::env::var("SCAN_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
     }
 }
 

@@ -2,8 +2,7 @@
 //! to domain X right now?" for millions of queued messages (ROADMAP
 //! item 2; paper §2.4/§3.3).
 //!
-//! The per-message engine ([`crate::delivery`]) and the queue's per-wave
-//! resolution ([`crate::enforce`]) both answer that question for *one*
+//! The core's [`mtasts::SenderEngine`] answers that question for *one*
 //! caller at a time over a private [`PolicyCache`]. A long-running MTA
 //! answers it for hundreds of concurrent delivery workers, and the
 //! sender-side measurements ("Lazy Gatekeepers", PAPERS.md) show that
@@ -11,10 +10,11 @@
 //! much protection MTA-STS actually delivers. This module is that
 //! service:
 //!
-//! - **[`ShardedPolicyCache`]** — `RwLock`-per-shard over the existing
-//!   [`PolicyCache`] decision logic. Reads (the overwhelmingly common
-//!   warm-path operation) take a shard read lock and never write, so
-//!   they proceed concurrently; writes touch exactly one shard. Shard
+//! - **[`ShardedPolicyCache`]** — `RwLock`-per-shard over
+//!   [`PolicyCache`], deciding with the core's [`mtasts::classify`] /
+//!   [`mtasts::conclude`]. Reads (the overwhelmingly common warm-path
+//!   operation) take a shard read lock and never write, so they proceed
+//!   concurrently; writes touch exactly one shard. Shard
 //!   assignment is FNV-1a over the domain's labels, so it is stable
 //!   across runs and processes.
 //! - **Single-flight refresh** — a thundering herd of N workers
@@ -53,11 +53,8 @@
 
 use crate::enforce::ResolvedPolicy;
 use crate::pipeline::MxTransport;
-use mtasts::{
-    evaluate_record_set, parse_policy, CacheDecision, CachedPolicy, Mode, PolicyCache, RecordError,
-    StsRecord,
-};
-use netbase::{map_sharded, DomainName, Duration, SimInstant, TokenBucket};
+use mtasts::{CachedPolicy, Classified, Mode, PolicyCache};
+use netbase::{default_scan_threads, map_sharded, DomainName, Duration, SimInstant, TokenBucket};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,10 +119,10 @@ fn shard_index_for(domain: &DomainName, n: usize) -> usize {
 }
 
 /// A concurrent TOFU policy cache: `RwLock`-per-shard over
-/// [`PolicyCache`]. Decision logic is entirely the inner cache's
-/// ([`PolicyCache::assess`]), so a sharded cache is observationally
-/// equivalent to one big `PolicyCache` — the property the oracle
-/// cross-check proptest pins.
+/// [`PolicyCache`]. Decision logic is entirely the core's
+/// ([`mtasts::classify`] / [`mtasts::conclude`] over the shard's
+/// entry), so a sharded cache is observationally equivalent to one big
+/// `PolicyCache` — the property the oracle cross-check proptest pins.
 #[derive(Debug)]
 pub struct ShardedPolicyCache {
     shards: Vec<RwLock<PolicyCache>>,
@@ -180,26 +177,50 @@ impl ShardedPolicyCache {
         shard_index_for(domain, self.shards.len())
     }
 
-    /// The cache decision for `domain` under a shard **read** lock —
-    /// the lock-free-read warm path. Counts a hit when the decision is
-    /// served from cache.
-    pub fn assess(
+    /// Step one of the decision for `domain` ([`mtasts::classify`])
+    /// under a shard **read** lock — the lock-free-read warm path: a hit
+    /// clones only the `Policy`. Counts a hit when a fresh entry serves
+    /// the answer.
+    pub fn classify(
         &self,
         domain: &DomainName,
-        current_record_id: Option<&str>,
+        record_txts: Option<&[String]>,
         now: SimInstant,
-    ) -> CacheDecision {
+    ) -> Classified {
         let shard = self.shards[self.shard_index(domain)]
             .read()
             .expect("shard lock poisoned");
-        let decision = shard.assess(domain, current_record_id, now);
-        if matches!(
-            decision,
-            CacheDecision::UseCached(_) | CacheDecision::UseCachedDespiteDns(_)
-        ) {
+        let classified = mtasts::classify(record_txts, shard.peek(domain), now);
+        if classified.is_hit() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        decision
+        classified
+    }
+
+    /// Step two after a fetch under `record_id` ([`mtasts::conclude`],
+    /// read lock): a fetched policy is stored (shard write lock; the
+    /// inner cache counts the completed fetch), a failed or garbage one
+    /// yields the §3.3 stale-or-unavailable answer.
+    pub fn conclude(
+        &self,
+        domain: &DomainName,
+        record_id: &str,
+        fetched: Result<String, String>,
+        now: SimInstant,
+    ) -> (ResolvedPolicy, Disposition) {
+        let concluded = {
+            let shard = self.shards[self.shard_index(domain)]
+                .read()
+                .expect("shard lock poisoned");
+            mtasts::conclude(fetched, shard.peek(domain), now)
+        };
+        match concluded {
+            Ok(policy) => {
+                self.store(domain.clone(), policy.clone(), record_id, now);
+                (ResolvedPolicy::fetched(policy), Disposition::Fetched)
+            }
+            Err(answer) => answer,
+        }
     }
 
     /// Stores a freshly fetched policy (shard write lock; the inner
@@ -218,18 +239,9 @@ impl ShardedPolicyCache {
             .store(domain, policy, record_id, now);
     }
 
-    /// A clone of the raw entry, fresh or not (stale-fallback reads).
-    pub fn entry_clone(&self, domain: &DomainName) -> Option<CachedPolicy> {
-        self.shards[self.shard_index(domain)]
-            .read()
-            .expect("shard lock poisoned")
-            .peek(domain)
-            .cloned()
-    }
-
     /// Removes every expired entry across all shards; returns how many
-    /// were dropped. This is the disposal path `decide`/`assess`
-    /// deliberately do not take (stale fallback needs the entries).
+    /// were dropped. This is the disposal path the decision deliberately
+    /// does not take (stale fallback needs the entries).
     pub fn evict_expired(&self, now: SimInstant) -> usize {
         self.shards
             .iter()
@@ -279,163 +291,39 @@ impl ShardedPolicyCache {
 // Shared resolution (pipeline + resolver leaders)
 // ---------------------------------------------------------------------
 
-/// How a resolution was satisfied — the ledger-facing classification
-/// behind the service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Disposition {
-    /// Fresh cache entry, record id unchanged.
-    Hit,
-    /// Fresh cache entry despite a failed record lookup (TOFU
-    /// downgrade protection).
-    HitDespiteDns,
-    /// A completed HTTPS fetch (this caller was the flight leader).
-    Fetched,
-    /// Parked on another caller's in-flight fetch and reused its result.
-    Coalesced,
-    /// Refresh failed; a retained cached policy governs (RFC 8461 §3.3).
-    StaleFallback,
-    /// No record (or NXDOMAIN): MTA-STS does not apply.
-    Undeployed,
-    /// A record exists but is invalid (counts as not deployed, §3.1).
-    RecordInvalid,
-    /// Fetch failed and nothing cached could take over.
-    Unavailable,
-    /// Admission control refused the fetch leg (token bucket empty or
-    /// delay past the bound).
-    Shed,
+pub use mtasts::Disposition;
+
+/// The answer for a fetch that admission control refused.
+fn shed() -> (ResolvedPolicy, Disposition) {
+    (
+        ResolvedPolicy::Unavailable {
+            reason: "fetch shed by admission control".to_string(),
+        },
+        Disposition::Shed,
+    )
 }
 
-/// The pre-evaluated `_mta-sts` record lookup.
-type RecordLookup = Option<Result<StsRecord, RecordError>>;
-
-fn evaluate_lookup(txts: Option<&[String]>) -> RecordLookup {
-    txts.map(evaluate_record_set)
-}
-
-fn record_id_of(record: &RecordLookup) -> Option<String> {
-    match record {
-        Some(Ok(r)) => Some(r.id.clone()),
-        _ => None,
-    }
-}
-
-/// §3.3 stale fallback against the sharded cache: a still-fresh entry
-/// keeps governing after a failed refresh; an expired one never
-/// resurrects *on this path* (the record was readable, so the domain
-/// demonstrably still publishes MTA-STS — a dark policy host past
-/// `max_age` resolves Unavailable, exactly like [`crate::enforce`]).
-fn stale_or_shared(
-    cache: &ShardedPolicyCache,
-    domain: &DomainName,
-    now: SimInstant,
-    reason: String,
-) -> (ResolvedPolicy, Disposition) {
-    match cache.entry_clone(domain).filter(|e| e.is_fresh(now)) {
-        Some(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: true,
-            },
-            Disposition::StaleFallback,
-        ),
-        None => (
-            ResolvedPolicy::Unavailable { reason },
-            Disposition::Unavailable,
-        ),
-    }
-}
-
-/// Resolves `domain` against the shared cache with a pre-evaluated
-/// record lookup. `admit_fetch` gates the HTTPS leg (admission
-/// control); everything up to it is lock-free reads plus at most one
-/// shard write on a completed fetch.
+/// Resolves `domain` against the shared cache given its `_mta-sts`
+/// lookup: the core decision, with `admit_fetch` gating the HTTPS leg
+/// (admission control). Everything up to the fetch is lock-free reads
+/// plus at most one shard write on a completed fetch.
 ///
 /// This is the single implementation both the delivery pipeline's
-/// per-wave resolution and the resolver's flight leaders run — the
-/// semantics mirror [`crate::enforce::resolve_domain`] over one big
-/// cache, which the oracle cross-check proptest verifies.
+/// per-wave resolution and the resolver's flight leaders run.
 fn resolve_with_record<S: PolicySource + ?Sized>(
     cache: &ShardedPolicyCache,
     source: &S,
     domain: &DomainName,
-    record: RecordLookup,
+    record_txts: Option<&[String]>,
     now: SimInstant,
     admit_fetch: &mut dyn FnMut(SimInstant) -> bool,
 ) -> (ResolvedPolicy, Disposition) {
-    let record_id = record_id_of(&record);
-    match cache.assess(domain, record_id.as_deref(), now) {
-        CacheDecision::UseCached(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: false,
-            },
-            Disposition::Hit,
-        ),
-        CacheDecision::UseCachedDespiteDns(entry) => (
-            ResolvedPolicy::Active {
-                policy: entry.policy,
-                from_cache: true,
-                stale: false,
-            },
-            Disposition::HitDespiteDns,
-        ),
-        CacheDecision::Fetch(_) => match record {
-            // Record lookup failed (SERVFAIL-class): any retained entry —
-            // even past `max_age`, since `decide` no longer disposes of
-            // it — keeps governing (§3.3; a sender cannot tell blocked
-            // DNS from an outage). Genuine removal is the NXDOMAIN arm.
-            None => match cache.entry_clone(domain) {
-                Some(entry) => (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: true,
-                    },
-                    Disposition::StaleFallback,
-                ),
-                None => (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-            },
-            Some(Err(RecordError::NoRecord)) => {
-                (ResolvedPolicy::NotApplicable, Disposition::Undeployed)
-            }
-            Some(Err(e)) => (ResolvedPolicy::RecordInvalid(e), Disposition::RecordInvalid),
-            Some(Ok(rec)) => {
-                if !admit_fetch(now) {
-                    return (
-                        ResolvedPolicy::Unavailable {
-                            reason: "fetch shed by admission control".to_string(),
-                        },
-                        Disposition::Shed,
-                    );
-                }
-                match source.fetch_policy(domain, now) {
-                    Ok(body) => match parse_policy(&body) {
-                        Ok(policy) => {
-                            cache.store(domain.clone(), policy.clone(), &rec.id, now);
-                            (
-                                ResolvedPolicy::Active {
-                                    policy,
-                                    from_cache: false,
-                                    stale: false,
-                                },
-                                Disposition::Fetched,
-                            )
-                        }
-                        Err(e) => stale_or_shared(
-                            cache,
-                            domain,
-                            now,
-                            format!("policy parse failure: {e:?}"),
-                        ),
-                    },
-                    Err(e) => {
-                        stale_or_shared(cache, domain, now, format!("policy fetch failure: {e}"))
-                    }
-                }
-            }
-        },
+    match cache.classify(domain, record_txts, now) {
+        Classified::Resolved(resolved, disposition) => (resolved, disposition),
+        Classified::Fetch(_) if !admit_fetch(now) => shed(),
+        Classified::Fetch(record_id) => {
+            cache.conclude(domain, &record_id, source.fetch_policy(domain, now), now)
+        }
     }
 }
 
@@ -449,8 +337,7 @@ pub fn resolve_shared<S: PolicySource + ?Sized>(
     now: SimInstant,
 ) -> (ResolvedPolicy, Disposition) {
     let txts = source.record_txts(domain, now);
-    let record = evaluate_lookup(txts.as_deref());
-    resolve_with_record(cache, source, domain, record, now, &mut |_| true)
+    resolve_with_record(cache, source, domain, txts.as_deref(), now, &mut |_| true)
 }
 
 // ---------------------------------------------------------------------
@@ -555,7 +442,7 @@ pub struct ResolverConfig {
     /// Fetch admission; `None` disables shedding entirely.
     pub admission: Option<AdmissionConfig>,
     /// Worker threads for [`PolicyResolver::resolve_batch`]
-    /// (0 = read `SCAN_THREADS`, default 1).
+    /// (0 = [`netbase::default_scan_threads`]).
     pub threads: usize,
 }
 
@@ -571,14 +458,10 @@ impl Default for ResolverConfig {
 
 impl ResolverConfig {
     fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            return self.threads;
+        match self.threads {
+            0 => default_scan_threads(),
+            n => n,
         }
-        std::env::var("SCAN_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
     }
 }
 
@@ -778,36 +661,16 @@ impl PolicyResolver {
     ) -> (ResolvedPolicy, Disposition) {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let txts = source.record_txts(domain, now);
-        let record = evaluate_lookup(txts.as_deref());
-        let record_id = record_id_of(&record);
 
         // Warm path: one shard read lock, no writes anywhere.
-        match self.cache.assess(domain, record_id.as_deref(), now) {
-            CacheDecision::UseCached(entry) => {
-                self.metrics.count(Disposition::Hit);
+        if let Classified::Resolved(resolved, disposition) =
+            self.cache.classify(domain, txts.as_deref(), now)
+        {
+            if disposition.is_hit() {
+                self.metrics.count(disposition);
                 obsv::counter!("resolver.hit");
-                return (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::Hit,
-                );
+                return (resolved, disposition);
             }
-            CacheDecision::UseCachedDespiteDns(entry) => {
-                self.metrics.count(Disposition::HitDespiteDns);
-                obsv::counter!("resolver.hit");
-                return (
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::HitDespiteDns,
-                );
-            }
-            CacheDecision::Fetch(_) => {}
         }
 
         // Cold path: join or lead the flight for this domain.
@@ -837,14 +700,22 @@ impl PolicyResolver {
         }
 
         // Leader: re-run the full resolution (the cache may have been
-        // filled between the assessment above and taking leadership —
-        // `resolve_with_record` re-assesses first, so a just-landed
-        // policy turns this flight into a hit without a second fetch).
+        // filled between the classification above and taking leadership
+        // — `resolve_with_record` classifies again first, so a
+        // just-landed policy turns this flight into a hit without a
+        // second fetch).
         let mut admit = |at: SimInstant| match &self.bucket {
             Some(bucket) => bucket.lock().expect("bucket lock poisoned").try_acquire(at),
             None => true,
         };
-        let outcome = resolve_with_record(&self.cache, source, domain, record, now, &mut admit);
+        let outcome = resolve_with_record(
+            &self.cache,
+            source,
+            domain,
+            txts.as_deref(),
+            now,
+            &mut admit,
+        );
         {
             let mut slot = flight.result.lock().expect("flight lock poisoned");
             *slot = Some(outcome.clone());
@@ -883,45 +754,22 @@ impl PolicyResolver {
             .requests
             .fetch_add(domains.len() as u64, Ordering::Relaxed);
 
-        // Phase A (parallel, pure reads): record lookup + cache
-        // assessment per request. No writes happen anywhere in this
+        // Phase A (parallel, pure reads): record lookup + step one of
+        // the decision per request. No writes happen anywhere in this
         // phase, so every thread count observes the same pre-wave cache.
-        enum Class {
-            Served(ResolvedPolicy, Disposition),
-            NeedsFetch(RecordLookup),
-        }
-        let classified: Vec<Class> = map_sharded(threads, domains, |_, domain| {
+        let classified: Vec<Classified> = map_sharded(threads, domains, |_, domain| {
             let txts = source.record_txts(domain, submitted);
-            let record = evaluate_lookup(txts.as_deref());
-            let record_id = record_id_of(&record);
-            match self.cache.assess(domain, record_id.as_deref(), submitted) {
-                CacheDecision::UseCached(entry) => Class::Served(
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::Hit,
-                ),
-                CacheDecision::UseCachedDespiteDns(entry) => Class::Served(
-                    ResolvedPolicy::Active {
-                        policy: entry.policy,
-                        from_cache: true,
-                        stale: false,
-                    },
-                    Disposition::HitDespiteDns,
-                ),
-                CacheDecision::Fetch(_) => Class::NeedsFetch(record),
-            }
+            self.cache.classify(domain, txts.as_deref(), submitted)
         });
 
-        // Phase B (sequential): first occurrence of each cold domain
-        // leads; later occurrences coalesce. Leaders that actually need
-        // the HTTPS leg (valid record) get planned admission instants.
+        // Phase B (sequential): every request a fresh entry did not
+        // serve needs a leader — the first occurrence of its domain
+        // leads, later occurrences coalesce. Leaders the decision sent
+        // to the HTTPS leg get planned admission instants.
         let mut leader_of: HashMap<&DomainName, usize> = HashMap::new();
         let mut leaders: Vec<usize> = Vec::new();
         for (i, class) in classified.iter().enumerate() {
-            if matches!(class, Class::NeedsFetch(_)) {
+            if !class.is_hit() {
                 leader_of.entry(&domains[i]).or_insert_with(|| {
                     leaders.push(i);
                     i
@@ -931,7 +779,7 @@ impl PolicyResolver {
         let fetch_leaders: Vec<usize> = leaders
             .iter()
             .copied()
-            .filter(|&i| matches!(&classified[i], Class::NeedsFetch(Some(Ok(_)))))
+            .filter(|&i| matches!(&classified[i], Classified::Fetch(_)))
             .collect();
         // Admission plan: one instant per fetch leader, from the single
         // logical bucket (deterministic per-shard clocks, PR-3 style).
@@ -969,94 +817,29 @@ impl PolicyResolver {
             .zip(fetched)
             .map(|(&(i, at), body)| (i, (body, at)))
             .collect();
-        let shed: std::collections::HashSet<usize> = fetch_leaders
+        let shed_leaders: std::collections::HashSet<usize> = fetch_leaders
             .iter()
             .zip(&admissions)
             .filter_map(|(&i, at)| at.is_none().then_some(i))
             .collect();
 
-        // Phase D (sequential, submission order): interpret leaders,
+        // Phase D (sequential, submission order): conclude leaders,
         // fold stores into the cache, then emit rows — coalesced
         // followers reuse their leader's resolution.
         let mut leader_outcome: HashMap<usize, (ResolvedPolicy, Disposition, SimInstant)> =
             HashMap::new();
         for &i in &leaders {
-            let Class::NeedsFetch(record) = &classified[i] else {
-                unreachable!("leaders are NeedsFetch by construction");
-            };
             let domain = &domains[i];
-            let outcome = if shed.contains(&i) {
-                (
-                    (
-                        ResolvedPolicy::Unavailable {
-                            reason: "fetch shed by admission control".to_string(),
-                        },
-                        Disposition::Shed,
-                    ),
-                    submitted,
-                )
-            } else {
-                match record {
-                    None => (
-                        match self.cache.entry_clone(domain) {
-                            Some(entry) => (
-                                ResolvedPolicy::Active {
-                                    policy: entry.policy,
-                                    from_cache: true,
-                                    stale: true,
-                                },
-                                Disposition::StaleFallback,
-                            ),
-                            None => (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-                        },
-                        submitted,
-                    ),
-                    Some(Err(RecordError::NoRecord)) => (
-                        (ResolvedPolicy::NotApplicable, Disposition::Undeployed),
-                        submitted,
-                    ),
-                    Some(Err(e)) => (
-                        (
-                            ResolvedPolicy::RecordInvalid(e.clone()),
-                            Disposition::RecordInvalid,
-                        ),
-                        submitted,
-                    ),
-                    Some(Ok(rec)) => {
-                        let (body, at) = fetch_result.remove(&i).expect("fetch ran for leader");
-                        let outcome = match body {
-                            Ok(body) => match parse_policy(&body) {
-                                Ok(policy) => {
-                                    self.cache
-                                        .store(domain.clone(), policy.clone(), &rec.id, at);
-                                    (
-                                        ResolvedPolicy::Active {
-                                            policy,
-                                            from_cache: false,
-                                            stale: false,
-                                        },
-                                        Disposition::Fetched,
-                                    )
-                                }
-                                Err(e) => stale_or_shared(
-                                    &self.cache,
-                                    domain,
-                                    at,
-                                    format!("policy parse failure: {e:?}"),
-                                ),
-                            },
-                            Err(e) => stale_or_shared(
-                                &self.cache,
-                                domain,
-                                at,
-                                format!("policy fetch failure: {e}"),
-                            ),
-                        };
-                        (outcome, at)
-                    }
+            let ((resolved, disposition), at) = match &classified[i] {
+                _ if shed_leaders.contains(&i) => (shed(), submitted),
+                Classified::Resolved(resolved, disposition) => {
+                    ((resolved.clone(), *disposition), submitted)
+                }
+                Classified::Fetch(record_id) => {
+                    let (body, at) = fetch_result.remove(&i).expect("fetch ran for leader");
+                    (self.cache.conclude(domain, record_id, body, at), at)
                 }
             };
-            let ((resolved, disposition), at) = outcome;
             leader_outcome.insert(i, (resolved, disposition, at));
         }
 
@@ -1064,11 +847,11 @@ impl PolicyResolver {
         for (i, class) in classified.iter().enumerate() {
             let domain = &domains[i];
             let row = match class {
-                Class::Served(resolved, disposition) => {
+                Classified::Resolved(resolved, disposition) if disposition.is_hit() => {
                     self.metrics.count(*disposition);
                     row_for(i as u64, domain, resolved, *disposition, submitted)
                 }
-                Class::NeedsFetch(_) => {
+                _ => {
                     let leader = leader_of[domain];
                     let (resolved, disposition, at) =
                         leader_outcome.get(&leader).expect("leader resolved");

@@ -17,7 +17,7 @@
 //!   coalescing and admission-control shedding;
 //! - **outage-at-expiry regression**: a DNS outage coinciding with
 //!   cache expiry keeps delivery protected through §3.3 stale fallback
-//!   (the pre-fix cache erased the entry in `decide` and downgraded to
+//!   (the pre-fix cache erased the entry in its decision and downgraded to
 //!   plaintext under an active STARTTLS strip);
 //! - **/metrics**: the daemon serves the resolver counters in
 //!   Prometheus text exposition over real TCP.
@@ -262,6 +262,7 @@ proptest! {
     ) {
         let sharded = ShardedPolicyCache::new(8);
         let mut oracle = PolicyCache::new();
+        let mut oracle_hits = 0;
         for &(is_store, d, m, at) in &ops {
             let (a, t) = ((at >> 16) as u16, (at & 0xffff) as u16);
             let now = t0() + Duration::seconds(i64::from(t));
@@ -271,18 +272,19 @@ proptest! {
                 oracle.store(domain, entry.policy, &entry.record_id, now);
             } else {
                 let domain = n(&format!("d{}.example", d % 24));
-                let record_id = match m % 3 {
+                let txts = match m % 3 {
                     0 => None,
-                    _ => Some(format!("id{}", m % 5)),
+                    _ => Some(vec![format!("v=STSv1; id=id{};", m % 5)]),
                 };
-                let got = sharded.assess(&domain, record_id.as_deref(), now);
-                let want = oracle.decide(&domain, record_id.as_deref(), now);
+                let got = sharded.classify(&domain, txts.as_deref(), now);
+                let want = mtasts::classify(txts.as_deref(), oracle.peek(&domain), now);
+                oracle_hits += u64::from(want.is_hit());
                 prop_assert_eq!(got, want);
             }
         }
         prop_assert_eq!(sharded.snapshot(), oracle.snapshot());
         // Sharded hit accounting mirrors the oracle's.
-        prop_assert_eq!(sharded.stats().0, oracle.stats().0);
+        prop_assert_eq!(sharded.stats().0, oracle_hits);
     }
 }
 
@@ -514,7 +516,7 @@ fn dns_outage_at_expiry_keeps_delivery_protected() {
 
     // The retained (expired) entry must keep governing: the stripped
     // attempt is refused under RequirePkix and recovers after the
-    // window. Before the cache fix, `decide` erased the entry, the
+    // window. Before the cache fix, the decision erased the entry, the
     // resolution fell to NotApplicable, and m1 left in plaintext
     // through the strip (intercepted = 1).
     assert_eq!(out.stats.delivered, 2, "{:?}", out.stats);
