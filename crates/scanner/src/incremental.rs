@@ -309,7 +309,9 @@ impl ScanCache {
 
     /// Records a fresh result. Forced scans are never inserted: their
     /// observations are instant-keyed (faults, attacks) and must not
-    /// outlive the instant that produced them.
+    /// outlive the instant that produced them. A full hit is not
+    /// re-inserted either: the slot already holds its fingerprint, scan
+    /// and policy IP, and only the date differs, which reuse re-stamps.
     pub(crate) fn insert(
         &mut self,
         index: usize,
@@ -318,7 +320,7 @@ impl ScanCache {
         policy_ip: Option<Ipv4Addr>,
         kind: HitKind,
     ) {
-        if kind == HitKind::Forced {
+        if matches!(kind, HitKind::Forced | HitKind::Full) {
             return;
         }
         self.entries[index] = Some(CacheEntry {
@@ -539,16 +541,26 @@ mod tests {
         );
         assert_eq!(kind, HitKind::Miss);
         cache.insert(index, fp, &scan, ip, kind);
-        let (_, _, kind) = cache.scan(
+        let missed = serde_json::to_string(&scan).unwrap();
+
+        // A full hit at a later date re-stamps the reused scan but leaves
+        // the slot untouched: still the miss's scan, dated at the miss.
+        let later = date.add_days(7);
+        let (hit, hit_ip, kind) = cache.scan(
             &world,
             index,
             &spec.name,
-            date,
-            date.at_midnight(),
+            later,
+            later.at_midnight(),
             &fp,
             false,
         );
         assert_eq!(kind, HitKind::Full);
+        assert_eq!((hit.date, hit_ip), (later, ip));
+        cache.insert(index, fp, &hit, hit_ip, kind);
+        let slot = cache.entries[index].as_ref().unwrap();
+        assert_eq!(slot.scan.date, date);
+        assert_eq!(serde_json::to_string(&slot.scan).unwrap(), missed);
     }
 
     #[test]

@@ -16,6 +16,12 @@ use std::collections::HashMap;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 
+/// `fnv64` of the from-scratch full-scan [`fingerprint`] at seed 42,
+/// scale 0.01. The incremental and from-scratch runs share the fetch and
+/// probe ladders, so comparing them cannot catch a ladder change that
+/// moves both sides; this constant can.
+const SCRATCH_FULL_SCANS_FNV64: u64 = 0x3b9c_112d_f0a0_707e;
+
 fn study() -> Study {
     Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)))
 }
@@ -75,6 +81,11 @@ fn weekly_fingerprint(weekly: &[WeeklyPoint], history: &MxHistory) -> String {
 fn full_scans_incremental_matches_scratch_across_thread_counts() {
     let study = study();
     let want = fingerprint(&study.run_full_scratch_with_threads(1));
+    assert_eq!(
+        obsv::health::fnv64(want.as_bytes()),
+        SCRATCH_FULL_SCANS_FNV64,
+        "the full scans observe something else than they used to"
+    );
     for threads in THREAD_COUNTS {
         let (snapshots, stats) = study.run_full_incremental_with_threads(threads);
         assert_eq!(

@@ -1200,17 +1200,17 @@ impl MxTransport for FastTransport<'_> {
         if endpoint.reachability != Reachability::Up {
             return AttemptDisposition::HostUnreachable;
         }
-        let fault_scope = format!("mx/{ip}");
+        let fault_scope = format_args!("mx/{ip}");
         if endpoint
             .faults
-            .sample(FaultStage::Tcp, &fault_scope, now)
+            .sample(FaultStage::Tcp, fault_scope, now)
             .is_some()
         {
             return AttemptDisposition::HostUnreachable;
         }
         if endpoint
             .faults
-            .sample(FaultStage::Smtp, &fault_scope, now)
+            .sample(FaultStage::Smtp, fault_scope, now)
             .is_some()
         {
             return AttemptDisposition::Reply {

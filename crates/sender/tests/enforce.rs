@@ -274,7 +274,7 @@ fn dane_covered_scenario() -> Scenario {
             .resolve(&mxa, dns::RecordType::A, s.spec.epoch)
             .unwrap()
             .a_addrs()[0];
-        let chain = s.world.mx_endpoint(mxa_ip).unwrap().chain;
+        let chain = s.world.mx_endpoint(mxa_ip).unwrap().chain.clone();
         s.world.set_dnssec(&topo.domain, true);
         let tlsa = danelite::tlsa_for_cert(&chain[0]);
         s.world.with_zone(&topo.domain, |z| {

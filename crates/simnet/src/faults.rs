@@ -18,6 +18,7 @@
 
 use netbase::{DetRng, DomainName, SimInstant};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// The transient failure modes the schedule can inject, mirroring the
 /// layers of the §4.3.3 fetch ladder plus the SMTP session.
@@ -167,22 +168,31 @@ impl FaultSchedule {
     /// `scope` (a stable operation key, e.g. `"dns/mta-sts.a.com/A"`) at
     /// simulated time `now`. Windows take precedence over probabilistic
     /// draws; among overlapping windows the earliest added wins.
-    pub fn sample(&self, stage: FaultStage, scope: &str, now: SimInstant) -> Option<FaultKind> {
+    ///
+    /// `scope` is rendered (and its RNG forked) only when a non-zero rate
+    /// for `stage` has to draw, so callers pass `format_args!` and an
+    /// empty schedule costs no allocation.
+    pub fn sample(
+        &self,
+        stage: FaultStage,
+        scope: impl fmt::Display,
+        now: SimInstant,
+    ) -> Option<FaultKind> {
         for w in &self.windows {
             if w.kind.stage() == stage && w.contains(now) {
                 count_fault_activation(w.kind);
                 return Some(w.kind);
             }
         }
-        let rng = DetRng::new(self.seed).fork(scope);
+        let mut rng = None;
         for (kind, rate) in &self.rates {
-            if kind.stage() != stage {
+            if kind.stage() != stage || *rate <= 0.0 {
                 continue;
             }
-            if *rate > 0.0
-                && rng
-                    .fork(kind.label())
-                    .chance(&format!("t/{}", now.unix_secs()), *rate)
+            let rng = rng.get_or_insert_with(|| DetRng::new(self.seed).fork(&scope.to_string()));
+            if rng
+                .fork(kind.label())
+                .chance(&format!("t/{}", now.unix_secs()), *rate)
             {
                 count_fault_activation(*kind);
                 return Some(*kind);
@@ -532,6 +542,40 @@ mod tests {
             })
             .collect();
         assert_ne!(a, b, "different scopes must draw independent streams");
+    }
+
+    #[test]
+    fn draws_are_pinned() {
+        // Bit i: whether the schedule fired at t0 + i seconds. The masks
+        // are constants, so a change to how scopes are rendered or forked
+        // cannot move a draw unnoticed.
+        let cfg = TransientFaultConfig::uniform(42, 0.3);
+        let mask = |stage, scope: &str, s: &FaultSchedule| {
+            (0..64).fold(0u64, |m, i| {
+                let fired = s.sample(stage, scope, t0() + Duration::seconds(i));
+                m | (u64::from(fired.is_some()) << i)
+            })
+        };
+        let (dns, web, mx) = (cfg.dns_schedule(), cfg.web_schedule(7), cfg.mx_schedule(9));
+        let (dns_scope, web_scope) = ("dns/mta-sts.example.com/A", "web/10.0.0.1");
+        for (stage, scope, schedule, want) in [
+            (FaultStage::Dns, dns_scope, &dns, 0x0480_0080_c109_0070),
+            (FaultStage::Tcp, web_scope, &web, 0x2484_1143_60a9_2a35),
+            (FaultStage::Tls, web_scope, &web, 0x1098_0a60_152a_5e19),
+            (FaultStage::Http, web_scope, &web, 0x0d42_0707_1880_0b12),
+            (FaultStage::Smtp, "mx/10.0.0.2", &mx, 0xc003_8a02_c608_214b),
+        ] {
+            assert_eq!(mask(stage, scope, schedule), want, "{stage:?}");
+        }
+        // A lazily rendered scope draws exactly as the rendered string.
+        let name: DomainName = "mta-sts.example.com".parse().unwrap();
+        for i in 0..64 {
+            let now = t0() + Duration::seconds(i);
+            assert_eq!(
+                dns.sample(FaultStage::Dns, format_args!("dns/{name}/A"), now),
+                dns.sample(FaultStage::Dns, dns_scope, now)
+            );
+        }
     }
 
     #[test]

@@ -266,10 +266,10 @@ impl World {
                 result: Err(PolicyFetchError::Tcp(format!("connection refused to {ip}"))),
             };
         };
-        let fault_scope = format!("web/{ip}");
+        let fault_scope = format_args!("web/{ip}");
         if endpoint
             .faults
-            .sample(FaultStage::Tcp, &fault_scope, now)
+            .sample(FaultStage::Tcp, fault_scope, now)
             .is_some()
         {
             return PolicyFetchOutcome {
@@ -302,7 +302,7 @@ impl World {
         // CNAME delegation (RFC 8461 §3.3).
         if endpoint
             .faults
-            .sample(FaultStage::Tls, &fault_scope, now)
+            .sample(FaultStage::Tls, fault_scope, now)
             .is_some()
         {
             return PolicyFetchOutcome {
@@ -349,7 +349,7 @@ impl World {
         // Layer 4: HTTP.
         if endpoint
             .faults
-            .sample(FaultStage::Http, &fault_scope, now)
+            .sample(FaultStage::Http, fault_scope, now)
             .is_some()
         {
             return PolicyFetchOutcome {
@@ -402,17 +402,17 @@ impl World {
         if endpoint.reachability != Reachability::Up {
             return MxProbeOutcome::unreachable();
         }
-        let fault_scope = format!("mx/{ip}");
+        let fault_scope = format_args!("mx/{ip}");
         if endpoint
             .faults
-            .sample(FaultStage::Tcp, &fault_scope, now)
+            .sample(FaultStage::Tcp, fault_scope, now)
             .is_some()
         {
             return MxProbeOutcome::unreachable();
         }
         if endpoint
             .faults
-            .sample(FaultStage::Smtp, &fault_scope, now)
+            .sample(FaultStage::Smtp, fault_scope, now)
             .is_some()
         {
             return MxProbeOutcome {

@@ -28,8 +28,8 @@ pub struct World {
     resolver: Arc<Resolver<InMemoryAuthorities>>,
     /// The shared web PKI.
     pub pki: SharedPki,
-    web: Arc<Mutex<HashMap<Ipv4Addr, WebEndpoint>>>,
-    mx: Arc<Mutex<HashMap<Ipv4Addr, MxEndpoint>>>,
+    web: Arc<Mutex<HashMap<Ipv4Addr, Arc<WebEndpoint>>>>,
+    mx: Arc<Mutex<HashMap<Ipv4Addr, Arc<MxEndpoint>>>>,
     signed_zones: Arc<Mutex<HashSet<DomainName>>>,
     dns_faults: Arc<Mutex<FaultSchedule>>,
     attacker: Arc<Mutex<AttackSchedule>>,
@@ -67,10 +67,10 @@ impl World {
     pub fn inject_transient_faults(&self, cfg: &TransientFaultConfig) {
         self.set_dns_faults(cfg.dns_schedule());
         for (ip, ep) in self.web.lock().iter_mut() {
-            ep.faults = cfg.web_schedule(u64::from(u32::from(*ip)));
+            Arc::make_mut(ep).faults = cfg.web_schedule(u64::from(u32::from(*ip)));
         }
         for (ip, ep) in self.mx.lock().iter_mut() {
-            ep.faults = cfg.mx_schedule(u64::from(u32::from(*ip)));
+            Arc::make_mut(ep).faults = cfg.mx_schedule(u64::from(u32::from(*ip)));
         }
     }
 
@@ -136,6 +136,7 @@ impl World {
     pub fn shift_cert_validity(&self, delta: netbase::Duration) {
         let mut web = self.web.lock();
         for ep in web.values_mut() {
+            let ep = Arc::make_mut(ep);
             for chain in ep.chains.values_mut() {
                 for cert in chain.iter_mut().filter(|c| !c.is_ca) {
                     cert.shift_validity(delta);
@@ -150,7 +151,7 @@ impl World {
         drop(web);
         let mut mx = self.mx.lock();
         for ep in mx.values_mut() {
-            for cert in ep.chain.iter_mut().filter(|c| !c.is_ca) {
+            for cert in Arc::make_mut(ep).chain.iter_mut().filter(|c| !c.is_ca) {
                 cert.shift_validity(delta);
             }
         }
@@ -218,14 +219,14 @@ impl World {
     /// Registers a web endpoint; returns its IP.
     pub fn add_web_endpoint(&self, endpoint: WebEndpoint) -> Ipv4Addr {
         let ip = self.alloc_ip();
-        self.web.lock().insert(ip, endpoint);
+        self.put_web_endpoint(ip, endpoint);
         ip
     }
 
     /// Registers a web endpoint at a specific IP (tests, named incidents,
     /// deterministic per-domain addressing).
     pub fn put_web_endpoint(&self, ip: Ipv4Addr, endpoint: WebEndpoint) {
-        self.web.lock().insert(ip, endpoint);
+        self.web.lock().insert(ip, Arc::new(endpoint));
     }
 
     /// Removes the web endpoint at `ip`; returns whether one existed.
@@ -233,13 +234,17 @@ impl World {
         self.web.lock().remove(&ip).is_some()
     }
 
-    /// Mutates the web endpoint at `ip`.
+    /// Mutates the web endpoint at `ip`, copy-on-write: handles taken
+    /// earlier by [`World::web_endpoint`] keep the old snapshot.
     pub fn with_web<R>(&self, ip: Ipv4Addr, f: impl FnOnce(&mut WebEndpoint) -> R) -> Option<R> {
-        self.web.lock().get_mut(&ip).map(f)
+        self.web.lock().get_mut(&ip).map(|ep| f(Arc::make_mut(ep)))
     }
 
-    /// Clones the web endpoint at `ip` (wire deployment reads these).
-    pub fn web_endpoint(&self, ip: Ipv4Addr) -> Option<WebEndpoint> {
+    /// A shared handle to the web endpoint at `ip`: a refcount bump, not a
+    /// copy, and an immutable snapshot (later mutations copy on write and
+    /// never show through it). Provider hosts carry every customer's
+    /// chains and documents, so the policy fetch reads them in place.
+    pub fn web_endpoint(&self, ip: Ipv4Addr) -> Option<Arc<WebEndpoint>> {
         self.web.lock().get(&ip).cloned()
     }
 
@@ -251,14 +256,14 @@ impl World {
     /// Registers an MX endpoint; returns its IP.
     pub fn add_mx_endpoint(&self, endpoint: MxEndpoint) -> Ipv4Addr {
         let ip = self.alloc_ip();
-        self.mx.lock().insert(ip, endpoint);
+        self.put_mx_endpoint(ip, endpoint);
         ip
     }
 
     /// Registers an MX endpoint at a specific IP (deterministic per-domain
     /// addressing).
     pub fn put_mx_endpoint(&self, ip: Ipv4Addr, endpoint: MxEndpoint) {
-        self.mx.lock().insert(ip, endpoint);
+        self.mx.lock().insert(ip, Arc::new(endpoint));
     }
 
     /// Removes the MX endpoint at `ip`; returns whether one existed.
@@ -266,13 +271,15 @@ impl World {
         self.mx.lock().remove(&ip).is_some()
     }
 
-    /// Mutates the MX endpoint at `ip`.
+    /// Mutates the MX endpoint at `ip`, copy-on-write like
+    /// [`World::with_web`].
     pub fn with_mx<R>(&self, ip: Ipv4Addr, f: impl FnOnce(&mut MxEndpoint) -> R) -> Option<R> {
-        self.mx.lock().get_mut(&ip).map(f)
+        self.mx.lock().get_mut(&ip).map(|ep| f(Arc::make_mut(ep)))
     }
 
-    /// Clones the MX endpoint at `ip`.
-    pub fn mx_endpoint(&self, ip: Ipv4Addr) -> Option<MxEndpoint> {
+    /// A shared handle to the MX endpoint at `ip`: an immutable snapshot,
+    /// shared like [`World::web_endpoint`].
+    pub fn mx_endpoint(&self, ip: Ipv4Addr) -> Option<Arc<MxEndpoint>> {
         self.mx.lock().get(&ip).cloned()
     }
 
@@ -292,8 +299,8 @@ impl World {
         rtype: RecordType,
         now: SimInstant,
     ) -> Result<Lookup, DnsError> {
-        let scope = format!("dns/{name}/{rtype:?}");
-        if let Some(kind) = self.dns_faults.lock().sample(FaultStage::Dns, &scope, now) {
+        let scope = format_args!("dns/{name}/{rtype:?}");
+        if let Some(kind) = self.dns_faults.lock().sample(FaultStage::Dns, scope, now) {
             return Err(match kind {
                 FaultKind::DnsDrop => DnsError::Timeout,
                 _ => DnsError::ServFail(Rcode::ServFail),
@@ -376,8 +383,10 @@ impl Default for World {
 }
 
 // The parallel scan engine hands `&World` to shard workers. Every piece
-// of shared state is `Arc<Mutex<_>>` (no `Rc`/`RefCell`); this assertion
-// turns a future regression into a compile error instead of a data race.
+// of shared state is `Arc<Mutex<_>>` (no `Rc`/`RefCell`), and endpoints
+// handed out of it are `Arc` snapshots that workers read without a lock;
+// this assertion turns a future regression into a compile error instead
+// of a data race.
 #[allow(dead_code)]
 fn static_assert_world_is_shareable() {
     fn shareable<T: Send + Sync>() {}
@@ -478,5 +487,96 @@ mod tests {
         assert!(w.mx_endpoint(mx_ip).is_some());
         assert_eq!(w.web_ips().len(), 1);
         assert_eq!(w.mx_ips().len(), 1);
+        // `put_*` replaces whatever sits at the address.
+        w.put_web_endpoint(web_ip, WebEndpoint::up());
+        assert!(w.web_endpoint(web_ip).unwrap().documents.is_empty());
+        assert!(w.remove_web_endpoint(web_ip) && w.remove_mx_endpoint(mx_ip));
+        assert!(w.web_endpoint(web_ip).is_none() && w.mx_endpoint(mx_ip).is_none());
+        assert!(w.with_web(web_ip, |_| ()).is_none() && w.with_mx(mx_ip, |_| ()).is_none());
+    }
+
+    /// One provider-style web host and one MX host, both with a leaf chain.
+    fn shared_hosts(w: &World) -> (Ipv4Addr, Ipv4Addr) {
+        let policy_host = n("mta-sts.example.com");
+        let mut web = WebEndpoint::up();
+        web.install_chain(
+            policy_host.clone(),
+            w.pki.issue_valid(std::slice::from_ref(&policy_host), now()),
+        );
+        web.install_policy(policy_host, "version: STSv1\nmode: none\nmax_age: 60\n");
+        let mx_host = n("mx.example.com");
+        let mx_chain = w.pki.issue_valid(std::slice::from_ref(&mx_host), now());
+        (
+            w.add_web_endpoint(web),
+            w.add_mx_endpoint(MxEndpoint::healthy(mx_host, mx_chain)),
+        )
+    }
+
+    #[test]
+    fn reads_share_the_endpoint_instead_of_copying_it() {
+        let w = World::new();
+        let (web_ip, mx_ip) = shared_hosts(&w);
+        let a = w.web_endpoint(web_ip).unwrap();
+        let b = w.web_endpoint(web_ip).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let a = w.mx_endpoint(mx_ip).unwrap();
+        let b = w.mx_endpoint(mx_ip).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        // Clones of the world share the registries, hence the endpoints.
+        assert!(Arc::ptr_eq(&a, &w.clone().mx_endpoint(mx_ip).unwrap()));
+    }
+
+    #[test]
+    fn held_handles_keep_their_snapshot_across_mutation() {
+        let w = World::new();
+        let (web_ip, mx_ip) = shared_hosts(&w);
+        let policy_host = n("mta-sts.example.com");
+        let key = (policy_host.clone(), mtasts::WELL_KNOWN_PATH.to_string());
+
+        let old_web = w.web_endpoint(web_ip).unwrap();
+        w.with_web(web_ip, |ep| {
+            ep.install_policy(policy_host, "version: STSv1\nmode: testing\n");
+        });
+        let new_web = w.web_endpoint(web_ip).unwrap();
+        assert!(!Arc::ptr_eq(&old_web, &new_web));
+        assert_eq!(
+            old_web.documents[&key].1,
+            "version: STSv1\nmode: none\nmax_age: 60\n"
+        );
+        assert_eq!(new_web.documents[&key].1, "version: STSv1\nmode: testing\n");
+
+        let old_mx = w.mx_endpoint(mx_ip).unwrap();
+        w.with_mx(mx_ip, |ep| ep.chain.clear());
+        assert_eq!(old_mx.chain.len(), 2, "leaf + intermediate");
+        assert!(w.mx_endpoint(mx_ip).unwrap().chain.is_empty());
+    }
+
+    #[test]
+    fn bulk_mutations_reach_endpoints_while_readers_hold_them() {
+        let w = World::new();
+        let (web_ip, mx_ip) = shared_hosts(&w);
+        let policy_host = n("mta-sts.example.com");
+        let held_web = w.web_endpoint(web_ip).unwrap();
+        let held_mx = w.mx_endpoint(mx_ip).unwrap();
+        let leaf = |chain: &[pkix::SimCert]| chain.first().unwrap().not_before;
+
+        let delta = netbase::Duration::days(7);
+        w.shift_cert_validity(delta);
+        let web = w.web_endpoint(web_ip).unwrap();
+        let mx = w.mx_endpoint(mx_ip).unwrap();
+        assert_eq!(
+            leaf(&web.chains[&policy_host]),
+            leaf(&held_web.chains[&policy_host]) + delta
+        );
+        assert_eq!(leaf(&mx.chain), leaf(&held_mx.chain) + delta);
+
+        assert!(!w.has_transient_faults());
+        w.inject_transient_faults(&TransientFaultConfig::uniform(5, 0.1));
+        assert!(w.has_transient_faults());
+        assert!(!w.web_endpoint(web_ip).unwrap().faults.is_empty());
+        assert!(!w.mx_endpoint(mx_ip).unwrap().faults.is_empty());
+        // The handles taken before either mutation still read the old
+        // endpoints.
+        assert!(held_web.faults.is_empty() && held_mx.faults.is_empty());
     }
 }
