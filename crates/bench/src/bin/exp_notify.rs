@@ -20,6 +20,7 @@ fn main() {
         None,
         &scanner::ScanConfig::default(),
     );
+    obsv::trace::flush();
     let outcome = run_campaign(&snapshot, eco.config.seed);
 
     let mut table =

@@ -45,6 +45,7 @@ pub fn full_study() -> (Study, LongitudinalRun) {
     let study = Study::new(ecosystem());
     eprintln!("# running weekly record scans and monthly full scans...");
     let run = study.run();
+    obsv::trace::flush();
     (study, run)
 }
 
@@ -58,6 +59,7 @@ pub fn full_scans_only() -> (Study, LongitudinalRun) {
         full,
         mx_history: Default::default(),
     };
+    obsv::trace::flush();
     (study, run)
 }
 
@@ -71,6 +73,7 @@ pub fn weekly_only() -> (Study, LongitudinalRun) {
         full: Vec::new(),
         mx_history,
     };
+    obsv::trace::flush();
     (study, run)
 }
 

@@ -96,7 +96,7 @@ pub fn classify_mismatch(pattern: &MxPattern, mx_hosts: &[DomainName]) -> Option
     // ("TLD mismatches do not qualify as typos").
     let is_typo = mx_hosts.iter().any(|h| {
         h.tld() == pname.tld()
-            && levenshtein_within(&h.to_string(), &pname.to_string(), TYPO_EDIT_DISTANCE)
+            && levenshtein_within(h.as_str(), pname.as_str(), TYPO_EDIT_DISTANCE)
                 .map(|d| d > 0)
                 .unwrap_or(false)
     });
@@ -134,7 +134,6 @@ pub fn has_stray_mta_sts_label(pattern: &MxPattern) -> bool {
     pattern
         .name()
         .labels()
-        .iter()
         .any(|l| l == "mta-sts" || l == "_mta-sts")
 }
 

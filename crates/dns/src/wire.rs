@@ -78,22 +78,25 @@ impl Encoder {
     /// Writes `name` in wire format, emitting a compression pointer for the
     /// longest previously-seen suffix.
     fn put_name(&mut self, name: &DomainName) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
+        let mut suffix = Some(name.as_str());
+        while let Some(rest) = suffix {
             if self.compress {
-                if let Some(&off) = self.offsets.get(&suffix) {
+                if let Some(&off) = self.offsets.get(rest) {
                     self.buf.put_u16(0xC000 | off);
                     return;
                 }
                 if self.buf.len() <= 0x3FFF {
-                    self.offsets.insert(suffix, self.buf.len() as u16);
+                    self.offsets.insert(rest.to_string(), self.buf.len() as u16);
                 }
             }
-            let label = labels[i].as_bytes();
+            let (label, tail) = match rest.split_once('.') {
+                Some((label, tail)) => (label, Some(tail)),
+                None => (rest, None),
+            };
             debug_assert!(label.len() <= 63);
             self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label);
+            self.buf.put_slice(label.as_bytes());
+            suffix = tail;
         }
         self.buf.put_u8(0); // root
     }
@@ -254,7 +257,9 @@ impl<'a> Decoder<'a> {
 
     /// Reads a (possibly compressed) name starting at the current position.
     fn get_name(&mut self) -> Result<DomainName, WireError> {
-        let mut labels: Vec<String> = Vec::new();
+        // The labels joined by `.` (the presentation form), lowercased at
+        // the end.
+        let mut name = String::new();
         let mut pos = self.pos;
         let mut jumped = false;
         let mut jumps = 0usize;
@@ -299,20 +304,19 @@ impl<'a> Decoder<'a> {
                 return Err(WireError::BadName);
             }
             let raw = self.data.get(pos..pos + len).ok_or(WireError::Truncated)?;
-            let label = std::str::from_utf8(raw)
-                .map_err(|_| WireError::BadLabel)?
-                .to_ascii_lowercase();
+            let label = std::str::from_utf8(raw).map_err(|_| WireError::BadLabel)?;
             // Enforce the same canonical form `DomainName::parse` does, so
             // hostile wire input can never smuggle in a name the rest of
-            // the pipeline (serde round-trips included) would reject.
+            // the pipeline (serde round-trips included) would reject. A
+            // `.` is no label byte: the joined form stays unambiguous.
             if label.contains('*') {
-                if label != "*" || !labels.is_empty() {
+                if label != "*" || !name.is_empty() {
                     return Err(WireError::BadLabel);
                 }
             } else {
                 if !label
                     .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
                 {
                     return Err(WireError::BadLabel);
                 }
@@ -320,16 +324,20 @@ impl<'a> Decoder<'a> {
                     return Err(WireError::BadLabel);
                 }
             }
-            labels.push(label);
+            if !name.is_empty() {
+                name.push('.');
+            }
+            name.push_str(label);
             pos += len;
         }
         if !jumped {
             self.pos = pos;
         }
-        if labels.is_empty() {
+        if name.is_empty() {
             return Err(WireError::BadName); // the root name never appears in this study
         }
-        Ok(DomainName::from_labels(labels))
+        name.make_ascii_lowercase();
+        Ok(DomainName::from_canonical(&name))
     }
 
     fn get_question(&mut self) -> Result<Question, WireError> {

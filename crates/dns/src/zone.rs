@@ -519,8 +519,9 @@ fn format_name(name: &DomainName, origin: &DomainName) -> String {
     if name == origin {
         "@".to_string()
     } else if name.is_strict_subdomain_of(origin) {
-        let keep = name.label_count() - origin.label_count();
-        name.labels()[..keep].join(".")
+        // The labels left of `.{origin}`.
+        let keep = name.as_str().len() - origin.as_str().len() - 1;
+        name.as_str()[..keep].to_string()
     } else {
         format!("{name}.")
     }

@@ -715,7 +715,7 @@ impl Ecosystem {
             }
             PolicyHosting::MiscProvider { idx } => {
                 let target: DomainName =
-                    format!("{}.polhost{idx}.net", spec.name.labels().join("-"))
+                    format!("{}.polhost{idx}.net", spec.name.as_str().replace('.', "-"))
                         .parse()
                         .expect("valid");
                 let key = format!("misc{idx}");
@@ -734,7 +734,7 @@ impl Ecosystem {
             }
             PolicyHosting::SmallProvider { idx } => {
                 let target: DomainName =
-                    format!("{}.smallpol{idx}.net", spec.name.labels().join("-"))
+                    format!("{}.smallpol{idx}.net", spec.name.as_str().replace('.', "-"))
                         .parse()
                         .expect("valid");
                 let key = format!("small{idx}");
@@ -945,44 +945,30 @@ pub(crate) fn record_texts(spec: &DomainSpec) -> Vec<String> {
 
 /// Mutates a hostname into a 1-edit typo within the same TLD.
 fn typo_of(host: &DomainName) -> String {
-    let mut labels: Vec<String> = host.labels().to_vec();
+    let mut typo = host.as_str().as_bytes().to_vec();
     // Rotate the first alphanumeric character of the leftmost label.
-    let rotated: String = {
-        let mut done = false;
-        labels[0]
-            .chars()
-            .map(|c| {
-                if done {
-                    return c;
-                }
-                let new = match c {
-                    'a'..='y' => ((c as u8) + 1) as char,
-                    'z' => 'a',
-                    '0'..='8' => ((c as u8) + 1) as char,
-                    '9' => '0',
-                    other => return other,
-                };
-                done = true;
-                new
-            })
-            .collect()
-    };
-    labels[0] = rotated;
-    labels.join(".")
+    let leftmost = &mut typo[..host.leftmost().len()];
+    if let Some(c) = leftmost.iter_mut().find(|c| c.is_ascii_alphanumeric()) {
+        *c = match *c {
+            b'z' => b'a',
+            b'9' => b'0',
+            c => c + 1,
+        };
+    }
+    String::from_utf8(typo).expect("names are ASCII")
 }
 
 /// Swaps the TLD of a hostname (com↔net, org↔com, se↔nu).
 fn swap_tld(host: &DomainName) -> String {
-    let mut labels: Vec<String> = host.labels().to_vec();
-    let last = labels.last_mut().expect("non-empty");
-    *last = match last.as_str() {
-        "com" => "net".to_string(),
-        "net" => "com".to_string(),
-        "org" => "com".to_string(),
-        "se" => "nu".to_string(),
-        other => format!("x{other}"),
-    };
-    labels.join(".")
+    let tld = host.tld();
+    let stem = &host.as_str()[..host.as_str().len() - tld.len()];
+    match tld {
+        "com" => format!("{stem}net"),
+        "net" => format!("{stem}com"),
+        "org" => format!("{stem}com"),
+        "se" => format!("{stem}nu"),
+        other => format!("{stem}x{other}"),
+    }
 }
 
 /// Whether `date` falls inside an inclusive window.
@@ -1225,8 +1211,15 @@ mod tests {
     fn typo_and_tld_helpers() {
         let host: DomainName = "mx1.example.com".parse().unwrap();
         let typo = typo_of(&host);
-        assert_ne!(typo, host.to_string());
+        assert_eq!(typo, "nx1.example.com");
         assert_eq!(netbase::levenshtein(&typo, &host.to_string()), 1);
+        assert_eq!(
+            typo_of(&"_z9.example.com".parse().unwrap()),
+            "_a9.example.com"
+        );
+        assert_eq!(typo_of(&"9.com".parse().unwrap()), "0.com");
         assert_eq!(swap_tld(&host), "mx1.example.net");
+        assert_eq!(swap_tld(&"a.se".parse().unwrap()), "a.nu");
+        assert_eq!(swap_tld(&"a.b.uk".parse().unwrap()), "a.b.xuk");
     }
 }

@@ -315,16 +315,18 @@ fn uninstall_domain(
             remove_customer_state(world, infra.policy_ip[*key], &policy_host);
         }
         PolicyHosting::MiscProvider { idx } => {
-            let target: DomainName = format!("{}.polhost{idx}.net", spec.name.labels().join("-"))
-                .parse()
-                .expect("valid");
+            let target: DomainName =
+                format!("{}.polhost{idx}.net", spec.name.as_str().replace('.', "-"))
+                    .parse()
+                    .expect("valid");
             remove_registered_a(world, infra, &target);
             remove_customer_state(world, infra.policy_ip[&format!("misc{idx}")], &policy_host);
         }
         PolicyHosting::SmallProvider { idx } => {
-            let target: DomainName = format!("{}.smallpol{idx}.net", spec.name.labels().join("-"))
-                .parse()
-                .expect("valid");
+            let target: DomainName =
+                format!("{}.smallpol{idx}.net", spec.name.as_str().replace('.', "-"))
+                    .parse()
+                    .expect("valid");
             remove_registered_a(world, infra, &target);
             remove_customer_state(world, infra.policy_ip[&format!("small{idx}")], &policy_host);
         }

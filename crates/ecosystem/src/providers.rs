@@ -71,11 +71,15 @@ impl PolicyProvider {
         let name = match self.cname_style {
             CnameStyle::Shared(target) => target.to_string(),
             CnameStyle::DashJoined(suffix) => {
-                format!("{}.{}", customer.labels().join("-"), suffix)
+                format!("{}.{}", customer.as_str().replace('.', "-"), suffix)
             }
             CnameStyle::Dotted(suffix) => format!("{customer}.{suffix}"),
             CnameStyle::UnderscoreJoined(suffix) => {
-                format!("{}__mta_sts.{}", customer.labels().join("_"), suffix)
+                format!(
+                    "{}__mta_sts.{}",
+                    customer.as_str().replace('.', "_"),
+                    suffix
+                )
             }
             CnameStyle::PrefixedDotted(suffix) => format!("_mta-sts.{customer}.{suffix}"),
         };
@@ -225,7 +229,7 @@ impl MailProvider {
         match self.mx_style {
             MxStyle::Shared(host) => vec![host.parse().expect("static name")],
             MxStyle::PerCustomerSharedIp(suffix) | MxStyle::PerCustomer(suffix) => {
-                let joined = customer.labels().join("-");
+                let joined = customer.as_str().replace('.', "-");
                 vec![format!("{joined}.{suffix}")
                     .parse()
                     .expect("derived names are valid")]

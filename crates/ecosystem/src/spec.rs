@@ -15,8 +15,6 @@ use netbase::{DetRng, DomainName, SimDate};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Who runs the domain's inbound MTAs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -228,35 +226,17 @@ impl Population {
     }
 }
 
-/// Columnar (structure-of-arrays) view of the population.
+/// Adoption-date columns over the population (same indices as `domains`).
 ///
-/// Every hot per-date walk — `IncrementalWorld::advance_to`, the weekly
-/// observer, fingerprint timelines — needs only a handful of fields per
-/// domain. Scanning those through `Vec<DomainSpec>` drags the whole
-/// 300-byte spec (name `Arc`s, fault enums) through cache; these parallel
-/// columns keep each walk touching only the bytes it reads. The
-/// `adoption_order`/`adoption_dates` pair additionally turns "who exists
-/// at date d" from an O(population) filter into a binary search plus an
+/// Every per-date walk (`IncrementalWorld::advance_to`, the incremental
+/// scanner, the supervisor) asks "who exists at date d". The
+/// `adoption_order`/`adoption_dates` pair turns that from an
+/// O(population) filter over 300-byte specs into a binary search plus an
 /// O(adopters) slice.
 #[derive(Debug, Clone, Default)]
 pub struct PopulationIndex {
     /// Adoption date per population index.
     pub adopted: Vec<SimDate>,
-    /// TLD per population index.
-    pub tld: Vec<TldId>,
-    /// Table-2 policy-provider key per index (`None` for every other
-    /// hosting arrangement).
-    pub policy_provider: Vec<Option<&'static str>>,
-    /// Mail-provider key per index (`None` when not `MailHosting::Provider`).
-    pub mail_provider: Vec<Option<&'static str>>,
-    /// Tranco bin (rank / [`calib::TRANCO_BIN`]) per index; `u16::MAX`
-    /// when unranked.
-    pub tranco_bin: Vec<u16>,
-    /// Per-index `(leftmost, tld)` references into the interned `labels`
-    /// arena — the registered name without touching the spec.
-    pub name_refs: Vec<(u32, u32)>,
-    /// Interned unique labels backing `name_refs`.
-    pub labels: Vec<Arc<str>>,
     /// Population indices sorted by (adoption date, index).
     adoption_order: Vec<u32>,
     /// Adoption date of `adoption_order[k]` — the binary-search column.
@@ -266,55 +246,14 @@ pub struct PopulationIndex {
 impl PopulationIndex {
     /// Builds the columns from a name-sorted spec slice.
     pub fn build(domains: &[DomainSpec]) -> PopulationIndex {
-        let n = domains.len();
-        let mut labels: Vec<Arc<str>> = Vec::new();
-        let mut interned: HashMap<Arc<str>, u32> = HashMap::new();
-        let mut intern = |s: &str, labels: &mut Vec<Arc<str>>| -> u32 {
-            if let Some(&i) = interned.get(s) {
-                return i;
-            }
-            let arc: Arc<str> = Arc::from(s);
-            let i = u32::try_from(labels.len()).expect("label arena fits u32");
-            labels.push(arc.clone());
-            interned.insert(arc, i);
-            i
-        };
-        let mut index = PopulationIndex {
-            adopted: Vec::with_capacity(n),
-            tld: Vec::with_capacity(n),
-            policy_provider: Vec::with_capacity(n),
-            mail_provider: Vec::with_capacity(n),
-            tranco_bin: Vec::with_capacity(n),
-            name_refs: Vec::with_capacity(n),
-            labels: Vec::new(),
-            adoption_order: Vec::new(),
-            adoption_dates: Vec::new(),
-        };
-        for d in domains {
-            index.adopted.push(d.adopted);
-            index.tld.push(d.tld);
-            index.policy_provider.push(match &d.policy {
-                PolicyHosting::Provider { key } => Some(*key),
-                _ => None,
-            });
-            index.mail_provider.push(match &d.mail {
-                MailHosting::Provider { key } => Some(*key),
-                _ => None,
-            });
-            index.tranco_bin.push(match d.tranco_rank {
-                Some(rank) => ((u64::from(rank) - 1) / calib::TRANCO_BIN) as u16,
-                None => u16::MAX,
-            });
-            let leftmost = intern(d.name.leftmost(), &mut labels);
-            let tld = intern(d.name.tld(), &mut labels);
-            index.name_refs.push((leftmost, tld));
+        let adopted: Vec<SimDate> = domains.iter().map(|d| d.adopted).collect();
+        let mut order: Vec<u32> = (0..domains.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (adopted[i as usize], i));
+        PopulationIndex {
+            adoption_dates: order.iter().map(|&i| adopted[i as usize]).collect(),
+            adoption_order: order,
+            adopted,
         }
-        index.labels = labels;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (index.adopted[i as usize], i));
-        index.adoption_dates = order.iter().map(|&i| index.adopted[i as usize]).collect();
-        index.adoption_order = order;
-        index
     }
 
     /// Number of indexed domains.
@@ -339,20 +278,6 @@ impl PopulationIndex {
         let lo = self.adoption_dates.partition_point(|d| *d <= after);
         let hi = self.adoption_dates.partition_point(|d| *d <= through);
         &self.adoption_order[lo..hi]
-    }
-
-    /// Number of domains adopted on or before `date`.
-    pub fn adopter_count(&self, date: SimDate) -> usize {
-        self.adoption_dates.partition_point(|d| *d <= date)
-    }
-
-    /// The registered name at `i`, reconstructed from the label arena.
-    pub fn name_of(&self, i: usize) -> String {
-        let (leftmost, tld) = self.name_refs[i];
-        format!(
-            "{}.{}",
-            self.labels[leftmost as usize], self.labels[tld as usize]
-        )
     }
 }
 
@@ -1303,19 +1228,6 @@ mod tests {
         assert_eq!(idx.len(), pop.domains.len());
         for (i, d) in pop.domains.iter().enumerate() {
             assert_eq!(idx.adopted[i], d.adopted);
-            assert_eq!(idx.tld[i], d.tld);
-            assert_eq!(idx.name_of(i), d.name.to_string());
-            match &d.policy {
-                PolicyHosting::Provider { key } => assert_eq!(idx.policy_provider[i], Some(*key)),
-                _ => assert_eq!(idx.policy_provider[i], None),
-            }
-            match d.tranco_rank {
-                Some(r) => assert_eq!(
-                    u64::from(idx.tranco_bin[i]),
-                    (u64::from(r) - 1) / calib::TRANCO_BIN
-                ),
-                None => assert_eq!(idx.tranco_bin[i], u16::MAX),
-            }
         }
         // The adoption walk agrees with the brute-force filter at every
         // weekly date, and slices are disjoint unions.
@@ -1323,8 +1235,7 @@ mod tests {
         let mut seen = 0usize;
         for date in config.weekly_snapshots() {
             let want = pop.domains.iter().filter(|d| d.adopted_by(date)).count();
-            assert_eq!(idx.adopter_count(date), want, "{date}");
-            assert_eq!(idx.adopters_through(date).len(), want);
+            assert_eq!(idx.adopters_through(date).len(), want, "{date}");
             let fresh = match prev {
                 Some(p) => idx.adopters_between(p, date),
                 None => idx.adopters_through(date),

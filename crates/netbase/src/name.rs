@@ -1,17 +1,22 @@
 //! DNS domain names.
 //!
 //! A [`DomainName`] is a sequence of lowercase LDH (letters, digits, hyphen)
-//! labels, stored root-last (`["mail", "example", "com"]` for
-//! `mail.example.com`). Names are always handled in their fully-qualified,
-//! canonical (lowercase, no trailing dot) form.
+//! labels, stored as one shared string in canonical presentation form
+//! (`mail.example.com`: lowercase, no trailing dot). Names are always
+//! handled in that fully-qualified, canonical form. No label contains `.`
+//! (`parse` splits on it and the wire decoder refuses it), so the joined
+//! string is unambiguous and every label is a `.`-delimited slice of it.
 //!
 //! Besides parsing and display, the type carries the label arithmetic the
 //! measurement pipeline needs: parent/ancestor walks, subdomain tests,
 //! prefixing (`_mta-sts.` and `mta-sts.` labels from RFC 8461), and
 //! effective-SLD extraction used by the paper's managing-entity heuristics
-//! (§4.3.1) and mismatch taxonomy (§4.4).
+//! (§4.3.1) and mismatch taxonomy (§4.4). These compare byte suffixes of
+//! the string: subdomain, eSLD and pattern tests allocate nothing, and
+//! `parent`/`effective_sld` allocate at most the one suffix they return.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -63,6 +68,39 @@ impl fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
+/// Checks one label of presentation input in any letter case. Only the
+/// `leftmost` label may be the `*` wildcard. Error payloads carry the
+/// label lowercased (an over-long label as given).
+fn check_label(raw: &str, leftmost: bool) -> Result<(), NameError> {
+    if raw.is_empty() {
+        return Err(NameError::EmptyLabel);
+    }
+    if raw.len() > MAX_LABEL_LEN {
+        return Err(NameError::LabelTooLong(raw.to_string()));
+    }
+    if raw.contains('*') {
+        if raw != "*" || !leftmost {
+            return Err(NameError::BadWildcard(raw.to_ascii_lowercase()));
+        }
+        return Ok(());
+    }
+    let bad = raw
+        .bytes()
+        .position(|b| !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_'));
+    if let Some(at) = bad {
+        // Every byte before `at` is ASCII, so `at` starts a char.
+        let ch = raw[at..].chars().next().expect("a char starts at `at`");
+        return Err(NameError::BadChar {
+            label: raw.to_ascii_lowercase(),
+            ch,
+        });
+    }
+    if raw.starts_with('-') || raw.ends_with('-') {
+        return Err(NameError::HyphenEdge(raw.to_ascii_lowercase()));
+    }
+    Ok(())
+}
+
 /// A canonical, lowercase DNS domain name.
 ///
 /// ```
@@ -73,15 +111,20 @@ impl std::error::Error for NameError {}
 /// assert_eq!(mx.label_count(), 3);
 /// assert!(mx.is_subdomain_of(&"example.com".parse().unwrap()));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// Names order label by label, leftmost label first, as their label
+/// sequences would: `a.b.com < a.com < a-b.com`, where plain string order
+/// puts `a-b.com` first. Zone maps, sorted snapshots and every pinned
+/// digest depend on that order.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct DomainName {
-    /// Labels in presentation order: `labels[0]` is the leftmost label.
+    /// The canonical presentation form, labels joined by `.`.
     ///
     /// Shared, not owned: the longitudinal drivers clone every adopted
     /// domain's name once per snapshot date, so `clone()` must be a
-    /// reference-count bump rather than a fresh allocation per label.
-    labels: Arc<[String]>,
+    /// reference-count bump rather than a fresh allocation.
+    name: Arc<str>,
 }
 
 impl DomainName {
@@ -95,106 +138,139 @@ impl DomainName {
         if s.len() > MAX_NAME_LEN {
             return Err(NameError::NameTooLong);
         }
-        let mut labels = Vec::new();
         for (i, raw) in s.split('.').enumerate() {
-            if raw.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if raw.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(raw.to_string()));
-            }
-            let label = raw.to_ascii_lowercase();
-            if label.contains('*') {
-                if label != "*" || i != 0 {
-                    return Err(NameError::BadWildcard(label));
-                }
-            } else {
-                for ch in label.chars() {
-                    if !(ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '-' || ch == '_') {
-                        return Err(NameError::BadChar { label, ch });
-                    }
-                }
-                if label.starts_with('-') || label.ends_with('-') {
-                    return Err(NameError::HyphenEdge(label));
-                }
-            }
-            labels.push(label);
+            check_label(raw, i == 0)?;
         }
-        Ok(DomainName {
-            labels: labels.into(),
-        })
+        let mut name: Arc<str> = Arc::from(s);
+        Arc::get_mut(&mut name)
+            .expect("a fresh Arc is unique")
+            .make_ascii_lowercase();
+        Ok(DomainName { name })
     }
 
-    /// Builds a name from pre-validated labels (used by the wire decoder).
+    /// Builds a name from its canonical presentation form, whose labels the
+    /// caller has already validated (the wire decoder, which also refuses
+    /// `.` inside a label).
     ///
-    /// The labels must already be canonical; this is checked in debug builds.
-    pub fn from_labels(labels: Vec<String>) -> Self {
-        debug_assert!(labels
-            .iter()
-            .all(|l| !l.is_empty() && l.len() <= MAX_LABEL_LEN && *l == l.to_ascii_lowercase()));
+    /// The name must already be canonical; this is checked in debug builds.
+    pub fn from_canonical(name: &str) -> Self {
+        debug_assert_eq!(
+            DomainName::parse(name).as_ref().map(DomainName::as_str),
+            Ok(name)
+        );
         DomainName {
-            labels: labels.into(),
+            name: Arc::from(name),
         }
+    }
+
+    /// The canonical presentation form, e.g. `mail.example.com`.
+    pub fn as_str(&self) -> &str {
+        &self.name
     }
 
     /// Labels in presentation order (leftmost first).
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> std::str::Split<'_, char> {
+        self.name.split('.')
     }
 
     /// Number of labels, e.g. 3 for `mail.example.com`.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.name.bytes().filter(|&b| b == b'.').count() + 1
     }
 
     /// The leftmost label.
     pub fn leftmost(&self) -> &str {
-        &self.labels[0]
+        self.name
+            .split_once('.')
+            .map_or(self.as_str(), |(first, _)| first)
     }
 
     /// The rightmost label, i.e. the TLD.
     pub fn tld(&self) -> &str {
-        self.labels.last().expect("names are non-empty")
+        self.name
+            .rsplit_once('.')
+            .map_or(self.as_str(), |(_, last)| last)
     }
 
     /// Whether the leftmost label is `*` (a wildcard pattern, not a hostname).
     pub fn is_wildcard(&self) -> bool {
-        self.labels[0] == "*"
+        // `*` can only appear as the whole leftmost label.
+        self.name.starts_with('*')
+    }
+
+    /// Everything right of the leftmost label, or `None` for a single label.
+    fn after_leftmost(&self) -> Option<&str> {
+        self.name.split_once('.').map(|(_, rest)| rest)
+    }
+
+    /// The last `n` labels (`n ≥ 1`) as a suffix of the name, or `None` if
+    /// the name has fewer.
+    fn last_labels(&self, n: usize) -> Option<&str> {
+        let mut start = self.name.len();
+        for _ in 0..n {
+            if start == 0 {
+                return None;
+            }
+            start = self.name[..start - 1].rfind('.').map_or(0, |dot| dot + 1);
+        }
+        Some(&self.name[start..])
+    }
+
+    /// The name spelled by `suffix`, a label-aligned suffix of this name:
+    /// a clone when it is the whole name, one allocation otherwise.
+    fn suffix_name(&self, suffix: &str) -> DomainName {
+        if suffix.len() == self.name.len() {
+            self.clone()
+        } else {
+            DomainName {
+                name: Arc::from(suffix),
+            }
+        }
     }
 
     /// The name with its leftmost label removed, or `None` at the TLD.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.len() <= 1 {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec().into(),
-            })
-        }
+        self.after_leftmost().map(|rest| self.suffix_name(rest))
     }
 
     /// Returns a new name with `label` prepended, e.g.
     /// `example.com -> _mta-sts.example.com`.
+    ///
+    /// Accepts and rejects exactly what parsing `"{label}.{self}"` would.
     pub fn prefixed(&self, label: &str) -> Result<DomainName, NameError> {
-        let mut s = String::with_capacity(label.len() + 1 + self.to_string().len());
-        s.push_str(label);
-        s.push('.');
-        s.push_str(&self.to_string());
-        DomainName::parse(&s)
+        let len = label.len() + 1 + self.name.len();
+        if len > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong);
+        }
+        for (i, raw) in label.split('.').enumerate() {
+            check_label(raw, i == 0)?;
+        }
+        if self.is_wildcard() {
+            return Err(NameError::BadWildcard("*".to_string()));
+        }
+        // Assembled on the stack, so the shared string is the only
+        // allocation.
+        let mut buf = [0u8; MAX_NAME_LEN];
+        buf[..label.len()].copy_from_slice(label.as_bytes());
+        buf[..label.len()].make_ascii_lowercase();
+        buf[label.len()] = b'.';
+        buf[label.len() + 1..len].copy_from_slice(self.name.as_bytes());
+        let name = std::str::from_utf8(&buf[..len]).expect("checked labels are ASCII");
+        Ok(DomainName {
+            name: Arc::from(name),
+        })
     }
 
     /// True if `self` is equal to or a subdomain of `other`.
     pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..] == other.labels[..]
+        let (name, suffix) = (self.name.as_bytes(), other.name.as_bytes());
+        name.ends_with(suffix)
+            && (name.len() == suffix.len() || name[name.len() - suffix.len() - 1] == b'.')
     }
 
     /// True if `self` is a *strict* subdomain of `other`.
     pub fn is_strict_subdomain_of(&self, other: &DomainName) -> bool {
-        self.labels.len() > other.labels.len() && self.is_subdomain_of(other)
+        self.name.len() > other.name.len() && self.is_subdomain_of(other)
     }
 
     /// The effective second-level domain: the registrable part of the name.
@@ -206,44 +282,30 @@ impl DomainName {
     ///
     /// Returns `None` for names that are themselves a public suffix.
     pub fn effective_sld(&self) -> Option<DomainName> {
-        let suffix_len = self.public_suffix_len();
-        if self.labels.len() <= suffix_len {
-            return None;
-        }
-        let start = self.labels.len() - suffix_len - 1;
-        Some(DomainName {
-            labels: self.labels[start..].to_vec().into(),
-        })
+        self.esld().map(|esld| self.suffix_name(esld))
+    }
+
+    /// The effective SLD as a suffix of the name (see
+    /// [`DomainName::effective_sld`]).
+    fn esld(&self) -> Option<&str> {
+        self.last_labels(self.public_suffix_len() + 1)
     }
 
     /// Number of labels occupied by the public suffix of this name.
     fn public_suffix_len(&self) -> usize {
         /// Multi-label public suffixes relevant to synthetic populations.
-        const TWO_LABEL_SUFFIXES: &[(&str, &str)] = &[
-            ("co", "uk"),
-            ("org", "uk"),
-            ("ac", "uk"),
-            ("com", "au"),
-            ("co", "jp"),
-            ("com", "br"),
-        ];
-        if self.labels.len() >= 2 {
-            let n = self.labels.len();
-            let pair = (self.labels[n - 2].as_str(), self.labels[n - 1].as_str());
-            if TWO_LABEL_SUFFIXES.contains(&pair) {
-                return 2;
-            }
+        const TWO_LABEL_SUFFIXES: &[&str] =
+            &["co.uk", "org.uk", "ac.uk", "com.au", "co.jp", "com.br"];
+        match self.last_labels(2) {
+            Some(suffix) if TWO_LABEL_SUFFIXES.contains(&suffix) => 2,
+            _ => 1,
         }
-        1
     }
 
     /// True if two names share the same effective SLD (the paper's test for
     /// "self-managed": an MX or NS under the queried domain's own SLD).
     pub fn same_esld(&self, other: &DomainName) -> bool {
-        match (self.effective_sld(), other.effective_sld()) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
+        matches!((self.esld(), other.esld()), (Some(a), Some(b)) if a == b)
     }
 
     /// Matches this hostname against an MX pattern per RFC 8461 §4.1:
@@ -252,20 +314,44 @@ impl DomainName {
     /// already canonical lowercase).
     pub fn matches_pattern(&self, pattern: &DomainName) -> bool {
         if pattern.is_wildcard() {
-            // `*` matches exactly one label.
-            if self.labels.len() != pattern.labels.len() {
-                return false;
-            }
-            self.labels[1..] == pattern.labels[1..]
+            // `*` matches exactly one label: everything right of it agrees.
+            self.after_leftmost() == pattern.after_leftmost()
         } else {
             self == pattern
         }
     }
 }
 
+impl Ord for DomainName {
+    /// Label-wise order. At the first byte where two names differ, a `.`
+    /// (its label ended) ranks below every label byte; a name that ends
+    /// before any difference is the smaller. That is exactly how the
+    /// label sequences compare.
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn rank(b: u8) -> u8 {
+            if b == b'.' {
+                0
+            } else {
+                b
+            }
+        }
+        let (a, b) = (self.name.as_bytes(), other.name.as_bytes());
+        match a.iter().zip(b).position(|(x, y)| x != y) {
+            Some(i) => rank(a[i]).cmp(&rank(b[i])),
+            None => a.len().cmp(&b.len()),
+        }
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.labels.join("."))
+        f.write_str(&self.name)
     }
 }
 
@@ -293,7 +379,7 @@ impl TryFrom<String> for DomainName {
 
 impl From<DomainName> for String {
     fn from(d: DomainName) -> String {
-        d.to_string()
+        d.as_str().to_owned()
     }
 }
 
@@ -315,7 +401,7 @@ mod tests {
     #[test]
     fn accepts_service_labels() {
         assert_eq!(n("_mta-sts.example.com").leftmost(), "_mta-sts");
-        assert_eq!(n("_smtp._tls.example.com").labels()[1], "_tls");
+        assert_eq!(n("_smtp._tls.example.com").labels().nth(1), Some("_tls"));
     }
 
     #[test]
@@ -342,6 +428,37 @@ mod tests {
         ));
         let long_name = format!("{}.com", vec!["abcdefgh"; 40].join("."));
         assert_eq!(DomainName::parse(&long_name), Err(NameError::NameTooLong));
+    }
+
+    #[test]
+    fn error_payloads_are_lowercased_labels() {
+        assert_eq!(
+            DomainName::parse("Exa Mple.com"),
+            Err(NameError::BadChar {
+                label: "exa mple".into(),
+                ch: ' '
+            })
+        );
+        assert_eq!(
+            DomainName::parse("ok.B\u{e9}.com"),
+            Err(NameError::BadChar {
+                label: "b\u{e9}".into(),
+                ch: '\u{e9}'
+            })
+        );
+        assert_eq!(
+            DomainName::parse("-Bad.com"),
+            Err(NameError::HyphenEdge("-bad".into()))
+        );
+        assert_eq!(
+            DomainName::parse("A.*X.com"),
+            Err(NameError::BadWildcard("*x".into()))
+        );
+        let long_label = "A".repeat(64);
+        assert_eq!(
+            DomainName::parse(&format!("{long_label}.com")),
+            Err(NameError::LabelTooLong(long_label))
+        );
     }
 
     #[test]
@@ -382,7 +499,26 @@ mod tests {
             n("example.com").prefixed("_mta-sts").unwrap().to_string(),
             "_mta-sts.example.com"
         );
+        assert_eq!(
+            n("example.com").prefixed("_SMTP._TLS").unwrap(),
+            n("_smtp._tls.example.com")
+        );
+        assert_eq!(n("example.com").prefixed("*").unwrap(), n("*.example.com"));
         assert!(n("example.com").prefixed("bad label").is_err());
+        assert_eq!(
+            n("example.com").prefixed(""),
+            DomainName::parse(".example.com")
+        );
+        assert_eq!(
+            n("*.example.com").prefixed("mx"),
+            DomainName::parse("mx.*.example.com")
+        );
+        let long = "a".repeat(MAX_LABEL_LEN);
+        let deep = n(&[long.as_str(); 3].join("."));
+        assert_eq!(
+            deep.prefixed(&long),
+            DomainName::parse(&format!("{long}.{deep}"))
+        );
     }
 
     #[test]
@@ -418,13 +554,9 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let d = n("mx.example.org");
-        let j = serde_json_roundtrip(&d);
-        assert_eq!(d, j);
-    }
-
-    fn serde_json_roundtrip(d: &DomainName) -> DomainName {
-        // Manual mini-roundtrip through the String representation used by
-        // serde (the crate avoids a serde_json dev-dependency here).
-        DomainName::try_from(String::from(d.clone())).unwrap()
+        let json = serde_json::to_string(&d).unwrap();
+        assert_eq!(json, "\"mx.example.org\"");
+        assert_eq!(serde_json::from_str::<DomainName>(&json).unwrap(), d);
+        assert!(serde_json::from_str::<DomainName>("\"a..b\"").is_err());
     }
 }

@@ -116,9 +116,12 @@ pub(crate) fn write_event(name: &str) {
     write_line(&line);
 }
 
-/// Flushes buffered trace lines to disk. Call at the end of a run (the
-/// bench binaries and supervisor do); otherwise lines flush when the
-/// buffer fills or the process exits cleanly.
+/// Flushes buffered trace lines to disk. Call at the end of a run: the
+/// writer is a `static` that is never dropped, so nothing flushes it at
+/// exit, and lines still in the buffer then are lost. The shared study
+/// runners (`mtasts_bench::{full_study, full_scans_only, weekly_only}`),
+/// `exp_notify`, `exp_profile` and `exp_e2e` call it; otherwise lines
+/// reach disk only when the buffer fills.
 pub fn flush() {
     if let Some(w) = writer() {
         if let Ok(mut w) = w.lock() {

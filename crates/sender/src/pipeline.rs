@@ -578,6 +578,9 @@ impl DeliveryQueue {
             ckpt.sts_cache.clone(),
             ResolverConfig::default().shards,
         );
+        // Only enforcement writes the cache; otherwise checkpoints keep
+        // the loaded snapshot.
+        let live_cache = self.cfg.enforcement.is_some().then_some(&sts_cache);
         let mut index = ckpt.next_index;
         let mut processed_here = 0usize;
 
@@ -585,7 +588,7 @@ impl DeliveryQueue {
             if let Some(budget) = self.cfg.message_budget {
                 if processed_here >= budget {
                     ckpt.next_index = index;
-                    let _ = store_checkpoint(&ckpt, &mut checkpoint_path);
+                    let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
                     obsv::event!("delivery.queue_suspend");
                     let tlsrpt = fold_tlsrpt(&ckpt.records);
                     return QueueOutcome {
@@ -605,7 +608,6 @@ impl DeliveryQueue {
             let wave_end =
                 (((index / self.cfg.wave_size) + 1) * self.cfg.wave_size).min(messages.len());
             let batch = &messages[index..wave_end];
-            let snapshot = ckpt.board.clone();
             // Single-threaded, submission-ordered policy resolution:
             // one resolution per (domain, wave), at the admission
             // instant of the wave's first message for that domain, so
@@ -623,11 +625,14 @@ impl DeliveryQueue {
                 WavePolicies::new()
             };
             let mut wave_span = obsv::span!("delivery.wave");
+            // Workers only read the board; the wave's events fold into it
+            // after `map_sharded` returns.
+            let board = &ckpt.board;
             let results = map_sharded(threads, batch, |j, msg| {
                 process_message(
                     &self.cfg,
                     &rng,
-                    &snapshot,
+                    board,
                     &wave_policies,
                     transport,
                     (index + j) as u64,
@@ -651,15 +656,12 @@ impl DeliveryQueue {
             obsv::health::progress("delivery.messages", wave_end as u64, messages.len() as u64);
             index = wave_end;
             ckpt.next_index = index;
-            if self.cfg.enforcement.is_some() {
-                ckpt.sts_cache = sts_cache.snapshot();
-            }
             if index < messages.len() {
-                let _ = store_checkpoint(&ckpt, &mut checkpoint_path);
+                let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
             }
         }
 
-        let _ = store_checkpoint(&ckpt, &mut checkpoint_path);
+        let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
         let tlsrpt = fold_tlsrpt(&ckpt.records);
         QueueOutcome {
             records: ckpt.records,
@@ -743,8 +745,19 @@ fn admission_instant(cfg: &QueueConfig, seq: u64) -> SimInstant {
 /// Stores the checkpoint when a path is set; the first I/O failure
 /// disables checkpointing for the rest of the invocation (the queue
 /// keeps draining — same degradation discipline as the supervisor).
-fn store_checkpoint(ckpt: &QueueCheckpoint, path_slot: &mut Option<PathBuf>) -> bool {
+///
+/// With enforcement on, `cache` is the live policy cache: its snapshot
+/// (every entry cloned and sorted) is taken here, only when a checkpoint
+/// is about to be written.
+fn store_checkpoint(
+    ckpt: &mut QueueCheckpoint,
+    cache: Option<&ShardedPolicyCache>,
+    path_slot: &mut Option<PathBuf>,
+) -> bool {
     let Some(path) = path_slot else { return true };
+    if let Some(cache) = cache {
+        ckpt.sts_cache = cache.snapshot();
+    }
     if ckpt.store(path).is_err() {
         obsv::event!("delivery.checkpoint_failure");
         *path_slot = None;
@@ -1237,18 +1250,20 @@ impl MxTransport for FastTransport<'_> {
             && !endpoint.helo_only
             && !stripped
             && !endpoint.chain.is_empty();
-        let chain = if starttls
+        let substitute;
+        let chain: &[pkix::SimCert] = if starttls
             && self
                 .world
                 .attack_active(simnet::AttackKind::MxCertSubstitute, mx_host, now)
         {
-            self.world.pki.issue(
+            substitute = self.world.pki.issue(
                 &simnet::CertKind::UntrustedCa,
                 std::slice::from_ref(mx_host),
                 now,
-            )
+            );
+            &substitute
         } else {
-            endpoint.chain.clone()
+            &endpoint.chain
         };
         let roots = self.world.pki.trust_store();
         let evidence = match tls {
@@ -1263,7 +1278,7 @@ impl MxTransport for FastTransport<'_> {
                 if !starttls {
                     TlsEvidence::Plaintext
                 } else {
-                    match pkix::validate_chain(&chain, mx_host, now, roots) {
+                    match pkix::validate_chain(chain, mx_host, now, roots) {
                         Ok(()) => TlsEvidence::Validated,
                         Err(e) => TlsEvidence::CertFailed(e),
                     }
@@ -1275,7 +1290,7 @@ impl MxTransport for FastTransport<'_> {
                         failure: StsFailure::StartTlsUnavailable,
                     };
                 }
-                match pkix::validate_chain(&chain, mx_host, now, roots) {
+                match pkix::validate_chain(chain, mx_host, now, roots) {
                     Ok(()) => TlsEvidence::Validated,
                     Err(e) => {
                         return AttemptDisposition::TlsRefused {
@@ -1292,7 +1307,7 @@ impl MxTransport for FastTransport<'_> {
                 }
                 // The transport only hands out TLSA records from signed
                 // zones, so the DNSSEC gate passed upstream.
-                match danelite::validate_dane(tlsa, &chain, true, mx_host, now, roots) {
+                match danelite::validate_dane(tlsa, chain, true, mx_host, now, roots) {
                     Ok(_) => TlsEvidence::Validated,
                     Err(e) => {
                         return AttemptDisposition::TlsRefused {

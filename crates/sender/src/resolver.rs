@@ -108,13 +108,11 @@ fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The shard a domain maps to among `n` shards (`n` a power of two):
-/// FNV-1a over its labels, stable across runs and processes.
+/// FNV-1a over each label followed by `.`, i.e. over the name and a
+/// trailing `.`; stable across runs and processes.
 fn shard_index_for(domain: &DomainName, n: usize) -> usize {
-    let mut h = FNV_OFFSET;
-    for label in domain.labels() {
-        h = fnv64(h, label.as_bytes());
-        h = fnv64(h, b".");
-    }
+    let h = fnv64(FNV_OFFSET, domain.as_str().as_bytes());
+    let h = fnv64(h, b".");
     (h as usize) & (n - 1)
 }
 

@@ -298,7 +298,7 @@ struct MixedSource;
 
 impl PolicySource for MixedSource {
     fn record_txts(&self, domain: &DomainName, _now: SimInstant) -> Option<Vec<String>> {
-        let tag = domain.labels().first().map(String::as_str).unwrap_or("");
+        let tag = domain.leftmost();
         let k: u64 = tag
             .trim_start_matches(|c: char| !c.is_ascii_digit())
             .parse()
@@ -312,7 +312,7 @@ impl PolicySource for MixedSource {
     }
 
     fn fetch_policy(&self, domain: &DomainName, _now: SimInstant) -> Result<String, String> {
-        let tag = domain.labels().first().map(String::as_str).unwrap_or("");
+        let tag = domain.leftmost();
         let k: u64 = tag
             .trim_start_matches(|c: char| !c.is_ascii_digit())
             .parse()

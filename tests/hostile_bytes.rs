@@ -157,8 +157,10 @@ fn oversized_labels_and_names_are_rejected() {
 #[test]
 fn non_canonical_labels_are_rejected() {
     // Labels DomainName::parse would refuse must not come off the wire:
-    // embedded '*', non-leading wildcard, hyphen edges.
-    for label in [&b"a*b"[..], b"*", b"-ab", b"ab-"] {
+    // embedded '*', non-leading wildcard, hyphen edges, and an embedded
+    // '.' (a name is stored as its labels joined by '.', so a dotted
+    // label would alias a deeper name).
+    for label in [&b"a*b"[..], b"*", b"-ab", b"ab-", b"a.b"] {
         let mut bytes = header(1, 0, 0, 0);
         // "ok.<label>.com" puts the hostile label in a non-leading slot,
         // which even a lone "*" is not allowed to occupy.
