@@ -18,7 +18,7 @@
 //! ```
 
 use scanner::longitudinal::{MxHistory, Study, WeeklyPoint};
-use scanner::{default_scan_threads, CacheStats, Snapshot};
+use scanner::{default_scan_threads, CacheStats, Snapshot, SupervisedOutcome, SupervisorConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -125,8 +125,19 @@ fn main() {
     let scratch_full_secs = start.elapsed().as_secs_f64();
     eprintln!("# full scans, incremental...");
     let start = Instant::now();
-    let (inc_full, full_stats) = study.run_full_incremental_with_threads(threads);
+    // `run_full_with_threads`'s campaign, keeping its cache accounting.
+    let SupervisedOutcome::Complete {
+        snapshots: inc_full,
+        report,
+    } = study.run_full_supervised(&SupervisorConfig {
+        threads,
+        ..SupervisorConfig::default()
+    })
+    else {
+        unreachable!("no domain budget to run out")
+    };
     let inc_full_secs = start.elapsed().as_secs_f64();
+    let full_stats = report.cache;
     assert_eq!(
         full_digest(&scratch_full),
         full_digest(&inc_full),
@@ -145,7 +156,7 @@ fn main() {
     let scratch_weekly_secs = start.elapsed().as_secs_f64();
     eprintln!("# weekly series, incremental...");
     let start = Instant::now();
-    let (inc_weekly, inc_hist, weekly_stats) = study.run_weekly_incremental_with_threads(threads);
+    let (inc_weekly, inc_hist, weekly_stats) = study.run_weekly_with_threads(threads);
     let inc_weekly_secs = start.elapsed().as_secs_f64();
     assert_eq!(
         weekly_digest(&scratch_weekly, &scratch_hist),

@@ -48,8 +48,8 @@ fn full_digest(snapshots: &[Snapshot]) -> String {
 /// its incremental side): monthly full scans + weekly record series.
 fn combined_run(study: &Study, threads: usize) -> (String, f64) {
     let start = Instant::now();
-    let (full, _) = study.run_full_incremental_with_threads(threads);
-    let _ = study.run_weekly_incremental_with_threads(threads);
+    let full = study.run_full_with_threads(threads);
+    let _ = study.run_weekly_with_threads(threads);
     let secs = start.elapsed().as_secs_f64();
     (full_digest(&full), secs)
 }

@@ -192,7 +192,7 @@ fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
     obsv::timeseries::set_flight(true);
     obsv::reset();
     let t1 = Instant::now();
-    let (points, history, _stats) = study.run_weekly_incremental_with_threads(threads);
+    let (points, history, _stats) = study.run_weekly_with_threads(threads);
     let weekly_secs = t1.elapsed().as_secs_f64();
     let collected = obsv::snapshot();
 

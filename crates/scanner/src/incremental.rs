@@ -8,7 +8,10 @@
 //! module adds the scanner half — a content-addressed cache of prior
 //! [`DomainScan`]s keyed on that fingerprint, so an unchanged domain's
 //! scan is reused wholesale (its date re-stamped) and a partially
-//! changed domain re-runs only its dirty stages.
+//! changed domain re-runs only its dirty stages. The monthly campaign
+//! ([`crate::supervisor`]) scans every adopter through this cache; the
+//! weekly series keeps its own observation cache keyed on the
+//! `(record, mx)` components and reports the same [`CacheStats`].
 //!
 //! # Why reuse is byte-identical
 //!
@@ -42,17 +45,16 @@
 //!   inside an attack window, so the cache is bypassed entirely while
 //!   an attack schedule is installed.
 //! - **Throttled campaigns**: entries are keyed to the midnight
-//!   admitted-instant class; the incremental drivers are unthrottled by
+//!   admitted-instant class; the campaign is unthrottled by
 //!   construction, and the cache is not consulted for any other class.
 
-use crate::longitudinal::Study;
 use crate::scan::{
     consistency_mismatches, mx_stage, policy_stage, resolve_policy_ip, scan_domain, stage_rng,
-    ScanConfig, Snapshot,
+    ScanConfig,
 };
 use crate::taxonomy::{DomainScan, ScanAttempts};
-use ecosystem::{DomainFingerprint, Ecosystem, IncrementalWorld, SnapshotDetail};
-use netbase::{map_sharded, DomainName, SimDate, SimInstant};
+use ecosystem::{DomainFingerprint, Ecosystem};
+use netbase::{DomainName, SimDate, SimInstant};
 use serde::{Deserialize, Serialize};
 use simnet::World;
 use std::collections::HashMap;
@@ -337,103 +339,13 @@ pub(crate) fn cache_forced(world: &World) -> bool {
     world.has_transient_faults() || world.has_attacker()
 }
 
-/// The incremental monthly-campaign engine: a persistent delta-built
-/// world plus the scan cache, advanced snapshot by snapshot.
-pub struct IncrementalScanner {
-    world: IncrementalWorld,
-    cache: ScanCache,
-    stats: CacheStats,
-}
-
-impl IncrementalScanner {
-    /// A fresh engine for full-component snapshots under `config`.
-    pub fn new(eco: &Ecosystem, config: ScanConfig) -> IncrementalScanner {
-        IncrementalScanner {
-            world: IncrementalWorld::new(SnapshotDetail::Full),
-            cache: ScanCache::new(eco, config),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Cache accounting so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Advances the world to `date` and produces the snapshot,
-    /// byte-identical to `scan_snapshot` against a from-scratch world.
-    pub fn snapshot_at(&mut self, eco: &Ecosystem, date: SimDate, threads: usize) -> Snapshot {
-        let _span = obsv::span!("snapshot.full");
-        self.world.advance_to(eco, date);
-        let world = self.world.world();
-        let forced = cache_forced(world);
-        // The engine already certifies what is deployed at `date`: walk
-        // the adopter index (sorted back to population order) and reuse
-        // the installed fingerprints instead of re-hashing everyone —
-        // O(adopters), and no per-domain fingerprint computation.
-        let mut adopters: Vec<u32> = eco.population.index.adopters_through(date).to_vec();
-        adopters.sort_unstable();
-        let jobs: Vec<(usize, &DomainName, DomainFingerprint)> = adopters
-            .iter()
-            .map(|&i| {
-                let i = i as usize;
-                let fp = self
-                    .world
-                    .installed_fingerprint(i)
-                    .expect("adopted domains are installed");
-                (i, &eco.population.domains[i].name, fp)
-            })
-            .collect();
-
-        let now = date.at_midnight();
-        let cache = &self.cache;
-        let results = map_sharded(threads, &jobs, |_, (index, domain, fp)| {
-            cache.scan(world, *index, domain, date, now, fp, forced)
-        });
-
-        let ids: Vec<u32> = jobs.iter().map(|&(i, _, _)| i as u32).collect();
-        let mut scans = Vec::with_capacity(jobs.len());
-        let mut policy_ips = HashMap::new();
-        for ((index, _, fp), (scan, ip, kind)) in jobs.into_iter().zip(results) {
-            self.stats.count(kind);
-            self.cache.insert(index, fp, &scan, ip, kind);
-            if let Some(ip) = ip {
-                policy_ips.insert(scan.domain.clone(), ip);
-            }
-            scans.push(scan);
-        }
-        Snapshot::assemble_indexed(date, scans, policy_ips, ids)
-    }
-}
-
-impl Study {
-    /// [`Study::run_full`] through the incremental engine, returning the
-    /// cache accounting alongside the snapshots. Byte-identical to
-    /// [`Study::run_full_scratch_with_threads`] for every thread count.
-    pub fn run_full_incremental_with_threads(&self, threads: usize) -> (Vec<Snapshot>, CacheStats) {
-        let mut engine = IncrementalScanner::new(&self.eco, ScanConfig::default());
-        let dates = self.eco.config.full_scan_dates();
-        let date_count = dates.len() as u64;
-        let out = dates
-            .iter()
-            .enumerate()
-            .map(|(ord, &date)| {
-                let snap = engine.snapshot_at(&self.eco, date, threads);
-                // Close this date's flight-recorder window on the driver
-                // thread; free when recording is off.
-                obsv::timeseries::roll(date.at_midnight().unix_secs());
-                obsv::health::progress("scan.full", ord as u64 + 1, date_count);
-                snap
-            })
-            .collect();
-        (out, engine.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecosystem::EcosystemConfig;
+    use crate::longitudinal::Study;
+    use crate::scan::Snapshot;
+    use crate::supervisor::{Campaign, SupervisedOutcome, SupervisorConfig};
+    use ecosystem::{EcosystemConfig, SnapshotDetail};
 
     fn fp(record: u64, policy: u64, mx: u64) -> DomainFingerprint {
         DomainFingerprint { record, policy, mx }
@@ -480,21 +392,6 @@ mod tests {
         // Forced (transient faults / attacker): always a full scan, even
         // with a clean fingerprint.
         assert_eq!(plan_for(Some(&base), &base, true), ScanPlan::FullScan);
-    }
-
-    #[test]
-    fn incremental_snapshots_carry_population_ids() {
-        // The compact-id column: each incremental snapshot carries the
-        // population index of every scan, ascending and aligned.
-        let study = Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.005)));
-        let (snaps, _) = study.run_full_incremental_with_threads(2);
-        for snap in &snaps {
-            assert_eq!(snap.population_ids().len(), snap.scans.len());
-            assert!(snap.population_ids().windows(2).all(|w| w[0] < w[1]));
-            for (&id, scan) in snap.population_ids().iter().zip(&snap.scans) {
-                assert_eq!(study.eco.population.domains[id as usize].name, scan.domain);
-            }
-        }
     }
 
     #[test]
@@ -586,16 +483,20 @@ mod tests {
     #[test]
     fn single_component_flips_rescan_exactly_the_flipped_domains() {
         // Cohort-level property check against the real population: step
-        // the engine across the lucidgrow window boundary and verify the
-        // cache re-scans exactly the domains whose fingerprint moved —
-        // and that those domains' diffs are confined to the expected
-        // component.
+        // the campaign across the lucidgrow window boundary (two dates off
+        // the monthly calendar) and verify the cache re-scans exactly the
+        // domains whose fingerprint moved — and that those domains' diffs
+        // are confined to the expected component.
         let eco = Ecosystem::generate(EcosystemConfig::paper(42, 0.02));
         let d1 = SimDate::ymd(2024, 1, 15); // before the window
         let d2 = SimDate::ymd(2024, 1, 23); // inside the window
-        let mut engine = IncrementalScanner::new(&eco, ScanConfig::default());
-        engine.snapshot_at(&eco, d1, 2);
-        let before = engine.stats();
+        let cfg = SupervisorConfig {
+            threads: 2,
+            ..SupervisorConfig::default()
+        };
+        let mut campaign = Campaign::new(&eco, &cfg);
+        campaign.scan_date(d1);
+        let before = campaign.report().cache;
         assert_eq!(before.full_hits, 0, "first snapshot cannot hit");
 
         let ctx1 = eco.fingerprint_context(d1);
@@ -625,8 +526,8 @@ mod tests {
         }
         assert!(lucid_seen > 0, "scale 0.02 must include lucidgrow victims");
 
-        engine.snapshot_at(&eco, d2, 2);
-        let after = engine.stats();
+        campaign.scan_date(d2);
+        let after = campaign.report().cache;
         assert_eq!(after.full_hits - before.full_hits, expected_hits);
         assert_eq!(
             (after.partial_hits + after.misses) - (before.partial_hits + before.misses),
@@ -661,7 +562,18 @@ mod tests {
     fn incremental_full_study_matches_scratch() {
         let study = Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)));
         let scratch = study.run_full_scratch_with_threads(1);
-        let (inc, stats) = study.run_full_incremental_with_threads(1);
+        let outcome = study.run_full_supervised(&SupervisorConfig {
+            threads: 1,
+            ..SupervisorConfig::default()
+        });
+        let SupervisedOutcome::Complete {
+            snapshots: inc,
+            report,
+        } = outcome
+        else {
+            panic!("no budget set: must complete")
+        };
+        let stats = report.cache;
         assert_eq!(snapshots_digest(&scratch), snapshots_digest(&inc));
         assert!(
             stats.full_hits > stats.misses,

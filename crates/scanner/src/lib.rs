@@ -14,13 +14,15 @@
 //! - [`parallel`]: the deterministic parallel scan engine's determinism
 //!   argument (sharding, per-shard clocks, in-order merge); its thread
 //!   count is [`netbase::default_scan_threads`];
-//! - [`longitudinal`]: the weekly record series and monthly full scans
-//!   over the whole study calendar, retaining MX history for Figure 9;
+//! - [`longitudinal`]: the study — the weekly record series
+//!   (retaining MX history for Figure 9) and the entry points to the
+//!   monthly full scans, plus the from-scratch oracles;
 //! - [`incremental`]: the change-driven rescan cache that makes the
 //!   longitudinal drivers cost O(changes) instead of O(dates × domains)
 //!   while staying byte-identical to from-scratch runs;
-//! - [`supervisor`]: the checkpointing, resumable, panic-isolating driver
-//!   around the monthly campaign, with its degradation report;
+//! - [`supervisor`]: the monthly campaign's one date loop —
+//!   checkpointing, resumable and panic-isolating, with its degradation
+//!   report; `Study::run_full` is this loop under a default config;
 //! - [`analysis`]: figure- and table-shaped aggregations;
 //! - [`notify`]: the §4.7 responsible-disclosure campaign simulation.
 
@@ -35,7 +37,7 @@ pub mod supervisor;
 pub mod taxonomy;
 
 pub use classify::{EntityClass, EntityClassifier};
-pub use incremental::{CacheStats, IncrementalScanner};
+pub use incremental::CacheStats;
 pub use longitudinal::{LongitudinalRun, Study};
 pub use netbase::default_scan_threads;
 pub use scan::{scan_domain, scan_snapshot, scan_snapshot_with_threads, ScanConfig, Snapshot};

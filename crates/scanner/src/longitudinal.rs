@@ -2,14 +2,17 @@
 //! 2024-09) and monthly full-component scans (2023-11 → 2024-09), §3.1
 //! and §4.1.
 //!
-//! Both series run through the incremental engine by default
-//! ([`crate::incremental`]): a persistent delta-built world plus a
-//! change-driven cache, byte-identical to the from-scratch drivers
-//! (`run_weekly_scratch_with_threads`, `run_full_scratch_with_threads`),
-//! which are kept as the reference oracles for the digest suite.
+//! Both series run over a persistent delta-built world and a
+//! change-driven cache ([`crate::incremental`]), byte-identical to the
+//! from-scratch runs (`run_weekly_scratch_with_threads`,
+//! `run_full_scratch_with_threads`), which are kept as the reference
+//! oracles for the digest suites. The weekly loop lives here; the
+//! monthly loop is [`Study::run_full_supervised`], which
+//! [`Study::run_full`] runs under a default [`SupervisorConfig`].
 
 use crate::incremental::{cache_forced, CacheStats, HitKind};
 use crate::scan::{scan_snapshot_with_threads, ScanConfig, Snapshot};
+use crate::supervisor::{SupervisedOutcome, SupervisorConfig};
 use ecosystem::{DomainSpec, Ecosystem, IncrementalWorld, SnapshotDetail, TldId};
 use mtasts::evaluate_record_set;
 use netbase::default_scan_threads;
@@ -224,16 +227,7 @@ impl Study {
     /// Runs the weekly record-level series, collecting MX history, on
     /// the default thread count.
     pub fn run_weekly(&self) -> (Vec<WeeklyPoint>, MxHistory) {
-        self.run_weekly_with_threads(default_scan_threads())
-    }
-
-    /// [`Study::run_weekly`] with an explicit thread count, through the
-    /// incremental engine. Per-domain DNS observations fan out across
-    /// shard workers; the per-TLD counters and the MX history fold from
-    /// the merged, input-ordered observation vector, so the series is
-    /// byte-identical for every thread count.
-    pub fn run_weekly_with_threads(&self, threads: usize) -> (Vec<WeeklyPoint>, MxHistory) {
-        let (weekly, history, _) = self.run_weekly_incremental_with_threads(threads);
+        let (weekly, history, _) = self.run_weekly_with_threads(default_scan_threads());
         (weekly, history)
     }
 
@@ -258,22 +252,24 @@ impl Study {
         (weekly, history)
     }
 
-    /// The incremental weekly driver, O(changes) per date: the
+    /// [`Study::run_weekly`] with an explicit thread count, plus the
+    /// observation cache's accounting. O(changes) per date: the
     /// persistent world advance reports exactly which population indices
     /// it rewrote ([`IncrementalWorld::last_dirty`]), and only those are
     /// re-keyed and re-observed. The per-TLD counters, the MX history
     /// and the cached observations are all delta-maintained, so a calm
     /// week costs O(dirty) — no per-date population sweep at all.
+    /// Observations fan out across shard workers and fold in input
+    /// order, so the series is byte-identical for every thread count.
     ///
     /// Policy-side changes (e.g. the lucidgrow incident rewriting hosted
     /// policy documents) deliberately do *not* invalidate weekly
     /// entries — the weekly series never looks at policies: the cache
     /// key is the (record, mx) fingerprint component pair.
-    pub fn run_weekly_incremental_with_threads(
+    pub fn run_weekly_with_threads(
         &self,
         threads: usize,
     ) -> (Vec<WeeklyPoint>, MxHistory, CacheStats) {
-        let mut weekly = Vec::new();
         let mut history = MxHistory::default();
         let mut stats = CacheStats::default();
         let mut engine = IncrementalWorld::new(SnapshotDetail::DnsOnly);
@@ -293,16 +289,8 @@ impl Study {
         // Indices rewritten by the engine since the last delta fold.
         let mut pending: Vec<u32> = Vec::new();
         let mut forced_since_fold = false;
-        let snapshot_dates = self.eco.config.weekly_snapshots();
-        let date_count = snapshot_dates.len() as u64;
-        // Closes the date's flight-recorder window and emits a progress
-        // tick — called at each of the loop's three exits, on the driver
-        // thread, after the workers were absorbed. Free when off.
-        let weekly_tick = |date: SimDate, ord: usize| {
-            obsv::timeseries::roll(date.at_midnight().unix_secs());
-            obsv::health::progress("scan.weekly", ord as u64 + 1, date_count);
-        };
-        for (date_ord, date) in snapshot_dates.into_iter().enumerate() {
+        // One date's point, inside that date's `snapshot.weekly` span.
+        let mut step = |date: SimDate| -> WeeklyPoint {
             let _span = obsv::span!("snapshot.weekly");
             engine.advance_to(&self.eco, date);
             pending.extend_from_slice(engine.last_dirty());
@@ -316,10 +304,8 @@ impl Study {
                 let observations =
                     map_sharded(threads, domains, |_, spec| weekly_observe(world, spec, now));
                 stats.count_many(HitKind::Forced, n as u64);
-                weekly.push(fold_weekly(date, domains, &observations, &mut history));
                 forced_since_fold = true;
-                weekly_tick(date, date_ord);
-                continue;
+                return fold_weekly(date, domains, &observations, &mut history);
             }
             if !primed {
                 // First clean date: every domain misses once (adopted or
@@ -334,12 +320,10 @@ impl Study {
                 mtasts = point.mtasts_per_tld.clone();
                 tlsrpt = point.tlsrpt_among_mtasts_per_tld.clone();
                 obs = observations;
-                weekly.push(point);
                 pending.clear();
                 primed = true;
                 forced_since_fold = false;
-                weekly_tick(date, date_ord);
-                continue;
+                return point;
             }
             // Steady state: only indices the engine rewrote since the
             // last fold can have a different (record, mx) key, and only
@@ -399,12 +383,20 @@ impl Study {
                     }
                 }
             }
-            weekly.push(WeeklyPoint {
+            WeeklyPoint {
                 date,
                 mtasts_per_tld: mtasts.clone(),
                 tlsrpt_among_mtasts_per_tld: tlsrpt.clone(),
-            });
-            weekly_tick(date, date_ord);
+            }
+        };
+        let dates = self.eco.config.weekly_snapshots();
+        let mut weekly = Vec::with_capacity(dates.len());
+        for (date_ord, &date) in dates.iter().enumerate() {
+            weekly.push(step(date));
+            // The date's span has closed: close its flight-recorder window
+            // and tick progress, once, on the calling thread. Free when off.
+            obsv::timeseries::roll(date.at_midnight().unix_secs());
+            obsv::health::progress("scan.weekly", date_ord as u64 + 1, dates.len() as u64);
         }
         (weekly, history, stats)
     }
@@ -414,11 +406,20 @@ impl Study {
         self.run_full_with_threads(default_scan_threads())
     }
 
-    /// [`Study::run_full`] with an explicit thread count, through the
-    /// incremental engine; the snapshots are byte-identical for every
+    /// [`Study::run_full`] with an explicit thread count: the supervised
+    /// campaign under a default config, so a domain whose scan panics is
+    /// abandoned rather than fatal, and the report (cache accounting
+    /// included) is dropped. The snapshots are byte-identical for every
     /// value.
     pub fn run_full_with_threads(&self, threads: usize) -> Vec<Snapshot> {
-        self.run_full_incremental_with_threads(threads).0
+        let cfg = SupervisorConfig {
+            threads,
+            ..SupervisorConfig::default()
+        };
+        match self.run_full_supervised(&cfg) {
+            SupervisedOutcome::Complete { snapshots, .. } => snapshots,
+            SupervisedOutcome::Suspended { .. } => unreachable!("no domain budget to run out"),
+        }
     }
 
     /// The from-scratch monthly driver: one full world per snapshot
@@ -497,7 +498,7 @@ mod tests {
     fn weekly_scratch_and_incremental_agree() {
         let study = study();
         let (scratch_weekly, scratch_history) = study.run_weekly_scratch_with_threads(2);
-        let (inc_weekly, inc_history, stats) = study.run_weekly_incremental_with_threads(2);
+        let (inc_weekly, inc_history, stats) = study.run_weekly_with_threads(2);
         // Canonical form: HashMaps iterate in arbitrary per-instance
         // order, so sort everything before comparing.
         let sorted = |m: &HashMap<TldId, u64>| {

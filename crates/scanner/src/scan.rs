@@ -77,11 +77,6 @@ pub struct Snapshot {
     pub policy_ips: HashMap<DomainName, Ipv4Addr>,
     /// The entity classifier built over this snapshot.
     pub classifier: EntityClassifier,
-    /// Compact population ids parallel to `scans` (index into the
-    /// generating `Population`); empty when assembled without them
-    /// (scratch and checkpoint paths). With ids, a snapshot is
-    /// O(adopters): ids + scans, no per-domain name keys.
-    ids: Vec<u32>,
     /// Domain → index into `scans`, built lazily on the first
     /// [`Snapshot::scan_of`] — analyses probe tens of thousands of
     /// domains per snapshot, and a linear search per lookup is O(n²).
@@ -96,34 +91,14 @@ impl Snapshot {
         scans: Vec<DomainScan>,
         policy_ips: HashMap<DomainName, Ipv4Addr>,
     ) -> Snapshot {
-        Snapshot::assemble_indexed(date, scans, policy_ips, Vec::new())
-    }
-
-    /// [`Snapshot::assemble`] carrying the population indices of `scans`
-    /// as a parallel column, so index-walking consumers skip the name
-    /// lookup entirely. The ids never enter serialized digests.
-    pub fn assemble_indexed(
-        date: SimDate,
-        scans: Vec<DomainScan>,
-        policy_ips: HashMap<DomainName, Ipv4Addr>,
-        ids: Vec<u32>,
-    ) -> Snapshot {
-        debug_assert!(ids.is_empty() || ids.len() == scans.len());
         let classifier = EntityClassifier::from_scans(scans.iter(), &policy_ips);
         Snapshot {
             date,
             scans,
             policy_ips,
             classifier,
-            ids,
             index: OnceLock::new(),
         }
-    }
-
-    /// Population ids parallel to `scans`; empty when the snapshot was
-    /// assembled without them.
-    pub fn population_ids(&self) -> &[u32] {
-        &self.ids
     }
 
     /// Looks up a domain's scan.

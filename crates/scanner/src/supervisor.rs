@@ -1,18 +1,14 @@
-//! The resilient scan supervisor: checkpointing, resume, and per-domain
-//! error isolation for the monthly full-component campaign.
+//! The monthly full-component campaign: the one loop over the
+//! full-scan calendar, with checkpointing, resume, and per-domain error
+//! isolation.
 //!
-//! The paper's scans ran for 31–36 months; a crash 80% through a snapshot
-//! must not discard the completed work, and one pathological domain must
-//! not take the whole campaign down. The supervisor wraps
-//! [`Study::run_full`] with:
+//! [`Study::run_full_supervised`] steps the dates; [`Study::run_full`]
+//! is the same loop under a default [`SupervisorConfig`] (no checkpoint,
+//! budget, faults or chaos), keeping only the snapshots. The paper's
+//! scans ran for 31–36 months; a crash 80% through a snapshot must not
+//! discard the completed work, and one pathological domain must not
+//! take the whole campaign down. So the loop adds:
 //!
-//! - **checkpointing**: completed snapshots and the in-progress snapshot's
-//!   prefix are serialized to disk every [`SupervisorConfig::checkpoint_every`]
-//!   domains, and a fresh run resumes from whatever the file holds;
-//! - **determinism**: a scan is a pure function of
-//!   `(world, domain, date, config)` and every world is rebuilt from the
-//!   ecosystem seed, so a killed-and-resumed run is *byte-identical* (same
-//!   serialized snapshots) to an uninterrupted one;
 //! - **incrementality**: the campaign runs over one persistent
 //!   delta-built world plus the [`crate::incremental`] rescan cache, so
 //!   unchanged domains reuse their prior scans. Checkpointed scans seed
@@ -20,21 +16,35 @@
 //!   have cached at that date — so kill/resume stays byte-identical,
 //!   degradation accounting included. With transient faults configured
 //!   the cache stands down entirely (observations are instant-keyed)
-//!   and every domain scans fresh, as before;
+//!   and every domain scans fresh;
+//! - **checkpointing**: with a [`SupervisorConfig::checkpoint_path`],
+//!   completed snapshots and the in-progress snapshot's prefix are
+//!   serialized to disk every [`SupervisorConfig::checkpoint_every`]
+//!   domains, and a fresh run resumes from whatever the file holds.
+//!   Without a path no checkpoint form is built: each snapshot is
+//!   assembled straight from its date's scans;
+//! - **determinism**: a scan is a pure function of
+//!   `(world, domain, date, config)` and every world is rebuilt from the
+//!   ecosystem seed, so a killed-and-resumed run is *byte-identical* (same
+//!   serialized snapshots) to an uninterrupted one;
 //! - **isolation**: each domain scan runs under `catch_unwind`; a panic
 //!   abandons that domain (recorded in the [`DegradationReport`]) and the
 //!   campaign continues;
-//! - **accounting**: retries issued and transients recovered are summed
-//!   into the degradation report so an operator can see how hard the
-//!   retry layer worked.
+//! - **accounting**: retries issued, transients recovered and cache
+//!   hits are summed into the degradation report so an operator can see
+//!   how hard the retry layer and the cache worked;
+//! - **telemetry**: one `snapshot.full` span per live date, closed
+//!   before that date's flight-recorder window rolls, and one
+//!   `scan.full` progress tick per date.
 
 use crate::incremental::{cache_forced, CacheStats, ScanCache};
 use crate::longitudinal::Study;
 use crate::scan::{ScanConfig, Snapshot};
 use crate::taxonomy::DomainScan;
-use ecosystem::{DomainFingerprint, IncrementalWorld, SnapshotDetail};
+use ecosystem::{DomainFingerprint, Ecosystem, IncrementalWorld, SnapshotDetail};
 use netbase::default_scan_threads;
 use netbase::{map_sharded, shard_bounds, DomainName, SimDate};
+use obsv::health::fnv64;
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;
 use std::collections::HashMap;
@@ -130,8 +140,9 @@ impl DegradationReport {
 struct CompletedSnapshot {
     date: SimDate,
     scans: Vec<DomainScan>,
-    /// Sorted `(domain, ip)` pairs for deterministic serialization.
-    policy_ips: Vec<(String, String)>,
+    /// `(domain, ip)` pairs, sorted by [`freeze_ips`]. Both sides
+    /// validate on load, so a bad name or address rejects the file.
+    policy_ips: Vec<(DomainName, Ipv4Addr)>,
 }
 
 /// The in-progress snapshot's scanned prefix.
@@ -141,7 +152,7 @@ struct PartialSnapshot {
     /// Index of the next unscanned domain in the snapshot's domain list.
     next_index: usize,
     scans: Vec<DomainScan>,
-    policy_ips: Vec<(String, String)>,
+    policy_ips: Vec<(DomainName, Ipv4Addr)>,
     /// Per-shard progress: how many domains each worker slot has scanned
     /// in this snapshot so far (operator-facing shard-balance evidence;
     /// resume correctness rests on `next_index`, not on this).
@@ -156,39 +167,18 @@ struct Checkpoint {
     report: DegradationReport,
 }
 
-fn freeze_ips(ips: &HashMap<DomainName, Ipv4Addr>) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = ips
-        .iter()
-        .map(|(d, ip)| (d.to_string(), ip.to_string()))
-        .collect();
-    out.sort();
+/// The policy-IP map as serialized pairs, sorted by the domain's string
+/// form rather than `DomainName`'s label order: the checkpoint bytes and
+/// the manifest's output digest are pinned to the string order.
+fn freeze_ips(ips: &HashMap<DomainName, Ipv4Addr>) -> Vec<(DomainName, Ipv4Addr)> {
+    let mut out: Vec<_> = ips.iter().map(|(d, ip)| (d.clone(), *ip)).collect();
+    out.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
     out
 }
 
-fn thaw_ips(frozen: &[(String, String)]) -> HashMap<DomainName, Ipv4Addr> {
-    frozen
-        .iter()
-        .map(|(d, ip)| {
-            (
-                d.parse().expect("checkpoint holds valid domain names"),
-                ip.parse().expect("checkpoint holds valid addresses"),
-            )
-        })
-        .collect()
-}
-
-/// Magic tag of the checkpoint header line.
+/// Magic tag of the checkpoint header line; [`fnv64`] (FNV-1a 64-bit)
+/// is the integrity hash of the payload after it.
 const CKPT_MAGIC: &str = "MTASTS-CKPT1";
-
-/// FNV-1a 64-bit, the integrity hash of the checkpoint payload.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 impl Checkpoint {
     /// Loads the checkpoint, verifying the `MTASTS-CKPT1 <len> <fnv64>`
@@ -292,218 +282,251 @@ impl SupervisedOutcome {
     }
 }
 
-impl Study {
-    /// Runs the monthly full-component scans under supervision. Equivalent
-    /// to [`Study::run_full`] when nothing faults, panics, or suspends —
-    /// and byte-identical across kill/resume cycles otherwise.
-    pub fn run_full_supervised(&self, cfg: &SupervisorConfig) -> SupervisedOutcome {
-        let run_started = std::time::Instant::now();
-        let mut checkpoint_path = cfg.checkpoint_path.clone();
-        let mut ckpt = match &checkpoint_path {
-            Some(path) => Checkpoint::load(path),
-            None => Checkpoint::default(),
-        };
-        let mut budget = cfg.domain_budget;
-        let mut snapshots = Vec::new();
-        let threads = cfg.effective_threads();
+/// One invocation's state across the calendar: the persistent
+/// delta-built world, the rescan cache, the checkpoint loaded at start
+/// (whose report accumulates this invocation's accounting) and the
+/// remaining domain budget.
+pub(crate) struct Campaign<'a> {
+    eco: &'a Ecosystem,
+    cfg: &'a SupervisorConfig,
+    threads: usize,
+    world: IncrementalWorld,
+    cache: ScanCache,
+    ckpt: Checkpoint,
+    /// Where checkpoints go; cleared after the first failed write.
+    path: Option<PathBuf>,
+    budget: Option<usize>,
+}
 
-        // The persistent incremental engine. With transient faults
-        // configured the cache is forced off for every domain (and
-        // checkpoint seeding skipped): fault draws are instant-keyed, so
-        // reuse would be unsound — the campaign degrades to full scans
-        // over the (still delta-built) world.
-        let mut engine = IncrementalWorld::new(SnapshotDetail::Full);
-        let mut cache = ScanCache::new(&self.eco, cfg.scan);
-        let seeding = cfg.transient.is_none();
+impl<'a> Campaign<'a> {
+    /// A campaign under `cfg`, resuming from its checkpoint file if any.
+    pub(crate) fn new(eco: &'a Ecosystem, cfg: &'a SupervisorConfig) -> Campaign<'a> {
+        let path = cfg.checkpoint_path.clone();
+        Campaign {
+            eco,
+            cfg,
+            threads: cfg.effective_threads(),
+            world: IncrementalWorld::new(SnapshotDetail::Full),
+            cache: ScanCache::new(eco, cfg.scan),
+            ckpt: path.as_ref().map(Checkpoint::load).unwrap_or_default(),
+            path,
+            budget: cfg.domain_budget,
+        }
+    }
 
-        let dates = self.eco.config.full_scan_dates();
-        let date_count = dates.len() as u64;
-        for (date_ord, date) in dates.into_iter().enumerate() {
-            // Replay snapshots already completed in the checkpoint. The
-            // world is *not* advanced through replayed dates —
-            // `advance_to` jumps straight to the next live one — but the
-            // cache is seeded from the checkpointed scans so the live
-            // dates resume with exactly the state an uninterrupted run
-            // would carry.
-            if let Some(done) = ckpt.completed.iter().find(|c| c.date == date) {
-                // Seeding restores cache *entries* only: the checkpointed
-                // report already carries these domains' cache accounting
-                // from the invocation that scanned them, so re-counting
-                // here would double the stats (see
-                // `DegradationReport::cache_accounting_consistent`).
-                obsv::event!("supervisor.replay_completed_snapshot");
-                let snap = rebuild_snapshot(done);
-                if seeding {
-                    cache.seed(&self.eco, date, &snap.scans, &snap.policy_ips);
-                }
-                snapshots.push(snap);
-                // Replayed dates still close a flight-recorder window:
-                // the window holds only the replay events, which is the
-                // truthful record of what this execution did here.
-                obsv::timeseries::roll(date.at_midnight().unix_secs());
-                obsv::health::progress("supervisor.dates", date_ord as u64 + 1, date_count);
-                continue;
-            }
+    /// The accounting so far, checkpointed invocations included.
+    #[cfg(test)]
+    pub(crate) fn report(&self) -> &DegradationReport {
+        &self.ckpt.report
+    }
 
-            engine.advance_to(&self.eco, date);
-            let world = engine.world();
-            if let Some(transient) = &cfg.transient {
-                world.inject_transient_faults(transient);
-            }
-            let forced = cache_forced(world);
-            // The engine certifies what is deployed at `date`: walk the
-            // adopter index (sorted back to population order) and reuse
-            // the installed fingerprints — O(adopters), no population
-            // sweep and no fingerprint re-hashing.
-            let mut adopters: Vec<u32> = self.eco.population.index.adopters_through(date).to_vec();
-            adopters.sort_unstable();
-            let mut domains: Vec<DomainName> = Vec::with_capacity(adopters.len());
-            let mut meta: Vec<(usize, DomainFingerprint)> = Vec::with_capacity(adopters.len());
-            for &i in &adopters {
-                let i = i as usize;
-                let fp = engine
-                    .installed_fingerprint(i)
-                    .expect("adopted domains are installed");
-                domains.push(self.eco.population.domains[i].name.clone());
-                meta.push((i, fp));
-            }
+    /// The snapshot the loaded checkpoint completed at `date`, if any.
+    /// The world is *not* advanced through a replayed date — `advance_to`
+    /// jumps straight to the next live one — but the cache is seeded from
+    /// the checkpointed scans, so the live dates resume with exactly the
+    /// state an uninterrupted run would carry. Seeding restores entries
+    /// only: the loaded report already counts these domains (see
+    /// [`DegradationReport::cache_accounting_consistent`]).
+    fn replay(&mut self, date: SimDate) -> Option<Snapshot> {
+        let done = self.ckpt.completed.iter().find(|c| c.date == date)?;
+        obsv::event!("supervisor.replay_completed_snapshot");
+        let ips: HashMap<DomainName, Ipv4Addr> = done.policy_ips.iter().cloned().collect();
+        if self.cfg.transient.is_none() {
+            self.cache.seed(self.eco, date, &done.scans, &ips);
+        }
+        Some(Snapshot::assemble(date, done.scans.clone(), ips))
+    }
 
-            // Resume the scanned prefix when the checkpoint holds one.
-            let (mut scans, mut policy_ips, start, mut shard_scanned) = match ckpt.partial.take() {
+    /// Scans one live date: advance the world to `date`, scan every
+    /// adopter through the cache in rounds, assemble the snapshot. `None`
+    /// means the domain budget ran out inside the date; its scanned
+    /// prefix went to the checkpoint.
+    pub(crate) fn scan_date(&mut self, date: SimDate) -> Option<Snapshot> {
+        let _span = obsv::span!("snapshot.full");
+        let eco = self.eco;
+        self.world.advance_to(eco, date);
+        // With transient faults the cache is forced off for every domain:
+        // fault draws are instant-keyed, so reuse would be unsound — the
+        // date degrades to full scans over the (still delta-built) world.
+        if let Some(transient) = &self.cfg.transient {
+            self.world.world().inject_transient_faults(transient);
+        }
+        let forced = cache_forced(self.world.world());
+        // The engine certifies what is deployed at `date`: walk the
+        // adopter index (sorted back to population order) and reuse the
+        // installed fingerprints — O(adopters), no population sweep and
+        // no fingerprint re-hashing.
+        let mut adopters: Vec<u32> = eco.population.index.adopters_through(date).to_vec();
+        adopters.sort_unstable();
+        let jobs: Vec<(usize, DomainFingerprint)> = adopters
+            .iter()
+            .map(|&i| {
+                let fp = self.world.installed_fingerprint(i as usize);
+                (i as usize, fp.expect("adopted domains are installed"))
+            })
+            .collect();
+
+        // Resume the scanned prefix when the checkpoint holds one, with
+        // the same stat-free seeding as a replayed date.
+        let (mut scans, mut policy_ips, mut index, mut shard_scanned) =
+            match self.ckpt.partial.take() {
                 Some(p) if p.date == date => {
-                    // Same stat-free seeding discipline as completed-
-                    // snapshot replay above.
                     obsv::event!("supervisor.resume_partial_snapshot");
-                    let ips = thaw_ips(&p.policy_ips);
-                    if seeding {
-                        cache.seed(&self.eco, date, &p.scans, &ips);
+                    let ips: HashMap<DomainName, Ipv4Addr> = p.policy_ips.into_iter().collect();
+                    if self.cfg.transient.is_none() {
+                        self.cache.seed(eco, date, &p.scans, &ips);
                     }
                     (p.scans, ips, p.next_index, p.shard_scanned)
                 }
-                _ => (Vec::new(), HashMap::new(), 0, Vec::new()),
+                _ => (
+                    Vec::with_capacity(jobs.len()),
+                    HashMap::new(),
+                    0,
+                    Vec::new(),
+                ),
             };
-            if shard_scanned.len() < threads {
-                shard_scanned.resize(threads, 0);
-            }
-
-            // The campaign is unthrottled: every domain scans at the
-            // snapshot's midnight, exactly as before parallelization.
-            let now = date.at_midnight();
-            let mut index = start;
-            let mut scanned_here = 0usize;
-            while index < domains.len() {
-                if budget == Some(0) {
-                    ckpt.partial = Some(PartialSnapshot {
-                        date,
-                        next_index: index,
-                        scans,
-                        policy_ips: freeze_ips(&policy_ips),
-                        shard_scanned,
-                    });
-                    store_or_degrade(&mut ckpt, &mut checkpoint_path);
-                    obsv::event!("supervisor.suspend");
-                    return SupervisedOutcome::Suspended {
-                        report: ckpt.report,
-                    };
-                }
-
-                // One round: up to the next checkpoint boundary (and the
-                // budget), scanned in parallel. Rounds depend only on
-                // `(checkpoint_every, budget)`, never on the thread
-                // count, so the absorb order below — and with it the
-                // whole degradation report — is deterministic.
-                let mut round_end = domains.len();
-                if let Some(b) = budget {
-                    round_end = round_end.min(index + b);
-                }
-                if cfg.checkpoint_every > 0 {
-                    let to_boundary = cfg.checkpoint_every - (scanned_here % cfg.checkpoint_every);
-                    round_end = round_end.min(index + to_boundary);
-                }
-                let round = &domains[index..round_end];
-                // Per-domain panic isolation inside each shard worker: a
-                // panicking domain yields `None` and the round survives.
-                // The chaos assert stays ahead of the cache so an
-                // injected panic can never be papered over by a hit.
-                let cache_ref = &cache;
-                let results = map_sharded(threads, round, |i, domain| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        assert!(
-                            !cfg.chaos_panic_domains.contains(domain),
-                            "chaos: injected panic for {domain}"
-                        );
-                        let (pop_index, fp) = &meta[index + i];
-                        cache_ref.scan(world, *pop_index, domain, date, now, fp, forced)
-                    }))
-                    .ok()
-                });
-                for (slot, (lo, hi)) in shard_bounds(round.len(), threads).iter().enumerate() {
-                    shard_scanned[slot] += (hi - lo) as u64;
-                }
-                // Absorb in input order — identical for every thread
-                // count, and identical to the sequential engine.
-                for (offset, outcome) in results.into_iter().enumerate() {
-                    match outcome {
-                        Some((scan, ip, kind)) => {
-                            ckpt.report.absorb(&scan);
-                            ckpt.report.cache.count(kind);
-                            let (pop_index, fp) = meta[index + offset];
-                            cache.insert(pop_index, fp, &scan, ip, kind);
-                            if let Some(ip) = ip {
-                                policy_ips.insert(scan.domain.clone(), ip);
-                            }
-                            scans.push(scan);
-                        }
-                        None => {
-                            obsv::event!("supervisor.panic_isolated");
-                            ckpt.report.domains_abandoned += 1;
-                            ckpt.report
-                                .abandoned_domains
-                                .push(round[offset].to_string());
-                        }
-                    }
-                }
-                if let Some(b) = budget.as_mut() {
-                    *b -= round.len();
-                }
-                scanned_here += round.len();
-                index = round_end;
-                // Per-round domains/sec + stall heartbeat (total unknown
-                // upfront, so the ETA lives on the per-date label).
-                obsv::health::progress("supervisor.domains", ckpt.report.domains_scanned, 0);
-
-                if cfg.checkpoint_every > 0
-                    && scanned_here.is_multiple_of(cfg.checkpoint_every)
-                    && index < domains.len()
-                {
-                    ckpt.partial = Some(PartialSnapshot {
-                        date,
-                        next_index: index,
-                        scans: scans.clone(),
-                        policy_ips: freeze_ips(&policy_ips),
-                        shard_scanned: shard_scanned.clone(),
-                    });
-                    store_or_degrade(&mut ckpt, &mut checkpoint_path);
-                    ckpt.partial = None;
-                }
-            }
-
-            let completed = CompletedSnapshot {
-                date,
-                scans,
-                policy_ips: freeze_ips(&policy_ips),
-            };
-            snapshots.push(rebuild_snapshot(&completed));
-            ckpt.completed.push(completed);
-            store_or_degrade(&mut ckpt, &mut checkpoint_path);
-            // Close this date's flight-recorder window. Runs on the
-            // driver thread after the workers were absorbed, reads only
-            // the thread-local collector, and draws from no RNG — the
-            // identity suites pin that it cannot perturb outputs.
-            obsv::timeseries::roll(date.at_midnight().unix_secs());
-            obsv::health::progress("supervisor.dates", date_ord as u64 + 1, date_count);
+        if shard_scanned.len() < self.threads {
+            shard_scanned.resize(self.threads, 0);
         }
 
+        // The campaign is unthrottled: every domain scans at the
+        // snapshot's midnight.
+        let now = date.at_midnight();
+        let every = self.cfg.checkpoint_every;
+        let mut scanned_here = 0usize;
+        while index < jobs.len() {
+            if self.budget == Some(0) {
+                self.store_partial(date, index, &scans, &policy_ips, &shard_scanned);
+                obsv::event!("supervisor.suspend");
+                return None;
+            }
+
+            // One round: up to the next checkpoint boundary (and the
+            // budget), scanned in parallel. Rounds depend only on
+            // `(checkpoint_every, budget)`, never on the thread count, so
+            // the absorb order below — and with it the whole degradation
+            // report — is deterministic.
+            let mut round_end = jobs.len();
+            if let Some(b) = self.budget {
+                round_end = round_end.min(index + b);
+            }
+            if every > 0 {
+                round_end = round_end.min(index + every - scanned_here % every);
+            }
+            let round = &jobs[index..round_end];
+            // Per-domain panic isolation inside each shard worker: a
+            // panicking domain yields `None` and the round survives. The
+            // chaos assert stays ahead of the cache so an injected panic
+            // can never be papered over by a hit.
+            let world = self.world.world();
+            let results = map_sharded(self.threads, round, |_, &(pop, fp)| {
+                let domain = &eco.population.domains[pop].name;
+                catch_unwind(AssertUnwindSafe(|| {
+                    let chaos = &self.cfg.chaos_panic_domains;
+                    assert!(
+                        !chaos.contains(domain),
+                        "chaos: injected panic for {domain}"
+                    );
+                    self.cache.scan(world, pop, domain, date, now, &fp, forced)
+                }))
+                .ok()
+            });
+            for (slot, (lo, hi)) in shard_bounds(round.len(), self.threads).iter().enumerate() {
+                shard_scanned[slot] += (hi - lo) as u64;
+            }
+            // Absorb in input order — identical for every thread count.
+            let report = &mut self.ckpt.report;
+            for (&(pop, fp), outcome) in round.iter().zip(results) {
+                let Some((scan, ip, kind)) = outcome else {
+                    obsv::event!("supervisor.panic_isolated");
+                    report.domains_abandoned += 1;
+                    let domain = &eco.population.domains[pop].name;
+                    report.abandoned_domains.push(domain.to_string());
+                    continue;
+                };
+                report.absorb(&scan);
+                report.cache.count(kind);
+                self.cache.insert(pop, fp, &scan, ip, kind);
+                if let Some(ip) = ip {
+                    policy_ips.insert(scan.domain.clone(), ip);
+                }
+                scans.push(scan);
+            }
+            if let Some(b) = self.budget.as_mut() {
+                *b -= round.len();
+            }
+            scanned_here += round.len();
+            index = round_end;
+            if every > 0 && scanned_here.is_multiple_of(every) && index < jobs.len() {
+                self.store_partial(date, index, &scans, &policy_ips, &shard_scanned);
+            }
+        }
+
+        if self.cfg.checkpoint_path.is_some() {
+            self.ckpt.completed.push(CompletedSnapshot {
+                date,
+                scans: scans.clone(),
+                policy_ips: freeze_ips(&policy_ips),
+            });
+            store_or_degrade(&mut self.ckpt, &mut self.path);
+        }
+        Some(Snapshot::assemble(date, scans, policy_ips))
+    }
+
+    /// Persists the live date's scanned prefix, while a checkpoint path
+    /// is still set.
+    fn store_partial(
+        &mut self,
+        date: SimDate,
+        next_index: usize,
+        scans: &[DomainScan],
+        policy_ips: &HashMap<DomainName, Ipv4Addr>,
+        shard_scanned: &[u64],
+    ) {
+        if self.path.is_none() {
+            return;
+        }
+        self.ckpt.partial = Some(PartialSnapshot {
+            date,
+            next_index,
+            scans: scans.to_vec(),
+            policy_ips: freeze_ips(policy_ips),
+            shard_scanned: shard_scanned.to_vec(),
+        });
+        store_or_degrade(&mut self.ckpt, &mut self.path);
+        self.ckpt.partial = None;
+    }
+}
+
+impl Study {
+    /// Runs the monthly full-component scans under supervision — the one
+    /// loop over the full-scan calendar. [`Study::run_full`] is this run
+    /// under a default config; with faults, panics or a budget it stays
+    /// byte-identical across kill/resume cycles.
+    pub fn run_full_supervised(&self, cfg: &SupervisorConfig) -> SupervisedOutcome {
+        let run_started = std::time::Instant::now();
+        let mut campaign = Campaign::new(&self.eco, cfg);
+        let mut snapshots = Vec::new();
+        let dates = self.eco.config.full_scan_dates();
+        let date_count = dates.len() as u64;
+        for (date_ord, date) in dates.into_iter().enumerate() {
+            let Some(snapshot) = campaign.replay(date).or_else(|| campaign.scan_date(date)) else {
+                return SupervisedOutcome::Suspended {
+                    report: campaign.ckpt.report,
+                };
+            };
+            snapshots.push(snapshot);
+            // Close this date's flight-recorder window (a replayed date's
+            // window holds only the replay events, which is the truthful
+            // record of what this execution did here). Runs on the calling
+            // thread after the date's span closed and its workers were
+            // absorbed, and draws from no RNG — the identity suites pin
+            // that it cannot perturb outputs.
+            obsv::timeseries::roll(date.at_midnight().unix_secs());
+            obsv::health::progress("scan.full", date_ord as u64 + 1, date_count);
+        }
+
+        let Campaign { ckpt, threads, .. } = campaign;
         debug_assert!(
             ckpt.report.cache_accounting_consistent(),
             "cache stats drifted from domains_scanned: {:?}",
@@ -588,12 +611,6 @@ fn flatten_totals(
         }
         serde::Value::Null | serde::Value::F64(_) | serde::Value::Str(_) => {}
     }
-}
-
-/// Rebuilds a live [`Snapshot`] (classifier included) from checkpoint form.
-fn rebuild_snapshot(done: &CompletedSnapshot) -> Snapshot {
-    let policy_ips = thaw_ips(&done.policy_ips);
-    Snapshot::assemble(done.date, done.scans.clone(), policy_ips)
 }
 
 #[cfg(test)]
@@ -866,6 +883,37 @@ mod tests {
         // And a missing file starts fresh.
         std::fs::remove_file(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0);
+
+        // A correct header over a policy-IP pair that does not parse (a
+        // writer bug, a hand edit): the decoder rejects the file, and a
+        // resume over it restarts clean instead of panicking mid-replay.
+        let study = study();
+        let first = study.eco.config.full_scan_dates()[0];
+        ckpt.completed.push(CompletedSnapshot {
+            date: first,
+            scans: Vec::new(),
+            policy_ips: vec![("example.com".parse().unwrap(), Ipv4Addr::new(192, 0, 2, 1))],
+        });
+        let valid = serde_json::to_string(&ckpt).unwrap();
+        for (good, bad) in [("192.0.2.1", "not-an-ip"), ("example.com", "bad..name")] {
+            let payload = valid.replace(good, bad);
+            let header = format!(
+                "{CKPT_MAGIC} {} {:016x}",
+                payload.len(),
+                fnv64(payload.as_bytes())
+            );
+            std::fs::write(&path, format!("{header}\n{payload}")).unwrap();
+            assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0, "{bad}");
+            let outcome = study.run_full_supervised(&SupervisorConfig {
+                checkpoint_path: Some(path.clone()),
+                ..SupervisorConfig::default()
+            });
+            let SupervisedOutcome::Complete { snapshots, report } = outcome else {
+                panic!("no budget set: must complete")
+            };
+            let scanned: usize = snapshots.iter().map(Snapshot::len).sum();
+            assert_eq!(report.domains_scanned, scanned as u64, "{bad}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -76,7 +76,7 @@ fn flight_recorder_never_perturbs_full_or_weekly_digests() {
         obsv::timeseries::reset_flight();
         for threads in THREAD_COUNTS {
             let full = fingerprint(&study.run_full_with_threads(threads));
-            let (weekly, history, _) = study.run_weekly_incremental_with_threads(threads);
+            let (weekly, history, _) = study.run_weekly_with_threads(threads);
             digests.push((flight, threads, full, weekly_fingerprint(&weekly, &history)));
         }
     }
@@ -114,7 +114,7 @@ fn flight_recorder_actually_records_per_date_windows() {
         obsv::timeseries::set_flight(true);
         obsv::reset();
         obsv::timeseries::reset_flight();
-        let (weekly, _, _) = study.run_weekly_incremental_with_threads(threads);
+        let (weekly, _, _) = study.run_weekly_with_threads(threads);
         let recorder = obsv::timeseries::take().expect("weekly driver rolled the recorder");
         obsv::timeseries::set_flight(false);
         obsv::set_enabled(false);
@@ -123,17 +123,21 @@ fn flight_recorder_actually_records_per_date_windows() {
             weekly.len(),
             "one sim window per weekly date (threads={threads})"
         );
-        let snapshots: u64 = recorder
+        // Each date's span closes before its window rolls, so every
+        // window holds exactly its own date's span.
+        let spans: Vec<u64> = recorder
             .sim
             .iter()
             .map(|(_, w)| w.counter("snapshot.weekly"))
-            .sum();
-        // The first weekly point rides the priming sweep instead of a
-        // snapshot.weekly span, so the span total is dates - 1.
+            .collect();
         assert_eq!(
-            snapshots,
-            weekly.len() as u64 - 1,
+            spans.iter().sum::<u64>(),
+            weekly.len() as u64,
             "every snapshot.weekly span lands in a per-date window"
+        );
+        assert!(
+            spans.iter().all(|&n| n == 1),
+            "one snapshot.weekly span per window (threads={threads}): {spans:?}"
         );
         let counters_only: Vec<(i64, Vec<(&str, u64)>)> = recorder
             .sim

@@ -11,7 +11,7 @@
 
 use ecosystem::{Ecosystem, EcosystemConfig, TldId};
 use mtasts_scanner::longitudinal::{MxHistory, Study, WeeklyPoint};
-use mtasts_scanner::{Snapshot, SupervisedOutcome, SupervisorConfig};
+use mtasts_scanner::{DegradationReport, Snapshot, SupervisedOutcome, SupervisorConfig};
 use std::collections::HashMap;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -24,6 +24,22 @@ const SCRATCH_FULL_SCANS_FNV64: u64 = 0x3b9c_112d_f0a0_707e;
 
 fn study() -> Study {
     Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)))
+}
+
+/// A complete supervised run's snapshots and report.
+fn supervised(study: &Study, cfg: &SupervisorConfig) -> (Vec<Snapshot>, DegradationReport) {
+    match study.run_full_supervised(cfg) {
+        SupervisedOutcome::Complete { snapshots, report } => (snapshots, report),
+        SupervisedOutcome::Suspended { .. } => panic!("no budget set: must complete"),
+    }
+}
+
+/// What [`Study::run_full_with_threads`] runs.
+fn plain(threads: usize) -> SupervisorConfig {
+    SupervisorConfig {
+        threads,
+        ..SupervisorConfig::default()
+    }
 }
 
 /// Scans + sorted policy IPs are the full snapshot state (the classifier
@@ -87,7 +103,8 @@ fn full_scans_incremental_matches_scratch_across_thread_counts() {
         "the full scans observe something else than they used to"
     );
     for threads in THREAD_COUNTS {
-        let (snapshots, stats) = study.run_full_incremental_with_threads(threads);
+        let (snapshots, report) = supervised(&study, &plain(threads));
+        let stats = report.cache;
         assert_eq!(
             want,
             fingerprint(&snapshots),
@@ -109,7 +126,7 @@ fn weekly_incremental_matches_scratch_across_thread_counts() {
     let (w, h) = study.run_weekly_scratch_with_threads(1);
     let want = weekly_fingerprint(&w, &h);
     for threads in THREAD_COUNTS {
-        let (w, h, stats) = study.run_weekly_incremental_with_threads(threads);
+        let (w, h, stats) = study.run_weekly_with_threads(threads);
         assert_eq!(
             want,
             weekly_fingerprint(&w, &h),
@@ -124,27 +141,25 @@ fn weekly_incremental_matches_scratch_across_thread_counts() {
 
 #[test]
 fn supervised_incremental_matches_scratch() {
-    // The supervisor runs over the same persistent engine; with no
-    // transients configured its snapshots must equal the from-scratch
-    // oracle, and its cache accounting must match the plain incremental
-    // run's (same rounds, same input order).
+    // Checkpoint-sized rounds (16 domains) must not move the snapshots
+    // off the from-scratch oracle, nor the cache accounting off
+    // `run_full`'s single round per date: same entries, same input order.
     let study = study();
     let want = fingerprint(&study.run_full_scratch_with_threads(1));
-    let (_, plain_stats) = study.run_full_incremental_with_threads(1);
+    let (_, plain_report) = supervised(&study, &plain(1));
     for threads in THREAD_COUNTS {
-        let outcome = study.run_full_supervised(&SupervisorConfig {
-            threads,
-            checkpoint_every: 16,
-            ..SupervisorConfig::default()
-        });
-        let SupervisedOutcome::Complete { snapshots, report } = outcome else {
-            panic!("no budget set: must complete")
-        };
+        let (snapshots, report) = supervised(
+            &study,
+            &SupervisorConfig {
+                checkpoint_every: 16,
+                ..plain(threads)
+            },
+        );
         assert_eq!(
             want,
             fingerprint(&snapshots),
             "supervised incremental scans diverge at {threads} threads"
         );
-        assert_eq!(report.cache, plain_stats);
+        assert_eq!(report.cache, plain_report.cache);
     }
 }

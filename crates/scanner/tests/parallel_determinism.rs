@@ -146,10 +146,10 @@ fn full_study_is_thread_count_invariant() {
 fn weekly_study_is_thread_count_invariant() {
     let study = Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)));
 
-    let (points, history) = study.run_weekly_with_threads(1);
+    let (points, history, _) = study.run_weekly_with_threads(1);
     let sequential = weekly_fingerprint(&points, &history);
     for threads in THREAD_COUNTS {
-        let (points, history) = study.run_weekly_with_threads(threads);
+        let (points, history, _) = study.run_weekly_with_threads(threads);
         assert_eq!(
             sequential,
             weekly_fingerprint(&points, &history),
@@ -247,8 +247,8 @@ proptest! {
     #[test]
     fn weekly_incremental_is_thread_invariant_over_seeds(seed in 0u64..1_000_000) {
         let study = Study::new(Ecosystem::generate(EcosystemConfig::paper(seed, 0.005)));
-        let (p1, h1, s1) = study.run_weekly_incremental_with_threads(1);
-        let (p8, h8, s8) = study.run_weekly_incremental_with_threads(8);
+        let (p1, h1, s1) = study.run_weekly_with_threads(1);
+        let (p8, h8, s8) = study.run_weekly_with_threads(8);
         prop_assert_eq!(weekly_fingerprint(&p1, &h1), weekly_fingerprint(&p8, &h8));
         prop_assert_eq!(s1, s8);
     }

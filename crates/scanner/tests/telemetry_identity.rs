@@ -78,7 +78,7 @@ fn telemetry_never_perturbs_full_or_weekly_digests() {
         obsv::reset();
         for threads in THREAD_COUNTS {
             let full = fingerprint(&study.run_full_with_threads(threads));
-            let (weekly, history, _) = study.run_weekly_incremental_with_threads(threads);
+            let (weekly, history, _) = study.run_weekly_with_threads(threads);
             digests.push((
                 enabled,
                 threads,
