@@ -67,9 +67,10 @@ pub fn same_provider(a: &DomainName, b: &DomainName) -> bool {
 }
 
 /// The "brand" label: the leftmost label of the effective SLD
-/// (`mail.tutanota.de` → `tutanota`).
-fn brand_label(name: &DomainName) -> Option<String> {
-    name.effective_sld().map(|e| e.leftmost().to_string())
+/// (`mail.tutanota.de` → `tutanota`), borrowed from the name.
+fn brand_label(name: &DomainName) -> Option<&str> {
+    name.esld_str()
+        .map(|esld| esld.split_once('.').map_or(esld, |(brand, _)| brand))
 }
 
 /// Management split for a domain that outsources both services (§4.5.1).

@@ -11,6 +11,8 @@
 //! Lines are `key: value` pairs separated by CRLF (LF tolerated on input, as
 //! real fetchers do). `version`, `mode` and `max_age` appear exactly once;
 //! `mx` appears once per pattern and is required unless `mode` is `none`.
+//! `max_age` is 1 to 10 ASCII digits (`sts-policy-max-age-value =
+//! 1*10(DIGIT)`), at most [`MAX_MAX_AGE`].
 //!
 //! §4.3.3 of the paper counts syntax errors from the wild: invalid mx
 //! patterns (email addresses, trailing dots, empty patterns) and entirely
@@ -294,13 +296,14 @@ pub fn parse_policy(text: &str) -> Result<Policy, PolicyError> {
                 if max_age.is_some() {
                     return Err(PolicyError::DuplicateKey("max_age".into()));
                 }
-                let age: u64 = value
-                    .parse()
-                    .map_err(|_| PolicyError::InvalidMaxAge(value.to_string()))?;
-                if age > MAX_MAX_AGE {
-                    return Err(PolicyError::InvalidMaxAge(value.to_string()));
+                // §3.2: `sts-policy-max-age-value = 1*10(DIGIT)`. Parsing
+                // alone would also take a leading `+` and any length.
+                let digits =
+                    (1..=10).contains(&value.len()) && value.bytes().all(|b| b.is_ascii_digit());
+                match value.parse() {
+                    Ok(age) if digits && age <= MAX_MAX_AGE => max_age = Some(age),
+                    _ => return Err(PolicyError::InvalidMaxAge(value.to_string())),
                 }
-                max_age = Some(age);
             }
             "mx" => {
                 mx.push(MxPattern::parse(value)?);
@@ -408,6 +411,32 @@ mod tests {
         assert_eq!(
             parse_policy("version: STSv1\r\nmode: none\r\n"),
             Err(PolicyError::MissingMaxAge)
+        );
+    }
+
+    #[test]
+    fn max_age_is_one_to_ten_digits() {
+        let doc = |age: &str| {
+            parse_policy(&format!(
+                "version: STSv1\r\nmode: none\r\nmax_age: {age}\r\n"
+            ))
+        };
+        // A sign, a non-ASCII digit or an eleventh digit is outside the
+        // grammar even when the number is in range.
+        for bad in ["+604800", "000000000000604800", "00000604800", "٦٠٤٨٠٠"] {
+            assert_eq!(
+                doc(bad),
+                Err(PolicyError::InvalidMaxAge(bad.into())),
+                "{bad}"
+            );
+        }
+        // Ten digits are in the grammar; leading zeros count toward them.
+        assert_eq!(doc("0000604800").map(|p| p.max_age), Ok(604_800));
+        assert_eq!(doc("0").map(|p| p.max_age), Ok(0));
+        // In the grammar but over the cap.
+        assert_eq!(
+            doc("31557601"),
+            Err(PolicyError::InvalidMaxAge("31557601".into()))
         );
     }
 

@@ -282,12 +282,13 @@ impl DomainName {
     ///
     /// Returns `None` for names that are themselves a public suffix.
     pub fn effective_sld(&self) -> Option<DomainName> {
-        self.esld().map(|esld| self.suffix_name(esld))
+        self.esld_str().map(|esld| self.suffix_name(esld))
     }
 
-    /// The effective SLD as a suffix of the name (see
-    /// [`DomainName::effective_sld`]).
-    fn esld(&self) -> Option<&str> {
+    /// The effective SLD borrowed as a suffix of the name, without the
+    /// allocation [`DomainName::effective_sld`] makes: `mail.example.com`
+    /// → `example.com`.
+    pub fn esld_str(&self) -> Option<&str> {
         self.last_labels(self.public_suffix_len() + 1)
     }
 
@@ -305,7 +306,7 @@ impl DomainName {
     /// True if two names share the same effective SLD (the paper's test for
     /// "self-managed": an MX or NS under the queried domain's own SLD).
     pub fn same_esld(&self, other: &DomainName) -> bool {
-        matches!((self.esld(), other.esld()), (Some(a), Some(b)) if a == b)
+        matches!((self.esld_str(), other.esld_str()), (Some(a), Some(b)) if a == b)
     }
 
     /// Matches this hostname against an MX pattern per RFC 8461 §4.1:
@@ -534,6 +535,8 @@ mod tests {
             n("example.co.uk")
         );
         assert_eq!(n("co.uk").effective_sld(), None);
+        assert_eq!(n("x.y.example.co.uk").esld_str(), Some("example.co.uk"));
+        assert_eq!(n("co.uk").esld_str(), None);
         assert!(n("mx.foo.se").same_esld(&n("www.foo.se")));
         assert!(!n("mx.foo.se").same_esld(&n("mx.bar.se")));
     }

@@ -156,12 +156,8 @@ pub fn fig5_series(run: &LongitudinalRun, class: EntityClass) -> Vec<Fig5Point> 
             let mut class_total = 0u64;
             let mut faulty = 0u64;
             let mut per_layer: BTreeMap<PolicyLayer, u64> = BTreeMap::new();
-            for scan in &snap.scans {
-                if snap
-                    .classifier
-                    .classify_policy(&scan.domain, &scan.policy_cname)
-                    != class
-                {
+            for (scan, classes) in snap.scans.iter().zip(&snap.classes) {
+                if classes.policy != class {
                     continue;
                 }
                 class_total += 1;
@@ -216,8 +212,8 @@ pub fn fig6_series(run: &LongitudinalRun, class: EntityClass) -> Vec<Fig6Point> 
             let mut class_total = 0u64;
             let mut invalid = 0u64;
             let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for scan in &snap.scans {
-                if snap.classifier.classify_mx(&scan.domain, &scan.mx_records) != class {
+            for (scan, classes) in snap.scans.iter().zip(&snap.classes) {
+                if classes.mail != class {
                     continue;
                 }
                 class_total += 1;
@@ -437,12 +433,10 @@ pub fn fig10_series(run: &LongitudinalRun) -> Vec<Fig10Point> {
                 diff_total: 0,
                 diff_inconsistent: 0,
             };
-            for scan in &snap.scans {
-                let policy_class = snap
-                    .classifier
-                    .classify_policy(&scan.domain, &scan.policy_cname);
-                let mx_class = snap.classifier.classify_mx(&scan.domain, &scan.mx_records);
-                if policy_class != EntityClass::ThirdParty || mx_class != EntityClass::ThirdParty {
+            for (scan, classes) in snap.scans.iter().zip(&snap.classes) {
+                if classes.policy != EntityClass::ThirdParty
+                    || classes.mail != EntityClass::ThirdParty
+                {
                     continue;
                 }
                 let (Some(cname), Some(mx)) = (scan.policy_cname.first(), scan.mx_records.first())

@@ -13,13 +13,19 @@
 //!   is self-managed; a policy host serving ≤ 5 domains is self-managed.
 //!
 //! Classification is a two-pass process: [`EntityClassifier::observe`]
-//! aggregates one snapshot's scans, then [`EntityClassifier::classify_mx`]
-//! / [`EntityClassifier::classify_policy`] answer per domain.
+//! aggregates one snapshot's scans, then [`EntityClassifier::classify`]
+//! answers per domain. [`Snapshot::assemble`](crate::scan::Snapshot::assemble)
+//! runs both passes once per snapshot with a classifier that lives only
+//! inside the build, and keeps each domain's [`EntityClasses`] in
+//! `Snapshot::classes`, parallel to its scans. Figures 5, 6 and 10 read
+//! that column; they classify nothing themselves.
 
 use crate::taxonomy::DomainScan;
 use netbase::DomainName;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// Threshold for Heuristic 1: providers serve at least this many domains.
 pub const THIRD_PARTY_MIN_DOMAINS: usize = 50;
@@ -51,20 +57,80 @@ impl EntityClass {
     }
 }
 
+/// One domain's managing entities within one snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntityClasses {
+    /// Who runs the mail service, from the MX records (Figures 6 and 10).
+    pub mail: EntityClass,
+    /// Who hosts the policy, from the CNAME evidence (Figures 5 and 10).
+    pub policy: EntityClass,
+}
+
+/// The domains whose MX records fall under one eSLD.
+#[derive(Debug, Default)]
+struct MxGroup {
+    /// How many domains use the group.
+    domains: usize,
+    /// Of those, how many host their policy directly on each IP.
+    policy_ips: HashMap<Ipv4Addr, usize>,
+    /// The single-administrator verdict over the counts above, computed
+    /// on first use; [`EntityClassifier::observe`] clears it whenever it
+    /// changes them.
+    single_admin: OnceLock<bool>,
+}
+
+impl MxGroup {
+    /// Whether an apparently popular MX group is really one administrator:
+    /// ≥ [`SINGLE_ADMIN_SHARE`] of its domains sit on its top two direct
+    /// policy IPs.
+    fn is_single_admin(&self) -> bool {
+        *self.single_admin.get_or_init(|| {
+            // Two shared IPs (the mxascen case) still count: look at the
+            // top two IPs' combined share.
+            let (mut top, mut second) = (0, 0);
+            for &n in self.policy_ips.values() {
+                if n > top {
+                    (top, second) = (n, top);
+                } else if n > second {
+                    second = n;
+                }
+            }
+            (top + second) as f64 / self.domains as f64 >= SINGLE_ADMIN_SHARE
+        })
+    }
+}
+
+/// Applies `f` to `esld`'s entry, creating it on first sight: the only
+/// time an update by borrowed eSLD allocates.
+fn update<V: Default>(map: &mut HashMap<Box<str>, V>, esld: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(esld) {
+        Some(entry) => f(entry),
+        None => f(map.entry(esld.into()).or_default()),
+    }
+}
+
+/// Each distinct eSLD among `hosts`, in first-seen order. Host lists are
+/// a handful of names long, so looking back beats building a set.
+fn distinct_eslds(hosts: &[DomainName]) -> impl Iterator<Item = &str> {
+    hosts.iter().enumerate().filter_map(|(i, host)| {
+        let esld = host.esld_str()?;
+        let repeat = hosts[..i].iter().any(|h| h.esld_str() == Some(esld));
+        (!repeat).then_some(esld)
+    })
+}
+
 /// Aggregated observations from one snapshot, then per-domain answers.
+///
+/// Counts are keyed by the eSLD's presentation form and looked up with
+/// the suffix [`DomainName::esld_str`] borrows from a name.
 #[derive(Debug, Default)]
 pub struct EntityClassifier {
-    /// Domains per MX eSLD.
-    mx_esld_domains: HashMap<DomainName, usize>,
+    /// MX groups by MX eSLD (Heuristic 1 and single-admin detection).
+    mx_groups: HashMap<Box<str>, MxGroup>,
     /// Domains per CNAME-target eSLD (policy delegation).
-    cname_esld_domains: HashMap<DomainName, usize>,
-    /// Policy-host IPs per MX eSLD group (single-admin detection): for
-    /// each MX eSLD, how many of its domains share each policy IP.
-    mx_group_policy_ips: HashMap<DomainName, HashMap<std::net::Ipv4Addr, usize>>,
-    /// Policy IP observed per domain (from the scan's resolution).
-    policy_ip_of: HashMap<DomainName, std::net::Ipv4Addr>,
+    cname_esld_domains: HashMap<Box<str>, usize>,
     /// Domains per NS eSLD (DNS-hosting popularity).
-    ns_esld_domains: HashMap<DomainName, usize>,
+    ns_esld_domains: HashMap<Box<str>, usize>,
 }
 
 impl EntityClassifier {
@@ -77,7 +143,7 @@ impl EntityClassifier {
     /// resolutions supplied by the scanner.
     pub fn from_scans<'a>(
         scans: impl IntoIterator<Item = &'a DomainScan>,
-        policy_ips: &HashMap<DomainName, std::net::Ipv4Addr>,
+        policy_ips: &HashMap<DomainName, Ipv4Addr>,
     ) -> EntityClassifier {
         let mut c = EntityClassifier::new();
         for scan in scans {
@@ -87,67 +153,40 @@ impl EntityClassifier {
     }
 
     /// Folds one domain's observations in.
-    pub fn observe(&mut self, scan: &DomainScan, policy_ip: Option<std::net::Ipv4Addr>) {
-        let mut seen_eslds: HashSet<DomainName> = HashSet::new();
+    pub fn observe(&mut self, scan: &DomainScan, policy_ip: Option<Ipv4Addr>) {
         // Only *directly hosted* policy IPs (no CNAME delegation) count as
         // single-administrator evidence: a provider bundling policy hosting
         // (Tutanota) funnels every customer through one CNAME target, which
         // must not make it look like one person's fleet.
         let direct_policy_ip = scan.policy_cname.is_empty().then_some(policy_ip).flatten();
-        for mx in &scan.mx_records {
-            if let Some(esld) = mx.effective_sld() {
-                if seen_eslds.insert(esld.clone()) {
-                    *self.mx_esld_domains.entry(esld.clone()).or_default() += 1;
-                    if let Some(ip) = direct_policy_ip {
-                        *self
-                            .mx_group_policy_ips
-                            .entry(esld)
-                            .or_default()
-                            .entry(ip)
-                            .or_default() += 1;
-                    }
+        for esld in distinct_eslds(&scan.mx_records) {
+            update(&mut self.mx_groups, esld, |group| {
+                group.domains += 1;
+                if let Some(ip) = direct_policy_ip {
+                    *group.policy_ips.entry(ip).or_default() += 1;
                 }
-            }
+                group.single_admin.take();
+            });
         }
-        if let Some(target) = scan.policy_cname.first() {
-            if let Some(esld) = target.effective_sld() {
-                *self.cname_esld_domains.entry(esld).or_default() += 1;
-            }
+        if let Some(esld) = scan.policy_cname.first().and_then(DomainName::esld_str) {
+            update(&mut self.cname_esld_domains, esld, |n| *n += 1);
         }
-        if let Some(ip) = policy_ip {
-            self.policy_ip_of.insert(scan.domain.clone(), ip);
-        }
-        let mut seen_ns: HashSet<DomainName> = HashSet::new();
-        for ns in &scan.ns_records {
-            if let Some(esld) = ns.effective_sld() {
-                if seen_ns.insert(esld.clone()) {
-                    *self.ns_esld_domains.entry(esld).or_default() += 1;
-                }
-            }
+        for esld in distinct_eslds(&scan.ns_records) {
+            update(&mut self.ns_esld_domains, esld, |n| *n += 1);
         }
     }
 
     /// How many domains use MX hosts under `esld`.
     pub fn mx_group_size(&self, esld: &DomainName) -> usize {
-        self.mx_esld_domains.get(esld).copied().unwrap_or(0)
+        self.mx_groups.get(esld.as_str()).map_or(0, |g| g.domains)
     }
 
-    /// Whether an apparently popular MX group is really one administrator:
-    /// ≥ [`SINGLE_ADMIN_SHARE`] of its domains share a single policy IP.
-    fn is_single_admin_group(&self, esld: &DomainName) -> bool {
-        let Some(ips) = self.mx_group_policy_ips.get(esld) else {
-            return false;
-        };
-        let total = self.mx_group_size(esld);
-        if total < THIRD_PARTY_MIN_DOMAINS {
-            return false;
+    /// Classifies a domain's mail and policy hosting from its scan.
+    pub fn classify(&self, scan: &DomainScan) -> EntityClasses {
+        EntityClasses {
+            mail: self.classify_mx(&scan.domain, &scan.mx_records),
+            policy: self.classify_policy(&scan.domain, &scan.policy_cname),
         }
-        // Two shared IPs (the mxascen case) still count: look at the top
-        // two IPs' combined share.
-        let mut counts: Vec<usize> = ips.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let top2: usize = counts.iter().take(2).sum();
-        top2 as f64 / total as f64 >= SINGLE_ADMIN_SHARE
     }
 
     /// Classifies a domain's mail hosting from its MX records.
@@ -159,17 +198,17 @@ impl EntityClassifier {
         if first.same_esld(domain) {
             return EntityClass::SelfManaged;
         }
-        let Some(esld) = first.effective_sld() else {
-            return EntityClass::Unclassified;
-        };
-        if self.mx_group_size(&esld) >= THIRD_PARTY_MIN_DOMAINS {
+        match first.esld_str().and_then(|esld| self.mx_groups.get(esld)) {
             // Heuristic 1, with the single-administrator exception.
-            if self.is_single_admin_group(&esld) {
-                return EntityClass::SelfManaged;
+            Some(group) if group.domains >= THIRD_PARTY_MIN_DOMAINS => {
+                if group.is_single_admin() {
+                    EntityClass::SelfManaged
+                } else {
+                    EntityClass::ThirdParty
+                }
             }
-            return EntityClass::ThirdParty;
+            _ => EntityClass::Unclassified,
         }
-        EntityClass::Unclassified
     }
 
     /// Classifies a domain's policy hosting from the CNAME evidence.
@@ -186,10 +225,10 @@ impl EntityClassifier {
         if target.same_esld(domain) {
             return EntityClass::SelfManaged;
         }
-        let Some(esld) = target.effective_sld() else {
+        let Some(esld) = target.esld_str() else {
             return EntityClass::Unclassified;
         };
-        let size = self.cname_esld_domains.get(&esld).copied().unwrap_or(0);
+        let size = self.cname_esld_domains.get(esld).copied().unwrap_or(0);
         if size >= THIRD_PARTY_MIN_DOMAINS {
             EntityClass::ThirdParty
         } else if size <= SELF_MANAGED_MAX_DOMAINS {
@@ -209,10 +248,10 @@ impl EntityClassifier {
         if first.same_esld(domain) {
             return EntityClass::SelfManaged;
         }
-        let Some(esld) = first.effective_sld() else {
+        let Some(esld) = first.esld_str() else {
             return EntityClass::Unclassified;
         };
-        if self.ns_esld_domains.get(&esld).copied().unwrap_or(0) >= THIRD_PARTY_MIN_DOMAINS {
+        if self.ns_esld_domains.get(esld).copied().unwrap_or(0) >= THIRD_PARTY_MIN_DOMAINS {
             EntityClass::ThirdParty
         } else {
             EntityClass::Unclassified
@@ -306,6 +345,71 @@ mod tests {
             c.classify_mx(&n("m0.com"), &[n("mx.l.mxascen.com")]),
             EntityClass::SelfManaged
         );
+    }
+
+    #[test]
+    fn observing_after_a_verdict_recomputes_it() {
+        // 60 domains on two direct policy IPs: one administrator.
+        let mut c = EntityClassifier::new();
+        let mx = [n("mx.l.mxascen.com")];
+        for i in 0..60u8 {
+            let s = scan(&format!("m{i}.com"), &["mx.l.mxascen.com"], &[]);
+            c.observe(&s, Some(ip(i % 2)));
+        }
+        assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
+        // Six more on distinct IPs: 60 of 66 is still ≥ 0.9.
+        for i in 0..6u8 {
+            let s = scan(&format!("x{i}.com"), &["mx.l.mxascen.com"], &[]);
+            c.observe(&s, Some(ip(100 + i)));
+        }
+        assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
+        // A seventh: 60 of 67 falls below, so the verdict must not stick.
+        let s = scan("x6.com", &["mx.l.mxascen.com"], &[]);
+        c.observe(&s, Some(ip(106)));
+        assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::ThirdParty);
+    }
+
+    #[test]
+    fn classify_answers_both_services_at_once() {
+        let mut c = EntityClassifier::new();
+        for i in 0..60u8 {
+            let s = scan(
+                &format!("d{i}.com"),
+                &["aspmx.l.google.com"],
+                &[&format!("d{i}-com.mta-sts.dmarcinput.com")],
+            );
+            c.observe(&s, Some(ip(i)));
+        }
+        let s = scan(
+            "d0.com",
+            &["aspmx.l.google.com"],
+            &["d0-com.mta-sts.dmarcinput.com"],
+        );
+        assert_eq!(
+            c.classify(&s),
+            EntityClasses {
+                mail: EntityClass::ThirdParty,
+                policy: EntityClass::ThirdParty,
+            }
+        );
+        let own = scan("own.com", &["mx.own.com"], &[]);
+        assert_eq!(
+            c.classify(&own),
+            EntityClasses {
+                mail: EntityClass::SelfManaged,
+                policy: EntityClass::SelfManaged,
+            }
+        );
+    }
+
+    #[test]
+    fn repeated_eslds_count_a_domain_once() {
+        let mut c = EntityClassifier::new();
+        let mut s = scan("d.com", &["mx1.google.com", "mx2.google.com"], &[]);
+        s.ns_records = vec![n("ns1.dnsprov.net"), n("ns2.dnsprov.net")];
+        c.observe(&s, None);
+        assert_eq!(c.mx_group_size(&n("google.com")), 1);
+        assert_eq!(c.ns_esld_domains.get("dnsprov.net"), Some(&1));
     }
 
     #[test]

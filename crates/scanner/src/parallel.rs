@@ -21,7 +21,7 @@
 //!    [`netbase::map_sharded`]'s contiguous stable shards concatenate to
 //!    exactly the sequential output.
 //!
-//! Everything else (per-TLD counters, the entity classifier, policy-IP
+//! Everything else (per-TLD counters, the entity classes, policy-IP
 //! maps) is folded sequentially from that ordered vector, so a parallel
 //! snapshot is byte-identical to a sequential one for any `K`.
 

@@ -1,6 +1,6 @@
 //! Snapshot scanning: §4.1's methodology against a world.
 
-use crate::classify::EntityClassifier;
+use crate::classify::{EntityClasses, EntityClassifier};
 use crate::taxonomy::{
     DomainScan, MxVerdict, PolicyLayer, PolicyLayerError, ScanAttempts, StageAttempts,
 };
@@ -75,8 +75,8 @@ pub struct Snapshot {
     pub scans: Vec<DomainScan>,
     /// Resolved policy-host IPs (classification evidence).
     pub policy_ips: HashMap<DomainName, Ipv4Addr>,
-    /// The entity classifier built over this snapshot.
-    pub classifier: EntityClassifier,
+    /// Each domain's managing entities, parallel to `scans`.
+    pub(crate) classes: Vec<EntityClasses>,
     /// Domain → index into `scans`, built lazily on the first
     /// [`Snapshot::scan_of`] — analyses probe tens of thousands of
     /// domains per snapshot, and a linear search per lookup is O(n²).
@@ -84,19 +84,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Assembles a snapshot from scan results, building the entity
-    /// classifier (a pure function of the scans and policy IPs).
+    /// Assembles a snapshot from scan results and classifies every domain
+    /// once (a pure function of the scans and policy IPs).
     pub fn assemble(
         date: SimDate,
         scans: Vec<DomainScan>,
         policy_ips: HashMap<DomainName, Ipv4Addr>,
     ) -> Snapshot {
-        let classifier = EntityClassifier::from_scans(scans.iter(), &policy_ips);
+        let classifier = EntityClassifier::from_scans(&scans, &policy_ips);
+        let classes = scans.iter().map(|scan| classifier.classify(scan)).collect();
         Snapshot {
             date,
             scans,
             policy_ips,
-            classifier,
+            classes,
             index: OnceLock::new(),
         }
     }
@@ -603,16 +604,22 @@ mod tests {
         let world = eco.world_at(date, SnapshotDetail::Full);
         let domains: Vec<DomainName> = eco.domains_at(date).map(|d| d.name.clone()).collect();
         let snapshot = scan_snapshot(&world, &domains, date, None, &ScanConfig::default());
+        let classes: HashMap<&DomainName, EntityClasses> = snapshot
+            .scans
+            .iter()
+            .map(|scan| &scan.domain)
+            .zip(snapshot.classes.iter().copied())
+            .collect();
 
         let mut policy_ok = 0usize;
         let mut policy_total = 0usize;
         let mut mx_ok = 0usize;
         let mut mx_total = 0usize;
         for spec in eco.domains_at(date) {
-            let scan = snapshot.scan_of(&spec.name).unwrap();
-            let got_policy = snapshot
-                .classifier
-                .classify_policy(&spec.name, &scan.policy_cname);
+            let EntityClasses {
+                mail: got_mx,
+                policy: got_policy,
+            } = classes[&spec.name];
             let want_policy = match &spec.policy {
                 ecosystem::PolicyHosting::SelfManaged
                 | ecosystem::PolicyHosting::Porkbun
@@ -625,9 +632,6 @@ mod tests {
             if got_policy == want_policy {
                 policy_ok += 1;
             }
-            let got_mx = snapshot
-                .classifier
-                .classify_mx(&spec.name, &scan.mx_records);
             let want_mx = match &spec.mail {
                 ecosystem::MailHosting::SelfManaged { .. } | ecosystem::MailHosting::Mxascen => {
                     EntityClass::SelfManaged
@@ -648,13 +652,13 @@ mod tests {
             }
         }
         // DNS hosting: self-managed iff the NS shares the domain's eSLD.
+        // No figure reads it, so the snapshot does not keep it.
+        let classifier = EntityClassifier::from_scans(&snapshot.scans, &snapshot.policy_ips);
         let mut dns_ok = 0usize;
         let mut dns_total = 0usize;
         for spec in eco.domains_at(date) {
             let scan = snapshot.scan_of(&spec.name).unwrap();
-            let got = snapshot
-                .classifier
-                .classify_dns(&spec.name, &scan.ns_records);
+            let got = classifier.classify_dns(&spec.name, &scan.ns_records);
             if spec.dns_self_hosted {
                 dns_total += 1;
                 if got == EntityClass::SelfManaged {

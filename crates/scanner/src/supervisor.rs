@@ -134,8 +134,9 @@ impl DegradationReport {
     }
 }
 
-/// One finished snapshot in checkpoint form. The classifier is *not*
-/// persisted — it is a pure function of the scans and is rebuilt on load.
+/// One finished snapshot in checkpoint form. The entity classes are *not*
+/// persisted — they are a pure function of the scans and policy IPs, and
+/// are recomputed on load.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CompletedSnapshot {
     date: SimDate,
@@ -617,6 +618,8 @@ fn flatten_totals(
 mod tests {
     use super::*;
     use ecosystem::{Ecosystem, EcosystemConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn study() -> Study {
         Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)))
@@ -915,6 +918,103 @@ mod tests {
             assert_eq!(report.domains_scanned, scanned as u64, "{bad}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `payload` behind a header that vouches for it, as a buggy writer
+    /// or a hand edit would leave it.
+    fn vouched(payload: &str) -> String {
+        format!(
+            "{CKPT_MAGIC} {} {:016x}\n{payload}",
+            payload.len(),
+            fnv64(payload.as_bytes())
+        )
+    }
+
+    /// A checkpoint to mutate: the partial snapshot a budgeted run left,
+    /// plus a completed snapshot made of its first scans.
+    fn sample_checkpoint() -> &'static [u8] {
+        static TEXT: OnceLock<String> = OnceLock::new();
+        TEXT.get_or_init(|| {
+            let dir = std::env::temp_dir()
+                .join(format!("mtasts-supervisor-{}-props", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("ckpt.json");
+            let _ = std::fs::remove_file(&path);
+            let outcome = study().run_full_supervised(&SupervisorConfig {
+                checkpoint_path: Some(path.clone()),
+                checkpoint_every: 8,
+                domain_budget: Some(24),
+                ..SupervisorConfig::default()
+            });
+            assert!(matches!(outcome, SupervisedOutcome::Suspended { .. }));
+            let mut ckpt = Checkpoint::load(&path);
+            let partial = ckpt.partial.clone().expect("suspended mid-snapshot");
+            ckpt.completed.push(CompletedSnapshot {
+                date: partial.date,
+                scans: partial.scans[..8].to_vec(),
+                policy_ips: partial.policy_ips,
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+            vouched(&serde_json::to_string(&ckpt).unwrap())
+        })
+        .as_bytes()
+    }
+
+    /// The sample's payload, after its header line.
+    fn sample_payload() -> &'static [u8] {
+        let text = sample_checkpoint();
+        let newline = text.iter().position(|&b| b == b'\n').unwrap();
+        &text[newline + 1..]
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_checkpoint_is_rejected() {
+        let text = sample_checkpoint();
+        let whole = Checkpoint::parse(std::str::from_utf8(text).unwrap()).expect("sample parses");
+        assert_eq!(whole.completed.len(), 1);
+        assert_eq!(whole.partial.map(|p| p.scans.len()), Some(24));
+        for cut in 0..text.len() {
+            let prefix = String::from_utf8_lossy(&text[..cut]);
+            assert!(Checkpoint::parse(&prefix).is_none(), "cut at {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Byte soup parses or is rejected, bare or vouched for.
+        #[test]
+        fn checkpoint_parse_total_over_byte_soup(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let soup = String::from_utf8_lossy(&bytes);
+            let _ = Checkpoint::parse(&soup);
+            let _ = Checkpoint::parse(&vouched(&soup));
+        }
+
+        /// A vouched-for truncated payload is rejected, not half-loaded.
+        #[test]
+        fn vouched_truncations_are_rejected(cut in 0usize..1 << 20) {
+            let payload = sample_payload();
+            let prefix = String::from_utf8_lossy(&payload[..cut % payload.len()]);
+            prop_assert!(Checkpoint::parse(&vouched(&prefix)).is_none());
+        }
+
+        /// One flipped bit: the header catches it or the bytes still decode
+        /// to the original; vouched for, it parses or is rejected.
+        #[test]
+        fn checkpoint_bit_flips_never_panic(pos in 0usize..1 << 20, bit in 0u8..8) {
+            let mut text = sample_checkpoint().to_vec();
+            let pos = pos % text.len();
+            text[pos] ^= 1 << bit;
+            let text = String::from_utf8_lossy(&text);
+            if let Some(ckpt) = Checkpoint::parse(&text) {
+                let again = serde_json::to_string(&ckpt).unwrap();
+                prop_assert_eq!(again.as_bytes(), sample_payload());
+            }
+            let payload = &text[text.find('\n').map_or(0, |n| n + 1)..];
+            let _ = Checkpoint::parse(&vouched(payload));
+        }
     }
 
     #[test]

@@ -1363,6 +1363,8 @@ impl MxTransport for FastTransport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     #[test]
     fn malformed_recipient_bounces_unroutable() {
@@ -1412,5 +1414,104 @@ mod tests {
             assert_eq!(QueueCheckpoint::load(&path).next_index, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A mid-queue checkpoint from an enforced run, to mutate: ledger,
+    /// breaker board, stats and a warm policy cache.
+    fn sample_checkpoint() -> &'static [u8] {
+        static TEXT: OnceLock<String> = OnceLock::new();
+        TEXT.get_or_init(|| {
+            use crate::scenario::{build, Degradation, ScenarioSpec};
+            let s = build(ScenarioSpec::small(7, Degradation::None).with_sts(Mode::Enforce));
+            let dir =
+                std::env::temp_dir().join(format!("mtasts-dlvq-{}-props", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("queue.ckpt");
+            let out = DeliveryQueue::new(QueueConfig {
+                threads: 1,
+                wave_size: 8,
+                enforcement: Some(EnforcementConfig::default()),
+                checkpoint_path: Some(path.clone()),
+                message_budget: Some(s.messages.len() / 2),
+                ..QueueConfig::default()
+            })
+            .run(&FastTransport::new(&s.world), &s.messages);
+            assert!(out.suspended, "the budget must suspend the queue");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            text
+        })
+        .as_bytes()
+    }
+
+    /// `payload` behind a header that vouches for it, as a buggy writer
+    /// or a hand edit would leave it.
+    fn vouched(payload: &str) -> String {
+        format!(
+            "{QUEUE_CKPT_MAGIC} {} {:016x}\n{payload}",
+            payload.len(),
+            fnv64(payload.as_bytes())
+        )
+    }
+
+    /// The sample's payload, after its header line.
+    fn sample_payload() -> &'static [u8] {
+        let text = sample_checkpoint();
+        let newline = text.iter().position(|&b| b == b'\n').unwrap();
+        &text[newline + 1..]
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_checkpoint_is_rejected() {
+        let text = sample_checkpoint();
+        let whole = QueueCheckpoint::parse(std::str::from_utf8(text).unwrap())
+            .expect("a stored checkpoint parses");
+        assert!(!whole.records.is_empty() && !whole.sts_cache.is_empty());
+        for cut in 0..text.len() {
+            let prefix = String::from_utf8_lossy(&text[..cut]);
+            assert!(QueueCheckpoint::parse(&prefix).is_none(), "cut at {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Byte soup parses or is rejected, bare or vouched for.
+        #[test]
+        fn checkpoint_parse_total_over_byte_soup(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let soup = String::from_utf8_lossy(&bytes);
+            let _ = QueueCheckpoint::parse(&soup);
+            let _ = QueueCheckpoint::parse(&vouched(&soup));
+        }
+
+        /// A vouched-for truncated payload is rejected, not half-loaded.
+        #[test]
+        fn vouched_truncations_are_rejected(cut in 0usize..1 << 20) {
+            let payload = sample_payload();
+            let cut = cut % payload.len();
+            let prefix = String::from_utf8_lossy(&payload[..cut]);
+            prop_assert!(QueueCheckpoint::parse(&vouched(&prefix)).is_none());
+        }
+
+        /// One flipped bit: the header catches it or the bytes still decode
+        /// to the original; vouched for, it parses or is rejected.
+        #[test]
+        fn checkpoint_bit_flips_never_panic(
+            pos in 0usize..1 << 20,
+            bit in 0u8..8,
+        ) {
+            let mut text = sample_checkpoint().to_vec();
+            let pos = pos % text.len();
+            text[pos] ^= 1 << bit;
+            let text = String::from_utf8_lossy(&text);
+            if let Some(ckpt) = QueueCheckpoint::parse(&text) {
+                let again = serde_json::to_string(&ckpt).unwrap();
+                prop_assert_eq!(again.as_bytes(), sample_payload());
+            }
+            let payload = &text[text.find('\n').map_or(0, |n| n + 1)..];
+            let _ = QueueCheckpoint::parse(&vouched(payload));
+        }
     }
 }
