@@ -236,7 +236,13 @@ fn victim_name(seed: u64, i: usize) -> DomainName {
 
 /// Installs one healthy MTA-STS victim (record, policy host, MX) into the
 /// world.
-fn install_victim(world: &World, domain: &DomainName, mode: Mode, max_age: u64, now: SimInstant) {
+fn install_victim(
+    world: &mut World,
+    domain: &DomainName,
+    mode: Mode,
+    max_age: u64,
+    now: SimInstant,
+) {
     world.ensure_zone(domain);
     let policy_host = domain.prefixed("mta-sts").expect("static label");
     let mx_host = domain.prefixed("mx").expect("static label");
@@ -283,11 +289,11 @@ fn install_victim(world: &World, domain: &DomainName, mode: Mode, max_age: u64, 
 
 /// Builds the victim world and the stripping-attack schedule for `cfg`.
 pub fn build_world(cfg: &DowngradeConfig) -> (World, Vec<DomainName>) {
-    let world = World::new();
+    let mut world = World::new();
     let start = t0();
     let victims: Vec<DomainName> = (0..cfg.victims).map(|i| victim_name(cfg.seed, i)).collect();
     for v in &victims {
-        install_victim(&world, v, cfg.mode, cfg.max_age, start);
+        install_victim(&mut world, v, cfg.mode, cfg.max_age, start);
     }
     let attack_start = start + ATTACK_LEAD;
     let attack_end = attack_start + cfg.window;
@@ -330,9 +336,6 @@ pub fn run_downgrade(cfg: &DowngradeConfig) -> DowngradeOutcome {
     let mut in_window_attempts = 0;
     let mut now = start + STEP;
     while now < horizon {
-        // DNS answers carry a 300 s TTL; flushing between hourly rounds
-        // keeps the resolver honest about the attacker's spoofed answers.
-        world.flush_dns_cache();
         for v in &victims {
             if attack_start <= now && now < attack_end {
                 in_window_attempts += 1;
@@ -423,9 +426,9 @@ pub fn tlsrpt_failure_coverage(seed: u64) -> BTreeMap<ResultType, u64> {
             use_cache: false,
             ..DowngradeConfig::new(seed, 604_800, Duration::hours(6))
         };
-        let world = World::new();
+        let mut world = World::new();
         let victim = victim_name(cfg.seed, 0);
-        install_victim(&world, &victim, cfg.mode, cfg.max_age, start);
+        install_victim(&mut world, &victim, cfg.mode, cfg.max_age, start);
         world.set_attacker(AttackSchedule::new().with_window(
             AttackKind::HttpsMitm,
             Some(victim.clone()),
@@ -439,9 +442,9 @@ pub fn tlsrpt_failure_coverage(seed: u64) -> BTreeMap<ResultType, u64> {
 
     // sts-policy-fetch-error via an unreachable policy host.
     {
-        let world = World::new();
+        let mut world = World::new();
         let victim = victim_name(seed, 0);
-        install_victim(&world, &victim, Mode::Enforce, 604_800, start);
+        install_victim(&mut world, &victim, Mode::Enforce, 604_800, start);
         for ip in world.web_ips() {
             world.with_web(ip, |ep| ep.reachability = Reachability::Refused);
         }

@@ -191,7 +191,6 @@ fn in_window_deliveries_are_redirected_to_the_attacker_relay() {
                 from_cache: false
             }
         );
-        world.flush_dns_cache();
         let outcome = sender.deliver(&world, &victims[0], in_window);
         (outcome, sender)
     };
@@ -256,7 +255,7 @@ fn https_mitm_on_refresh_falls_back_warm_and_leaks_cacheless() {
     // Warm: the operator rotates the record id (forcing a refresh) while
     // an attacker MITMs the policy host. RFC 8461 §3.3: the still-fresh
     // cached policy keeps governing and the legitimate MX validates.
-    let (world, victims) = build_world(&cfg);
+    let (mut world, victims) = build_world(&cfg);
     let victim = &victims[0];
     let mut sender = SweepSender::new(true);
     sender.deliver(&world, victim, t0());
@@ -270,7 +269,6 @@ fn https_mitm_on_refresh_falls_back_warm_and_leaks_cacheless() {
         );
     });
     world.set_attacker(mitm(victim.clone()));
-    world.flush_dns_cache();
     let outcome = sender.deliver(&world, victim, start + STEP);
     assert_eq!(
         outcome,
@@ -286,7 +284,7 @@ fn https_mitm_on_refresh_falls_back_warm_and_leaks_cacheless() {
 
     // Cache-less: nothing to fall back to, so the policy is unavailable,
     // the message leaves unprotected, and TLSRPT says why.
-    let (world, victims) = build_world(&cfg);
+    let (mut world, victims) = build_world(&cfg);
     world.set_attacker(mitm(victims[0].clone()));
     let mut sender = SweepSender::new(false);
     let outcome = sender.deliver(&world, &victims[0], start + STEP);

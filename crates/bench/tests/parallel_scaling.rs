@@ -52,7 +52,7 @@ fn eight_threads_give_3x_on_8_cores() {
     // are noise, small enough for a test.
     let (world, domains, date) = population(0.25);
     let config = ScanConfig::default();
-    // Warm the resolver caches once so both timed runs see the same world.
+    // One untimed run first, so both timed runs start equally warm.
     scan_snapshot_with_threads(&world, &domains, date, None, &config, 8);
 
     let start = Instant::now();

@@ -14,10 +14,9 @@
 //! - [`zone`]: an authoritative zone store with master-file parsing and
 //!   NXDOMAIN/NODATA/CNAME semantics;
 //! - [`server`]: an authoritative UDP server (tokio);
-//! - [`resolver`]: a stub resolver over a pluggable [`resolver::DnsTransport`]
+//! - [`resolver`]: stub resolution over a pluggable [`resolver::DnsTransport`]
 //!   — real UDP sockets for the live-wire examples, or a direct in-memory
-//!   authority registry for simulation-scale scanning — with CNAME chasing
-//!   and a TTL cache driven by explicit [`netbase::SimInstant`]s.
+//!   authority registry for simulation-scale scanning — with CNAME chasing.
 
 pub mod resolver;
 pub mod server;
@@ -25,6 +24,8 @@ pub mod types;
 pub mod wire;
 pub mod zone;
 
-pub use resolver::{DnsError, DnsTransport, InMemoryAuthorities, Lookup, Resolver, UdpTransport};
+pub use resolver::{
+    resolve, DnsError, DnsTransport, InMemoryAuthorities, Lookup, UdpTransport, MAX_CNAME_LINKS,
+};
 pub use types::{Message, Question, Rcode, Record, RecordData, RecordType, TlsaRecord};
 pub use zone::{Zone, ZoneLookup};

@@ -24,9 +24,7 @@ pub struct AuthServer {
 
 impl AuthServer {
     /// Binds to `bind` (use port 0 for an ephemeral port) and serves the
-    /// zones registered in `authorities`. The server shares the registry:
-    /// zone updates made after spawning are visible to subsequent queries,
-    /// which is how longitudinal tests mutate the world between snapshots.
+    /// zones registered in `authorities`, as they were when handed over.
     pub async fn spawn(
         bind: SocketAddr,
         authorities: InMemoryAuthorities,
@@ -73,8 +71,7 @@ impl AuthServer {
 /// Processes one request datagram into a response datagram.
 ///
 /// Returns `None` for datagrams that cannot be answered at all (unparsable
-/// header); malformed-but-parsable queries get FORMERR, per-zone fault
-/// injection (timeouts) yields no response.
+/// header); malformed-but-parsable queries get FORMERR.
 fn handle_datagram(authorities: &InMemoryAuthorities, datagram: &[u8]) -> Option<Vec<u8>> {
     let query = match wire::decode(datagram) {
         Ok(q) => q,
@@ -116,7 +113,6 @@ fn handle_datagram(authorities: &InMemoryAuthorities, datagram: &[u8]) -> Option
             resp.flags.aa = false; // no authority found at all
             Some(wire::encode(&resp))
         }
-        Err(DnsError::Timeout) => None, // black-holed zone: drop silently
         Err(_) => {
             let mut resp = Message::response_to(&query, Rcode::ServFail);
             resp.flags.aa = false;
@@ -128,10 +124,10 @@ fn handle_datagram(authorities: &InMemoryAuthorities, datagram: &[u8]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolver::{Resolver, UdpTransport};
+    use crate::resolver::{resolve, UdpTransport};
     use crate::types::{RecordData, RecordType};
     use crate::zone::Zone;
-    use netbase::{DomainName, SimDate};
+    use netbase::DomainName;
     use std::time::Duration as StdDuration;
 
     fn n(s: &str) -> DomainName {
@@ -139,7 +135,7 @@ mod tests {
     }
 
     fn authorities() -> InMemoryAuthorities {
-        let auth = InMemoryAuthorities::new();
+        let mut auth = InMemoryAuthorities::new();
         let mut z = Zone::new(n("wire.test"));
         z.add_rr(
             &n("wire.test"),
@@ -172,11 +168,9 @@ mod tests {
         // The UdpTransport is blocking; run it off the async threads.
         let result = tokio::task::spawn_blocking(move || {
             let transport = UdpTransport::new(addr, StdDuration::from_secs(2));
-            let resolver = Resolver::new(transport);
-            let now = SimDate::ymd(2024, 9, 29).at_midnight();
-            let mx = resolver.lookup(&n("wire.test"), RecordType::Mx, now)?;
-            let txt = resolver.lookup(&n("_mta-sts.wire.test"), RecordType::Txt, now)?;
-            let missing = resolver.lookup(&n("nope.wire.test"), RecordType::A, now);
+            let mx = resolve(&transport, &n("wire.test"), RecordType::Mx)?;
+            let txt = resolve(&transport, &n("_mta-sts.wire.test"), RecordType::Txt)?;
+            let missing = resolve(&transport, &n("nope.wire.test"), RecordType::A);
             Ok::<_, crate::resolver::DnsError>((mx, txt, missing))
         })
         .await
@@ -210,37 +204,6 @@ mod tests {
         let msg = wire::decode(&bytes).unwrap();
         assert_eq!(msg.rcode, Rcode::FormErr);
         assert_eq!(msg.id, 0xABCD);
-        server.shutdown().await;
-    }
-
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn zone_updates_visible_after_spawn() {
-        let auth = authorities();
-        let server = AuthServer::spawn("127.0.0.1:0".parse().unwrap(), auth.clone())
-            .await
-            .unwrap();
-        let addr = server.addr();
-        // Mutate the zone after the server started.
-        auth.with_zone(&n("wire.test"), |z| {
-            z.add_rr(
-                &n("_smtp._tls.wire.test"),
-                60,
-                RecordData::Txt(vec!["v=TLSRPTv1; rua=mailto:tls@wire.test".into()]),
-            );
-        });
-        let lookup = tokio::task::spawn_blocking(move || {
-            let transport = UdpTransport::new(addr, StdDuration::from_secs(2));
-            let resolver = Resolver::new(transport);
-            resolver.lookup(
-                &n("_smtp._tls.wire.test"),
-                RecordType::Txt,
-                SimDate::ymd(2024, 9, 29).at_midnight(),
-            )
-        })
-        .await
-        .unwrap()
-        .unwrap();
-        assert_eq!(lookup.txt_strings().len(), 1);
         server.shutdown().await;
     }
 }

@@ -291,7 +291,7 @@ impl Ecosystem {
 
     pub(crate) fn install_infra(
         &self,
-        world: &World,
+        world: &mut World,
         now: SimInstant,
         detail: SnapshotDetail,
     ) -> Infra {
@@ -475,7 +475,7 @@ impl Ecosystem {
 
     pub(crate) fn install_domain(
         &self,
-        world: &World,
+        world: &mut World,
         infra: &mut Infra,
         spec: &DomainSpec,
         index: usize,
@@ -760,7 +760,7 @@ impl Ecosystem {
     #[allow(clippy::too_many_arguments)]
     fn install_delegation(
         &self,
-        world: &World,
+        world: &mut World,
         infra: &mut Infra,
         spec: &DomainSpec,
         policy_host: &DomainName,
@@ -819,7 +819,7 @@ impl Ecosystem {
     #[allow(clippy::too_many_arguments)]
     fn install_provider_customer(
         &self,
-        world: &World,
+        world: &mut World,
         ip: Ipv4Addr,
         spec: &DomainSpec,
         policy_host: &DomainName,
@@ -834,11 +834,13 @@ impl Ecosystem {
             Some(PolicyFaultKind::TlsCnMismatch) => Some(CertKind::WrongName(spec.name.clone())),
             _ => Some(CertKind::Valid),
         };
+        let chain = cert_kind.map(|kind| {
+            world
+                .pki
+                .issue(&kind, std::slice::from_ref(policy_host), now)
+        });
         world.with_web(ip, |ep| {
-            if let Some(kind) = cert_kind {
-                let chain = world
-                    .pki
-                    .issue(&kind, std::slice::from_ref(policy_host), now);
+            if let Some(chain) = chain {
                 ep.install_chain(policy_host.clone(), chain);
             }
             if let Some((status, body)) = document {
@@ -850,7 +852,7 @@ impl Ecosystem {
     /// Builds a self-managed policy endpoint with the fault applied.
     fn self_web_endpoint(
         &self,
-        world: &World,
+        world: &mut World,
         spec: &DomainSpec,
         policy_host: &DomainName,
         now: SimInstant,

@@ -12,8 +12,7 @@
 //! 3. every domain's [`DomainFingerprint`] at the new date is compared to
 //!    the fingerprint it was installed with: unchanged domains are left
 //!    alone, new adopters are installed, dirty domains are uninstalled
-//!    with their *old*-date semantics and reinstalled with the new;
-//! 4. the resolver cache is flushed.
+//!    with their *old*-date semantics and reinstalled with the new.
 //!
 //! The equivalence contract — the reason this is safe to use under the
 //! digest oracle — is that [`crate::Ecosystem::world_at`] itself is a
@@ -88,6 +87,13 @@ impl IncrementalWorld {
         &self.world
     }
 
+    /// Applies blanket transient-fault rates to the world as it stands
+    /// (see [`World::inject_transient_faults`]); the next advance keeps
+    /// them on unchanged endpoints only, so re-apply after each one.
+    pub fn inject_transient_faults(&mut self, cfg: &simnet::TransientFaultConfig) {
+        self.world.inject_transient_faults(cfg);
+    }
+
     /// Consumes self, returning the world.
     pub fn into_world(self) -> World {
         self.world
@@ -140,7 +146,7 @@ impl IncrementalWorld {
         let first = self.infra.is_none();
         let prev = self.date;
         if first {
-            self.infra = Some(eco.install_infra(&self.world, date.at_midnight(), self.detail));
+            self.infra = Some(eco.install_infra(&mut self.world, date.at_midnight(), self.detail));
             self.installed = vec![None; eco.population.domains.len()];
             self.installed_count = 0;
         } else {
@@ -182,11 +188,11 @@ impl IncrementalWorld {
             }
             if have.is_some() {
                 let prev_date = prev.expect("a deployed domain implies a prior advance");
-                uninstall_domain(&self.world, infra, eco, spec, index, prev_date);
+                uninstall_domain(&mut self.world, infra, eco, spec, index, prev_date);
             }
             match want {
                 Some(_) => {
-                    eco.install_domain(&self.world, infra, spec, index, date, self.detail);
+                    eco.install_domain(&mut self.world, infra, spec, index, date, self.detail);
                     if have.is_some() {
                         stats.reinstalled += 1;
                     } else {
@@ -200,7 +206,6 @@ impl IncrementalWorld {
             self.installed[index] = want;
         }
         stats.unchanged = self.installed_count - stats.installed - stats.reinstalled;
-        self.world.flush_dns_cache();
         self.date = Some(date);
         obsv::counter!("ecosystem_installs_total", stats.installed as u64);
         obsv::counter!("ecosystem_reinstalls_total", stats.reinstalled as u64);
@@ -256,7 +261,7 @@ impl IncrementalWorld {
 /// Reverses [`Ecosystem::install_domain`] for a domain deployed with
 /// `prev_date` semantics.
 fn uninstall_domain(
-    world: &World,
+    world: &mut World,
     infra: &mut Infra,
     eco: &Ecosystem,
     spec: &DomainSpec,
@@ -334,7 +339,7 @@ fn uninstall_domain(
 }
 
 /// Removes a per-customer A record iff this registry owns it.
-fn remove_registered_a(world: &World, infra: &mut Infra, name: &DomainName) {
+fn remove_registered_a(world: &mut World, infra: &mut Infra, name: &DomainName) {
     if infra.shared_a_done.remove(name) {
         let apex = name.effective_sld().expect("registered names have an eSLD");
         world.with_zone(&apex, |z| {
@@ -345,7 +350,7 @@ fn remove_registered_a(world: &World, infra: &mut Infra, name: &DomainName) {
 
 /// Evicts one customer's certificate chain and documents from a shared
 /// web endpoint (no-op when the endpoint does not exist, e.g. DNS-only).
-fn remove_customer_state(world: &World, ip: std::net::Ipv4Addr, policy_host: &DomainName) {
+fn remove_customer_state(world: &mut World, ip: std::net::Ipv4Addr, policy_host: &DomainName) {
     world.with_web(ip, |ep| {
         ep.remove_chain(policy_host);
         ep.remove_documents_for(policy_host);

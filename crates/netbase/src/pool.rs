@@ -19,15 +19,10 @@
 //! environment variable: every engine whose config asks for the default
 //! thread count (0) resolves it here.
 
-/// Hard cap on auto-detected parallelism (an explicit `SCAN_THREADS`
-/// may exceed it).
-const AUTO_THREAD_CAP: usize = 8;
-
 /// The default worker-thread count: the `SCAN_THREADS` environment
 /// variable when it is set to a positive integer, 1 when it is set to
-/// anything else, and the machine's available parallelism capped at 8
-/// when it is unset (beyond that the in-memory world's shared mutexes
-/// start to dominate).
+/// anything else, and the machine's available parallelism when it is
+/// unset.
 pub fn default_scan_threads() -> usize {
     scan_threads_from(std::env::var("SCAN_THREADS").ok().as_deref(), || {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -36,14 +31,14 @@ pub fn default_scan_threads() -> usize {
 
 /// The `SCAN_THREADS` parsing rule, pure: a set value that trims to a
 /// positive integer is used as is, any other set value gives 1, and an
-/// unset one (`None`) gives `available()` capped at 8.
+/// unset one (`None`) gives `available()`, at least 1.
 fn scan_threads_from(value: Option<&str>, available: impl FnOnce() -> usize) -> usize {
     match value {
         Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => 1,
         },
-        None => available().clamp(1, AUTO_THREAD_CAP),
+        None => available().max(1),
     }
 }
 
@@ -144,7 +139,7 @@ mod tests {
             assert_eq!(scan_threads_from(Some(junk), unused), 1, "{junk:?}");
         }
         assert_eq!(scan_threads_from(None, || 3), 3);
-        assert_eq!(scan_threads_from(None, || 64), 8);
+        assert_eq!(scan_threads_from(None, || 64), 64);
         assert_eq!(scan_threads_from(None, || 0), 1);
     }
 

@@ -466,7 +466,7 @@ mod tests {
         // while any attack schedule is installed, every scan is forced.
         let eco = Ecosystem::generate(EcosystemConfig::paper(42, 0.01));
         let date = SimDate::ymd(2024, 9, 29);
-        let world = eco.world_at(date, SnapshotDetail::Full);
+        let mut world = eco.world_at(date, SnapshotDetail::Full);
         assert!(!cache_forced(&world));
 
         let victim = eco.domains_at(date).next().unwrap().name.clone();

@@ -7,11 +7,10 @@
 //! PR 1 made each domain scan a pure function of
 //! `(world, domain, admitted instant, config)`: retry jitter forks off
 //! `config.seed` and the domain name, transient-fault draws are keyed on
-//! `(seed, scope, instant)`, and the world's zones and endpoints are
-//! immutable for the duration of a snapshot (its mutexes guard maps that
-//! scanning only reads; the resolver's TTL cache is a pure memoization of
-//! lookups against those static zones, so a hit and a miss return the
-//! same answer). The engine therefore only has to guarantee that
+//! `(seed, scope, instant)`, and the world is immutable for the duration
+//! of a snapshot: workers share it as `&World`, which the borrow checker
+//! keeps free of writers, and every DNS answer is read straight from its
+//! zones. The engine therefore only has to guarantee that
 //!
 //! 1. every domain is scanned at the **same admitted instant** regardless
 //!    of thread count — [`netbase::TokenBucket::plan_admissions`] plans

@@ -756,7 +756,7 @@ mod tests {
         // hit exactly the domains the rate limiter schedules inside it.
         use simnet::{FaultKind, FaultSchedule};
 
-        let world = World::new();
+        let mut world = World::new();
         let apex: DomainName = "example.com".parse().unwrap();
         world.ensure_zone(&apex);
         let domains: Vec<DomainName> = (0..25)
@@ -814,7 +814,7 @@ mod tests {
         // same bytes (scan order, policy IPs, attempt accounting).
         let eco = eco();
         let date = SimDate::ymd(2024, 9, 29);
-        let world = eco.world_at(date, SnapshotDetail::Full);
+        let mut world = eco.world_at(date, SnapshotDetail::Full);
         world.inject_transient_faults(&simnet::TransientFaultConfig::uniform(7, 0.05));
         let domains: Vec<DomainName> = eco.domains_at(date).map(|d| d.name.clone()).collect();
 

@@ -350,7 +350,7 @@ impl<'a> Campaign<'a> {
         // fault draws are instant-keyed, so reuse would be unsound — the
         // date degrades to full scans over the (still delta-built) world.
         if let Some(transient) = &self.cfg.transient {
-            self.world.world().inject_transient_faults(transient);
+            self.world.inject_transient_faults(transient);
         }
         let forced = cache_forced(self.world.world());
         // The engine certifies what is deployed at `date`: walk the

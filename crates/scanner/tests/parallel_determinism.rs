@@ -82,7 +82,7 @@ fn snapshot_scan_is_thread_count_invariant() {
     // are time-keyed. Thread counts 1, 2 and 8 must agree byte for byte.
     let eco = Ecosystem::generate(EcosystemConfig::paper(42, 0.02));
     let date = SimDate::ymd(2024, 9, 29);
-    let world = eco.world_at(date, SnapshotDetail::Full);
+    let mut world = eco.world_at(date, SnapshotDetail::Full);
     world.inject_transient_faults(&TransientFaultConfig::uniform(7, 0.05));
     let domains: Vec<DomainName> = eco.domains_at(date).map(|d| d.name.clone()).collect();
 

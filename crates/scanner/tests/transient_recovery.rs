@@ -22,7 +22,7 @@ fn eco() -> Ecosystem {
 
 fn scan(eco: &Ecosystem, faults: Option<TransientFaultConfig>, config: &ScanConfig) -> Snapshot {
     let date = SimDate::ymd(2024, 9, 29);
-    let world = eco.world_at(date, SnapshotDetail::Full);
+    let mut world = eco.world_at(date, SnapshotDetail::Full);
     if let Some(f) = &faults {
         world.inject_transient_faults(f);
     }

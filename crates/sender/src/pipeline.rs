@@ -1256,7 +1256,7 @@ impl MxTransport for FastTransport<'_> {
                 .world
                 .attack_active(simnet::AttackKind::MxCertSubstitute, mx_host, now)
         {
-            substitute = self.world.pki.issue(
+            substitute = self.world.pki.forge(
                 &simnet::CertKind::UntrustedCa,
                 std::slice::from_ref(mx_host),
                 now,

@@ -86,10 +86,10 @@ pub struct Platform {
 impl Platform {
     /// Stands the platform up at `date`.
     pub fn new(date: SimDate) -> Platform {
-        let world = World::new();
+        let mut world = World::new();
         let now = date.at_midnight();
         for case in TestCase::ALL {
-            install_case(&world, case, now);
+            install_case(&mut world, case, now);
         }
         Platform { world, date }
     }
@@ -141,7 +141,7 @@ impl Platform {
             .is_some_and(|t| t.iter().any(|s| s.starts_with("v=STSv1")));
         let sts_action = if profile.validates_mtasts {
             let mut engine = SenderEngine::new();
-            let fetch_world = world.clone();
+            let fetch_world = world;
             let fetch_domain = domain.clone();
             let mx_for_check = mx.clone();
             let chain_for_check = chain.clone();
@@ -243,7 +243,7 @@ impl Platform {
 }
 
 /// Installs one receiver configuration into the world.
-fn install_case(world: &World, case: TestCase, now: SimInstant) {
+fn install_case(world: &mut World, case: TestCase, now: SimInstant) {
     let domain = case.domain();
     let mx_host = domain.prefixed("mx").expect("static label");
     world.ensure_zone(&domain);

@@ -206,7 +206,7 @@ const MX_LAYOUT: [(&str, u16); 3] = [("mxa", 10), ("mxb", 10), ("mxc", 20)];
 
 /// Builds the world and message load for `spec`.
 pub fn build(spec: ScenarioSpec) -> Scenario {
-    let world = World::new();
+    let mut world = World::new();
     let mut topologies = Vec::with_capacity(spec.domains);
     for i in 0..spec.domains {
         let domain: DomainName = format!("d{i}.test")
@@ -245,12 +245,12 @@ pub fn build(spec: ScenarioSpec) -> Scenario {
             exchanges.push((*preference, host));
         }
         if let StsDeployment::Published { mode, max_age } = spec.sts {
-            deploy_sts(&world, &spec, i, mode, max_age);
+            deploy_sts(&mut world, &spec, i, mode, max_age);
         }
         topologies.push(DomainTopology { domain, exchanges });
     }
 
-    install_attacker(&world, &spec);
+    install_attacker(&mut world, &spec);
 
     // Round-robin submission order spreads each domain's messages across
     // the admission timeline, so time-varying degradations (flapping,
@@ -283,7 +283,7 @@ pub fn build(spec: ScenarioSpec) -> Scenario {
 /// hosts, not luck). Under [`Degradation::PolicyHostOutage`] the policy
 /// host goes TCP-dark for the window, so only the TOFU cache keeps
 /// enforcement alive.
-fn deploy_sts(world: &World, spec: &ScenarioSpec, i: usize, mode: Mode, max_age: u64) {
+fn deploy_sts(world: &mut World, spec: &ScenarioSpec, i: usize, mode: Mode, max_age: u64) {
     let domain: DomainName = format!("d{i}.test").parse().expect("domain parses");
     let policy_host: DomainName = format!("mta-sts.d{i}.test")
         .parse()
@@ -330,7 +330,7 @@ fn deploy_sts(world: &World, spec: &ScenarioSpec, i: usize, mode: Mode, max_age:
 /// Installs the on-path attacker for the window-based degradations and,
 /// for [`Degradation::MxRedirect`], deploys the attacker's own relay
 /// zone so the forged preference-0 answer actually resolves.
-fn install_attacker(world: &World, spec: &ScenarioSpec) {
+fn install_attacker(world: &mut World, spec: &ScenarioSpec) {
     let (kind, delay_secs, duration_secs) = match spec.degradation {
         Degradation::StartTlsStrip {
             delay_secs,

@@ -221,7 +221,7 @@ fn stripped_txt_record_does_not_disable_a_warm_cache() {
     // DnsTxtStrip empties the `_mta-sts` answer. With the policy cached
     // from the pre-window waves, `UseCachedDespiteDns` keeps enforcing —
     // pair it with a STARTTLS strip and nothing may leak.
-    let s = build(
+    let mut s = build(
         ScenarioSpec::small(
             7,
             Degradation::StartTlsStrip {
@@ -252,7 +252,7 @@ fn stripped_txt_record_does_not_disable_a_warm_cache() {
 /// only `mxb`/`mxc`, while `mxa` gets a DNSSEC-signed TLSA record
 /// matching its chain: unlisted but DANE-covered.
 fn dane_covered_scenario() -> Scenario {
-    let s = build(ScenarioSpec::small(7, Degradation::None).with_sts(Mode::Enforce));
+    let mut s = build(ScenarioSpec::small(7, Degradation::None).with_sts(Mode::Enforce));
     for (i, topo) in s.topologies.iter().enumerate() {
         let policy_host: DomainName = format!("mta-sts.d{i}.test").parse().unwrap();
         let web_ip = s

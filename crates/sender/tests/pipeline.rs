@@ -221,7 +221,7 @@ fn recovered_host_is_readmitted_through_a_half_open_probe() {
 
 #[test]
 fn permanent_rejection_bounces_without_retry() {
-    let s = build(ScenarioSpec::small(13, Degradation::None));
+    let mut s = build(ScenarioSpec::small(13, Degradation::None));
     // Every MX of d0.test refuses RCPTs for d0.test: provider opt-out.
     let victim: DomainName = "d0.test".parse().unwrap();
     for ip in s.world.mx_ips() {

@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn web_endpoint_chain_selection() {
-        let pki = SharedPki::new();
+        let mut pki = SharedPki::new();
         let now = SimDate::ymd(2024, 6, 1).at_midnight();
         let mut ep = WebEndpoint::up();
         ep.install_chain(

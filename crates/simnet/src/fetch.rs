@@ -194,7 +194,7 @@ impl World {
             // Forged CNAME to the attacker's host, which serves its own
             // (validly issued) certificate → name mismatch.
             let attacker_host = attacker.attacker_host().clone();
-            let chain = self.pki.issue(
+            let chain = self.pki.forge(
                 &CertKind::WrongName(attacker_host.clone()),
                 std::slice::from_ref(&policy_host),
                 now,
@@ -210,7 +210,7 @@ impl World {
         if attacker.active(AttackKind::HttpsMitm, domain, now) {
             // MITM terminates TLS with a certificate for the *right* name
             // issued by the attacker's own CA → unknown issuer.
-            let chain = self.pki.issue(
+            let chain = self.pki.forge(
                 &CertKind::UntrustedCa,
                 std::slice::from_ref(&policy_host),
                 now,
@@ -444,7 +444,7 @@ impl World {
         // chain from its own CA for the right name.
         let chain = if self.attack_active(AttackKind::MxCertSubstitute, mx_host, now) {
             self.pki
-                .issue(&CertKind::UntrustedCa, std::slice::from_ref(mx_host), now)
+                .forge(&CertKind::UntrustedCa, std::slice::from_ref(mx_host), now)
         } else {
             endpoint.chain.clone()
         };
@@ -479,7 +479,7 @@ mod tests {
 
     /// A world with one correctly deployed domain.
     fn good_world() -> World {
-        let w = World::new();
+        let mut w = World::new();
         w.ensure_zone(&n("example.com"));
         let policy_host = n("mta-sts.example.com");
         let mut web = WebEndpoint::up();
@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn dns_layer_error() {
-        let w = World::new();
+        let mut w = World::new();
         w.ensure_zone(&n("broken.com"));
         // Record exists but mta-sts has no A record.
         let outcome = w.fetch_policy(&n("broken.com"), now());
@@ -533,13 +533,12 @@ mod tests {
 
     #[test]
     fn tcp_layer_errors() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         w.with_web(ip, |ep| ep.reachability = Reachability::Refused);
         let refused = w.fetch_policy(&n("example.com"), now());
         assert!(matches!(refused.result, Err(PolicyFetchError::Tcp(_))));
         w.with_web(ip, |ep| ep.reachability = Reachability::Timeout);
-        w.flush_dns_cache();
         let timeout = w.fetch_policy(&n("example.com"), now());
         let Err(PolicyFetchError::Tcp(msg)) = timeout.result else {
             panic!("expected tcp error")
@@ -549,7 +548,7 @@ mod tests {
 
     #[test]
     fn tls_layer_cert_errors() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         let host = n("mta-sts.example.com");
         // Swap in an expired certificate.
@@ -568,7 +567,7 @@ mod tests {
 
     #[test]
     fn tls_layer_no_cert_for_sni() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         w.with_web(ip, |ep| {
             ep.chains.clear();
@@ -584,7 +583,7 @@ mod tests {
 
     #[test]
     fn http_layer_404() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         w.with_web(ip, |ep| {
             ep.remove_policy(&n("mta-sts.example.com"));
@@ -595,7 +594,7 @@ mod tests {
 
     #[test]
     fn syntax_layer_error_and_empty_file() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         w.with_web(ip, |ep| {
             ep.install_policy(n("mta-sts.example.com"), "");
@@ -610,7 +609,7 @@ mod tests {
     #[test]
     fn delegated_fetch_records_cname_even_on_nxdomain() {
         // PowerDMARC-style opt-out: the CNAME remains, the target is gone.
-        let w = World::new();
+        let mut w = World::new();
         w.ensure_zone(&n("customer.com"));
         w.ensure_zone(&n("provider.net"));
         w.with_zone(&n("customer.com"), |z| {
@@ -759,7 +758,7 @@ mod tests {
     fn transient_web_faults_fire_and_clear() {
         use crate::faults::{FaultKind, FaultSchedule};
         use netbase::Duration;
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.web_ips()[0];
         let outage_end = now() + Duration::seconds(60);
         w.with_web(ip, |ep| {
@@ -777,10 +776,10 @@ mod tests {
     }
 
     #[test]
-    fn transient_dns_faults_do_not_pollute_the_cache() {
+    fn transient_dns_faults_fire_and_clear() {
         use crate::faults::{FaultKind, FaultSchedule};
         use netbase::Duration;
-        let w = good_world();
+        let mut w = good_world();
         let outage_end = now() + Duration::seconds(30);
         w.set_dns_faults(FaultSchedule::new(2).with_window(
             FaultKind::DnsServfail,
@@ -791,8 +790,8 @@ mod tests {
         let err = during.result.unwrap_err();
         assert_eq!(err.layer(), "dns");
         assert!(err.is_transient(), "SERVFAIL must classify as transient");
-        // Without flushing the cache, the post-window fetch sees the real
-        // answer: the injected SERVFAIL never entered the resolver.
+        // After the window the fetch sees the real answer: the fault is
+        // drawn per instant, in front of the zones, and never sticks.
         let after = w.fetch_policy(&n("example.com"), outage_end);
         assert!(after.result.is_ok());
     }
@@ -801,7 +800,7 @@ mod tests {
     fn transient_mx_greylisting_fires_and_clears() {
         use crate::faults::{FaultKind, FaultSchedule};
         use netbase::Duration;
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.mx_ips()[0];
         let outage_end = now() + Duration::seconds(45);
         w.with_mx(ip, |mx| {
@@ -825,7 +824,7 @@ mod tests {
     fn active_attacker_downgrade_vectors() {
         use crate::faults::{AttackKind, AttackSchedule};
         use netbase::Duration;
-        let w = good_world();
+        let mut w = good_world();
         let victim = n("example.com");
         let window_end = now() + Duration::hours(6);
         let attack =
@@ -891,7 +890,7 @@ mod tests {
 
     #[test]
     fn probe_mx_fault_modes() {
-        let w = good_world();
+        let mut w = good_world();
         let ip = w.mx_ips()[0];
         // Hide STARTTLS.
         w.with_mx(ip, |mx| mx.hide_starttls = true);

@@ -8,28 +8,21 @@
 
 use crate::endpoint::CertKind;
 use netbase::{DomainName, Duration, SimInstant};
-use parking_lot::Mutex;
 use pkix::authority::self_signed_leaf;
 use pkix::{CertAuthority, SimCert, TrustStore};
-use std::sync::Arc;
 
 /// Default leaf lifetime (90 days, Let's Encrypt-style).
 pub const LEAF_LIFETIME: Duration = Duration::days(90);
 
 /// The shared PKI: root, issuing intermediate, and the public trust store.
-#[derive(Clone)]
 pub struct SharedPki {
-    inner: Arc<Mutex<PkiInner>>,
-    /// The trust store every validating client uses (cheap to clone).
-    trust: TrustStore,
-}
-
-struct PkiInner {
     /// Kept so the root's certificate (and key id) outlive setup — the
     /// trust store references it and examples may serve it.
     #[allow(dead_code)]
     root: CertAuthority,
     issuing: CertAuthority,
+    /// The trust store every validating client uses (cheap to clone).
+    trust: TrustStore,
 }
 
 impl SharedPki {
@@ -43,7 +36,8 @@ impl SharedPki {
         let mut trust = TrustStore::empty();
         trust.add_root(&root);
         SharedPki {
-            inner: Arc::new(Mutex::new(PkiInner { root, issuing })),
+            root,
+            issuing,
             trust,
         }
     }
@@ -55,52 +49,76 @@ impl SharedPki {
 
     /// The intermediate's certificate (served alongside leaves).
     pub fn issuing_cert(&self) -> SimCert {
-        self.inner.lock().issuing.cert.clone()
+        self.issuing.cert.clone()
     }
 
     /// Issues a *valid* domain-validated chain (leaf + intermediate) for
     /// `names`, valid from `now` for [`LEAF_LIFETIME`].
-    pub fn issue_valid(&self, names: &[DomainName], now: SimInstant) -> Vec<SimCert> {
-        let mut g = self.inner.lock();
-        let leaf = g.issuing.issue_leaf(names, now, now + LEAF_LIFETIME);
-        vec![leaf, g.issuing.cert.clone()]
+    pub fn issue_valid(&mut self, names: &[DomainName], now: SimInstant) -> Vec<SimCert> {
+        self.issue(&CertKind::Valid, names, now)
     }
 
     /// Issues a chain exhibiting `kind` for `names` at `now` — the fault
     /// palette of Figures 5 and 6.
-    pub fn issue(&self, kind: &CertKind, names: &[DomainName], now: SimInstant) -> Vec<SimCert> {
-        match kind {
-            CertKind::Valid => self.issue_valid(names, now),
-            CertKind::Expired => {
-                // Issued long ago, expired before `now`.
-                let mut g = self.inner.lock();
-                let start = now - Duration::days(180);
-                let end = now - Duration::days(30);
-                let leaf = g.issuing.issue_leaf(names, start, end);
-                vec![leaf, g.issuing.cert.clone()]
-            }
-            CertKind::SelfSigned => {
-                vec![self_signed_leaf(
-                    names,
-                    now - Duration::days(1),
-                    now + LEAF_LIFETIME,
-                )]
-            }
-            CertKind::WrongName(other) => self.issue_valid(std::slice::from_ref(other), now),
-            CertKind::UntrustedCa => {
-                let mut rogue = CertAuthority::new_root(
-                    "Unknown Issuing CA",
-                    now - Duration::days(365),
-                    now + Duration::days(365),
-                );
-                let leaf = rogue.issue_leaf(names, now - Duration::days(1), now + LEAF_LIFETIME);
-                // Served without the rogue root: the validator sees an
-                // unknown external issuer (vs. SelfSigned when a chain
-                // terminates in an untrusted self-signed certificate).
-                vec![leaf]
-            }
-            CertKind::NoneInstalled => Vec::new(),
+    pub fn issue(
+        &mut self,
+        kind: &CertKind,
+        names: &[DomainName],
+        now: SimInstant,
+    ) -> Vec<SimCert> {
+        chain_of(&mut self.issuing, kind, names, now)
+    }
+
+    /// The chain [`SharedPki::issue`] would give, from a copy of the
+    /// issuing CA, so the PKI is left as it was: what an on-path attacker
+    /// presents while the world is only read.
+    pub fn forge(&self, kind: &CertKind, names: &[DomainName], now: SimInstant) -> Vec<SimCert> {
+        chain_of(&mut self.issuing.clone(), kind, names, now)
+    }
+}
+
+/// A chain exhibiting `kind` for `names` at `now`, leaves from `issuing`.
+fn chain_of(
+    issuing: &mut CertAuthority,
+    kind: &CertKind,
+    names: &[DomainName],
+    now: SimInstant,
+) -> Vec<SimCert> {
+    match kind {
+        CertKind::Valid => {
+            let leaf = issuing.issue_leaf(names, now, now + LEAF_LIFETIME);
+            vec![leaf, issuing.cert.clone()]
         }
+        CertKind::Expired => {
+            // Issued long ago, expired before `now`.
+            let start = now - Duration::days(180);
+            let end = now - Duration::days(30);
+            let leaf = issuing.issue_leaf(names, start, end);
+            vec![leaf, issuing.cert.clone()]
+        }
+        CertKind::SelfSigned => {
+            vec![self_signed_leaf(
+                names,
+                now - Duration::days(1),
+                now + LEAF_LIFETIME,
+            )]
+        }
+        CertKind::WrongName(other) => {
+            chain_of(issuing, &CertKind::Valid, std::slice::from_ref(other), now)
+        }
+        CertKind::UntrustedCa => {
+            let mut rogue = CertAuthority::new_root(
+                "Unknown Issuing CA",
+                now - Duration::days(365),
+                now + Duration::days(365),
+            );
+            let leaf = rogue.issue_leaf(names, now - Duration::days(1), now + LEAF_LIFETIME);
+            // Served without the rogue root: the validator sees an
+            // unknown external issuer (vs. SelfSigned when a chain
+            // terminates in an untrusted self-signed certificate).
+            vec![leaf]
+        }
+        CertKind::NoneInstalled => Vec::new(),
     }
 }
 
@@ -126,7 +144,7 @@ mod tests {
 
     #[test]
     fn valid_chains_validate() {
-        let pki = SharedPki::new();
+        let mut pki = SharedPki::new();
         let chain = pki.issue_valid(&[n("mta-sts.example.com")], now());
         assert_eq!(chain.len(), 2);
         assert!(
@@ -136,7 +154,7 @@ mod tests {
 
     #[test]
     fn fault_palette_produces_expected_errors() {
-        let pki = SharedPki::new();
+        let mut pki = SharedPki::new();
         let host = n("mta-sts.example.com");
         let cases: Vec<(CertKind, CertError)> = vec![
             (CertKind::Expired, CertError::Expired),
@@ -159,13 +177,18 @@ mod tests {
     }
 
     #[test]
-    fn issuance_is_shared_across_clones() {
-        let pki = SharedPki::new();
-        let clone = pki.clone();
+    fn issuance_advances_serials_and_forging_does_not() {
+        let mut pki = SharedPki::new();
         let a = pki.issue_valid(&[n("a.example.com")], now());
-        let b = clone.issue_valid(&[n("b.example.com")], now());
-        // Serials advance through the shared issuing CA.
+        let forged = pki.forge(&CertKind::Valid, &[n("b.example.com")], now());
+        let b = pki.issue_valid(&[n("b.example.com")], now());
+        // Serials advance through the one issuing CA; a forged chain
+        // validates like an issued one but leaves the counter alone.
         assert_ne!(a[0].serial, b[0].serial);
+        assert_eq!(forged[0].serial, b[0].serial);
         assert_eq!(a[1], b[1]);
+        assert_eq!(forged[1], b[1]);
+        let host = n("b.example.com");
+        assert!(validate_chain(&forged, &host, now(), pki.trust_store()).is_ok());
     }
 }

@@ -16,7 +16,7 @@ use crate::endpoint::{MxEndpoint, Reachability, TlsBehavior, WebEndpoint};
 use crate::fetch::{MxProbeOutcome, PolicyFetchError, PolicyFetchOutcome, TlsFailure};
 use crate::world::World;
 use dns::server::AuthServer;
-use dns::{RecordType, Resolver, UdpTransport};
+use dns::{RecordType, UdpTransport};
 use httpsim::{HttpsServer, Router, StatusCode};
 use mtasts::parse_policy;
 use netbase::{DomainName, SimInstant};
@@ -90,6 +90,8 @@ fn mx_config(endpoint: &MxEndpoint) -> MxConfig {
 
 impl WireWorld {
     /// Deploys every reachable endpoint of `world` onto localhost sockets.
+    /// Zones and endpoints are copied as they are now: later edits to
+    /// `world` do not reach the servers.
     pub async fn deploy(world: &World) -> std::io::Result<WireWorld> {
         let dns_server =
             AuthServer::spawn("127.0.0.1:0".parse().unwrap(), world.authorities.clone()).await?;
@@ -170,12 +172,14 @@ impl WireWorld {
         &self,
         name: DomainName,
         rtype: RecordType,
-        now: SimInstant,
     ) -> Result<dns::Lookup, dns::DnsError> {
         let addr = self.dns_addr;
         tokio::task::spawn_blocking(move || {
-            let resolver = Resolver::new(UdpTransport::new(addr, StdDuration::from_secs(2)));
-            resolver.lookup(&name, rtype, now)
+            dns::resolve(
+                &UdpTransport::new(addr, StdDuration::from_secs(2)),
+                &name,
+                rtype,
+            )
         })
         .await
         .expect("resolver task never panics")
@@ -193,14 +197,12 @@ impl WireWorld {
             .expect("policy host label is valid");
 
         // Layer 1: DNS over UDP.
-        let (addrs, cname_chain) = match self
-            .wire_resolve(policy_host.clone(), RecordType::A, now)
-            .await
+        let (addrs, cname_chain) = match self.wire_resolve(policy_host.clone(), RecordType::A).await
         {
             Ok(lookup) => (lookup.a_addrs(), lookup.cname_chain),
             Err(e) => {
                 let chain = self
-                    .wire_resolve(policy_host.clone(), RecordType::Cname, now)
+                    .wire_resolve(policy_host.clone(), RecordType::Cname)
                     .await
                     .ok()
                     .map(|l| {
@@ -317,7 +319,7 @@ impl WireWorld {
     }
 
     /// The wire-path MX probe: the instrumented client over real TCP.
-    pub async fn probe_mx(&self, mx_host: &DomainName, now: SimInstant) -> MxProbeOutcome {
+    pub async fn probe_mx(&self, mx_host: &DomainName) -> MxProbeOutcome {
         let unreachable = MxProbeOutcome {
             reachable: false,
             used_helo: false,
@@ -326,7 +328,7 @@ impl WireWorld {
             tls_failure: None,
             tempfail: None,
         };
-        let Ok(lookup) = self.wire_resolve(mx_host.clone(), RecordType::A, now).await else {
+        let Ok(lookup) = self.wire_resolve(mx_host.clone(), RecordType::A).await else {
             return unreachable;
         };
         let Some(sim_ip) = lookup.a_addrs().first().copied() else {
@@ -382,7 +384,7 @@ mod tests {
 
     /// Builds a world with one valid domain and one broken-cert domain.
     fn two_domain_world() -> World {
-        let w = World::new();
+        let mut w = World::new();
         for (domain, kind) in [
             ("good.com", CertKind::Valid),
             ("badcert.com", CertKind::SelfSigned),
@@ -440,7 +442,7 @@ mod tests {
                 other => panic!("paths disagree for {domain}: {other:?}"),
             }
             let fast_probe = world.probe_mx(&domain.prefixed("mx").unwrap(), now());
-            let slow_probe = wire.probe_mx(&domain.prefixed("mx").unwrap(), now()).await;
+            let slow_probe = wire.probe_mx(&domain.prefixed("mx").unwrap()).await;
             assert_eq!(fast_probe.reachable, slow_probe.reachable);
             assert_eq!(fast_probe.starttls_offered, slow_probe.starttls_offered);
             assert_eq!(fast_probe.chain, slow_probe.chain, "{domain}");

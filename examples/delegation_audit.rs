@@ -18,7 +18,7 @@ fn main() {
     let now = now_date.at_midnight();
 
     for provider in policy_providers() {
-        let world = World::new();
+        let mut world = World::new();
         let customer: DomainName = format!("customer-of-{}.com", provider.key).parse().unwrap();
         let policy_host = customer.prefixed("mta-sts").unwrap();
         let target = provider.cname_target(&customer);
@@ -82,14 +82,11 @@ fn main() {
         }
         if !provider.opt_out.reissues_cert && !provider.opt_out.returns_nxdomain {
             // Certificates lapse eventually: simulate with an expired chain.
-            world.with_web(web_ip, |ep| {
-                ep.install_chain(
-                    policy_host.clone(),
-                    world
-                        .pki
-                        .issue(&CertKind::Expired, std::slice::from_ref(&policy_host), now),
-                );
-            });
+            let expired =
+                world
+                    .pki
+                    .issue(&CertKind::Expired, std::slice::from_ref(&policy_host), now);
+            world.with_web(web_ip, |ep| ep.install_chain(policy_host.clone(), expired));
         }
 
         let after = world.fetch_policy(&customer, now);

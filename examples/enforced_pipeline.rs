@@ -44,7 +44,7 @@ fn scenario(sts: StsDeployment) -> Scenario {
             },
         )
     };
-    let s = build(spec);
+    let mut s = build(spec);
     let start = s.spec.epoch + Duration::seconds(STRIP.0);
     let end = s.spec.epoch + Duration::seconds(STRIP.1);
     s.world.set_attacker(AttackSchedule::new().with_window(

@@ -17,7 +17,7 @@ fn n(s: &str) -> DomainName {
     s.parse().expect("example names are valid")
 }
 
-fn deploy(world: &World, domain: &DomainName, kind: CertKind, now: netbase::SimInstant) {
+fn deploy(world: &mut World, domain: &DomainName, kind: CertKind, now: netbase::SimInstant) {
     let policy_host = domain.prefixed("mta-sts").unwrap();
     let mx_host = domain.prefixed("mx").unwrap();
     world.ensure_zone(domain);
@@ -58,7 +58,7 @@ fn deploy(world: &World, domain: &DomainName, kind: CertKind, now: netbase::SimI
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let world = World::new();
+    let mut world = World::new();
     let now_date = SimDate::ymd(2024, 6, 1);
     let now = now_date.at_midnight();
     let cases = [
@@ -71,7 +71,7 @@ async fn main() {
         ),
     ];
     for (domain, kind) in &cases {
-        deploy(&world, &n(domain), kind.clone(), now);
+        deploy(&mut world, &n(domain), kind.clone(), now);
     }
 
     println!("deploying onto real localhost sockets...");
@@ -99,7 +99,7 @@ async fn main() {
 
         // Probe the MX over the wire too.
         let mx = domain.prefixed("mx").unwrap();
-        let probe = wire.probe_mx(&mx, now).await;
+        let probe = wire.probe_mx(&mx).await;
         println!(
             "  MX probe over wire: reachable={} starttls={} chain={}",
             probe.reachable,

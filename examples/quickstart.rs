@@ -17,7 +17,7 @@ fn n(s: &str) -> DomainName {
 
 /// Installs `domain` with a correct MTA-STS deployment (record, policy
 /// host, STARTTLS MX with a valid certificate).
-fn deploy_domain(world: &World, domain: &DomainName, mode: &str, now: netbase::SimInstant) {
+fn deploy_domain(world: &mut World, domain: &DomainName, mode: &str, now: netbase::SimInstant) {
     let policy_host = domain.prefixed("mta-sts").unwrap();
     let mx_host = domain.prefixed("mx").unwrap();
     world.ensure_zone(domain);
@@ -63,12 +63,12 @@ fn deploy_domain(world: &World, domain: &DomainName, mode: &str, now: netbase::S
 }
 
 fn main() {
-    let world = World::new();
+    let mut world = World::new();
     let now = SimDate::ymd(2024, 6, 1).at_midnight();
 
     // A healthy deployment and a broken one (expired MX certificate).
-    deploy_domain(&world, &n("good.example"), "enforce", now);
-    deploy_domain(&world, &n("broken.example"), "enforce", now);
+    deploy_domain(&mut world, &n("good.example"), "enforce", now);
+    deploy_domain(&mut world, &n("broken.example"), "enforce", now);
     {
         // Break the second domain: swap its MX certificate for an expired one.
         let mx_host = n("mx.broken.example");
@@ -89,7 +89,7 @@ fn main() {
     for domain in [n("good.example"), n("broken.example")] {
         let record_txts = world.mta_sts_txts(&domain, now).ok();
         let mx = world.mx_records(&domain, now).unwrap().remove(0);
-        let fetch_world = world.clone();
+        let fetch_world = &world;
         let fetch_domain = domain.clone();
         let probe = world.probe_mx(&mx, now);
         let chain = probe.chain.clone().unwrap_or_default();

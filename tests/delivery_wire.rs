@@ -151,7 +151,7 @@ async fn wire_queue_matches_fast_path_on_degraded_scenarios() {
         // runtime thread must stay free to drive the MX server tasks).
         let wire = WireWorld::deploy(&s.world).await.expect("deploys");
         let transport = WireTransport {
-            world: s.world.clone(),
+            world: s.world,
             mx_addrs: wire.mx_addr_map(),
             helo: "sender.test".parse().unwrap(),
         };

@@ -18,7 +18,7 @@ struct Deployment {
 
 /// Delegates a customer to `provider` with a healthy enforce policy.
 fn deploy(provider: &PolicyProvider, now: SimInstant) -> Deployment {
-    let world = World::new();
+    let mut world = World::new();
     let customer: DomainName = format!("cust-{}.com", provider.key).parse().unwrap();
     let policy_host = customer.prefixed("mta-sts").unwrap();
     let target = provider.cname_target(&customer);
@@ -58,7 +58,7 @@ fn deploy(provider: &PolicyProvider, now: SimInstant) -> Deployment {
 }
 
 /// Applies the provider's documented opt-out behaviour.
-fn opt_out(d: &Deployment, provider: &PolicyProvider, now: SimInstant) {
+fn opt_out(d: &mut Deployment, provider: &PolicyProvider, now: SimInstant) {
     if provider.opt_out.returns_nxdomain {
         d.world.with_zone(&provider.base_domain(), |z| {
             z.remove_all(&d.target);
@@ -81,26 +81,22 @@ fn opt_out(d: &Deployment, provider: &PolicyProvider, now: SimInstant) {
         }
     }
     if !provider.opt_out.reissues_cert && !provider.opt_out.returns_nxdomain {
+        let expired = d.world.pki.issue(
+            &CertKind::Expired,
+            std::slice::from_ref(&d.policy_host),
+            now,
+        );
         d.world.with_web(d.web_ip, |ep| {
-            ep.install_chain(
-                d.policy_host.clone(),
-                d.world.pki.issue(
-                    &CertKind::Expired,
-                    std::slice::from_ref(&d.policy_host),
-                    now,
-                ),
-            );
+            ep.install_chain(d.policy_host.clone(), expired);
         });
     }
-    // Observe fresh state, not the pre-opt-out resolver cache.
-    d.world.flush_dns_cache();
 }
 
 #[test]
 fn every_provider_behaviour_matches_table2() {
     let now = SimDate::ymd(2024, 6, 1).at_midnight();
     for provider in policy_providers() {
-        let d = deploy(&provider, now);
+        let mut d = deploy(&provider, now);
         // Healthy while subscribed.
         let before = d.world.fetch_policy(&d.customer, now);
         assert!(
@@ -110,7 +106,7 @@ fn every_provider_behaviour_matches_table2() {
             before.result
         );
 
-        opt_out(&d, &provider, now);
+        opt_out(&mut d, &provider, now);
         let after = d.world.fetch_policy(&d.customer, now);
         match provider.key {
             // NXDOMAIN providers: the policy domain stops resolving.
@@ -172,14 +168,14 @@ fn stale_enforce_policy_strands_senders_after_mx_migration() {
         .find(|p| p.key == "easydmarc")
         .unwrap();
     let now = SimDate::ymd(2024, 6, 1).at_midnight();
-    let d = deploy(&provider, now);
-    opt_out(&d, &provider, now);
+    let mut d = deploy(&provider, now);
+    opt_out(&mut d, &provider, now);
 
     // The customer's new MX (after migrating away).
     let new_mx: DomainName = "in.newprovider.net".to_string().parse().unwrap();
     let mut engine = SenderEngine::new();
     let record_txts = d.world.mta_sts_txts(&d.customer, now).ok();
-    let fetch_world = d.world.clone();
+    let fetch_world = &d.world;
     let fetch_domain = d.customer.clone();
     let (outcome, action) = engine.evaluate(DeliveryObservation {
         domain: &d.customer,
@@ -211,13 +207,13 @@ fn emptied_policy_releases_senders() {
         .find(|p| p.key == "dmarcreport")
         .unwrap();
     let now = SimDate::ymd(2024, 6, 1).at_midnight();
-    let d = deploy(&provider, now);
-    opt_out(&d, &provider, now);
+    let mut d = deploy(&provider, now);
+    opt_out(&mut d, &provider, now);
 
     let new_mx: DomainName = "in.newprovider.net".parse().unwrap();
     let mut engine = SenderEngine::new();
     let record_txts = d.world.mta_sts_txts(&d.customer, now).ok();
-    let fetch_world = d.world.clone();
+    let fetch_world = &d.world;
     let fetch_domain = d.customer.clone();
     let (_, action) = engine.evaluate(DeliveryObservation {
         domain: &d.customer,

@@ -22,7 +22,7 @@ fn deliver(world: &World, domain: &DomainName, now: SimInstant) -> SenderAction 
     let probe = world.probe_mx(&mx, now);
     let chain = probe.chain.clone().unwrap_or_default();
     let trust = world.pki.trust_store().clone();
-    let fetch_world = world.clone();
+    let fetch_world = world;
     let fetch_domain = domain.clone();
     let mx_for_tls = mx.clone();
     let (_, action) = engine.evaluate(DeliveryObservation {
@@ -120,7 +120,7 @@ fn tofu_cache_protects_across_snapshots() {
     let record_txts = world.mta_sts_txts(&spec.name, now).ok();
     let mx = world.mx_records(&spec.name, now).unwrap().remove(0);
     // First delivery: fetch + validate.
-    let fetch_world = world.clone();
+    let fetch_world = &world;
     let fetch_domain = spec.name.clone();
     let (_, action) = engine.evaluate(DeliveryObservation {
         domain: &spec.name,
