@@ -123,12 +123,7 @@ fn run_waves(
 
 /// FNV-1a 64 over the concatenated per-wave digests.
 fn resolution_digest_of_str(s: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", obsv::health::fnv64(s.as_bytes()))
 }
 
 fn cfg(threads: usize) -> ResolverConfig {

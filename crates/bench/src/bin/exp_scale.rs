@@ -23,8 +23,8 @@
 //! - streamed chunked generation digests byte-identical to monolithic
 //!   at scale 0.05;
 //! - `snapshot.weekly` mean self-time at scale 0.05 is ≥3× below the
-//!   pre-streaming baseline of 7590.769 µs/call (BENCH_profile.json,
-//!   PR 8);
+//!   pre-streaming baseline of 7590.769 µs/call (a per-stage profile
+//!   of the O(population) weekly loop);
 //! - peak RSS stays sub-linear in scale: per step, total RSS may grow
 //!   at most as fast as the domain population (a super-linear jump
 //!   means an O(population × dates) regression), and the per-domain
@@ -41,12 +41,13 @@
 //! timeout; the recorded EXPERIMENTS.md run uses the full 1.0).
 
 use ecosystem::{DomainSpec, EcosystemConfig};
+use obsv::health::{fnv64, fnv64_extend, FNV64_OFFSET};
 use scanner::longitudinal::{MxHistory, Study, WeeklyPoint};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Pre-streaming `snapshot.weekly` mean at scale 0.05 (µs/call), from
-/// the PR-8 BENCH_profile.json run on the O(population) driver.
+/// Pre-streaming `snapshot.weekly` mean at scale 0.05 (µs/call), from a
+/// per-stage profile of the O(population) weekly loop.
 const BASELINE_WEEKLY_MEAN_US: f64 = 7590.769;
 
 /// Required speedup over the baseline at scale 0.05.
@@ -98,15 +99,6 @@ struct BenchReport {
     notes: &'static str,
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical weekly digest (sorted maps, sorted history), FNV-hashed.
 fn weekly_digest(points: &[WeeklyPoint], history: &MxHistory) -> String {
     let mut out = String::new();
@@ -143,17 +135,10 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Streams chunked generation and digests the specs exactly like a walk
-/// over the monolithic population would.
-fn spec_stream_digest<'a>(specs: impl Iterator<Item = &'a DomainSpec>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in specs {
-        for b in format!("{d:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+/// Folds one spec into a population digest: FNV-1a over the Debug
+/// rendering of every spec, in order, however the specs are chunked.
+fn spec_digest(h: u64, d: &DomainSpec) -> u64 {
+    fnv64_extend(h, format!("{d:?}").as_bytes())
 }
 
 /// Child mode: one scale step in a fresh process, JSON report on stdout.
@@ -165,20 +150,15 @@ fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
     let domains = eco.population.domains.len();
 
     let chunked_parity = chunk_check.then(|| {
-        let mono = spec_stream_digest(eco.population.domains.iter());
+        let mono = eco
+            .population
+            .domains
+            .iter()
+            .fold(FNV64_OFFSET, spec_digest);
         let mut streamed: u64 = 0;
         for chunk_size in [1usize, 7, 1024] {
             let chunks = ecosystem::spec::generate_chunked(&config, chunk_size);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for chunk in chunks {
-                for d in &chunk {
-                    for b in format!("{d:?}").bytes() {
-                        h ^= u64::from(b);
-                        h = h.wrapping_mul(0x100_0000_01b3);
-                    }
-                }
-            }
-            streamed = h;
+            streamed = chunks.fold(FNV64_OFFSET, |h, chunk| chunk.iter().fold(h, spec_digest));
             if streamed != mono {
                 break;
             }
@@ -206,8 +186,8 @@ fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
     let mut manifest = obsv::health::RunManifest {
         experiment: "exp_scale.step".to_string(),
         seed,
-        config_digest: obsv::health::fnv64(format!("{config:?}").as_bytes()),
-        output_digest: obsv::health::fnv64(digest.as_bytes()),
+        config_digest: fnv64(format!("{config:?}").as_bytes()),
+        output_digest: fnv64(digest.as_bytes()),
         threads: threads as u64,
         wall_ms: (weekly_secs * 1e3) as u64,
         ..Default::default()

@@ -10,7 +10,6 @@
 //!   EXPERIMENTS.md.
 
 pub mod downgrade;
-pub mod trend;
 
 use ecosystem::{Ecosystem, EcosystemConfig};
 use scanner::longitudinal::{LongitudinalRun, Study};

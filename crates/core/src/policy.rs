@@ -9,10 +9,17 @@
 //! ```
 //!
 //! Lines are `key: value` pairs separated by CRLF (LF tolerated on input, as
-//! real fetchers do). `version`, `mode` and `max_age` appear exactly once;
-//! `mx` appears once per pattern and is required unless `mode` is `none`.
-//! `max_age` is 1 to 10 ASCII digits (`sts-policy-max-age-value =
-//! 1*10(DIGIT)`), at most [`MAX_MAX_AGE`].
+//! real fetchers do), in any order. `version`, `mode` and `max_age` appear
+//! exactly once: §3.2's grammar marks each "required once" and sets no
+//! order (the version-first rule is the TXT record's, §3.1). `mx` appears
+//! once per pattern and is required unless `mode` is `none`. `max_age` is
+//! 1 to 10 ASCII digits (`sts-policy-max-age-value = 1*10(DIGIT)`), at
+//! most [`MAX_MAX_AGE`].
+//!
+//! Keys and values are trimmed, so whitespace before the colon is
+//! accepted (`mode : enforce`) although the grammar's delimiter
+//! (`":" *WSP`) has none. The leniency is deliberate: it rejects no
+//! document the grammar accepts.
 //!
 //! §4.3.3 of the paper counts syntax errors from the wild: invalid mx
 //! patterns (email addresses, trailing dots, empty patterns) and entirely
@@ -181,7 +188,7 @@ pub enum PolicyError {
     EmptyDocument,
     /// A line was not a `key: value` pair.
     MalformedLine(String),
-    /// `version` missing or not first.
+    /// `version` missing.
     MissingVersion,
     /// `version` present but not `STSv1`.
     WrongVersion(String),
@@ -230,7 +237,7 @@ impl fmt::Display for PolicyError {
         match self {
             PolicyError::EmptyDocument => write!(f, "policy document is empty"),
             PolicyError::MalformedLine(l) => write!(f, "malformed policy line {l:?}"),
-            PolicyError::MissingVersion => write!(f, "version field missing or not first"),
+            PolicyError::MissingVersion => write!(f, "version field missing"),
             PolicyError::WrongVersion(v) => write!(f, "unsupported version {v:?}"),
             PolicyError::MissingMode => write!(f, "mode field missing"),
             PolicyError::InvalidMode(m) => write!(f, "invalid mode {m:?}"),
@@ -257,7 +264,6 @@ pub fn parse_policy(text: &str) -> Result<Policy, PolicyError> {
     let mut max_age: Option<u64> = None;
     let mut mx: Vec<MxPattern> = Vec::new();
     let mut extensions: Vec<(String, String)> = Vec::new();
-    let mut first_key = true;
     for raw in text.split("\r\n").flat_map(|chunk| chunk.split('\n')) {
         let line = raw.trim_end();
         if line.is_empty() {
@@ -268,11 +274,6 @@ pub fn parse_policy(text: &str) -> Result<Policy, PolicyError> {
         };
         let key = key.trim();
         let value = value.trim();
-        // RFC 8461: version must be the first field.
-        if first_key && key != "version" {
-            return Err(PolicyError::MissingVersion);
-        }
-        first_key = false;
         match key {
             "version" => {
                 if version.is_some() {
@@ -371,9 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn version_must_be_first() {
+    fn fields_parse_in_any_order() {
+        let policy = parse_policy("mode: enforce\r\nversion: STSv1\r\nmx: a.b\r\nmax_age: 1\r\n");
+        assert_eq!(policy.map(|p| p.mode), Ok(Mode::Enforce));
         assert_eq!(
-            parse_policy("mode: enforce\r\nversion: STSv1\r\nmx: a.b\r\nmax_age: 1\r\n"),
+            parse_policy("mode: enforce\r\nmx: a.b\r\nmax_age: 1\r\n"),
             Err(PolicyError::MissingVersion)
         );
     }

@@ -32,17 +32,8 @@ use crate::deploy::{in_window, record_texts, Ecosystem};
 use crate::providers::CnameStyle;
 use crate::spec::{DomainSpec, PolicyFaultKind, PolicyHosting, LUCIDGROW_WINDOW};
 use netbase::SimDate;
+use obsv::health::fnv64;
 use std::fmt::Write;
-
-/// FNV-1a 64-bit — tiny, dependency-free, stable across platforms.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The per-domain configuration fingerprint at one date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1155,14 +1155,9 @@ mod tests {
 
     /// FNV-1a over the Debug rendering of every spec, in order.
     fn population_digest(domains: &[DomainSpec]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for d in domains {
-            for b in format!("{d:?}").bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
+        domains.iter().fold(obsv::health::FNV64_OFFSET, |h, d| {
+            obsv::health::fnv64_extend(h, format!("{d:?}").as_bytes())
+        })
     }
 
     #[test]

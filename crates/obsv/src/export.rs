@@ -6,8 +6,9 @@
 //!   aggregates as `_count` / `_real_seconds_total` /
 //!   `_sim_seconds_total`, histograms as cumulative `_bucket{le=...}`
 //!   series with `+Inf`, `_sum`, `_count`).
-//! - [`profile_rows`]: a per-stage self-time table for the `exp_profile`
-//!   bench binary, sorted by real time descending.
+//! - [`profile_rows`]: per-stage span totals sorted by real time
+//!   descending, which [`crate::health::RunManifest`] records and
+//!   `exp_scale` reads.
 //!
 //! Output is fully determined by the collector contents: maps are
 //! `BTreeMap`s, so iteration order is lexicographic and two identical
@@ -123,77 +124,6 @@ pub fn profile_rows(c: &Collector) -> Vec<ProfileRow> {
     rows
 }
 
-/// Renders the profile rows as an aligned text table (the `exp_profile`
-/// binary prints this alongside the JSON report).
-pub fn profile_table(rows: &[ProfileRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<28} {:>10} {:>14} {:>12} {:>12}",
-        "stage", "count", "real_ms", "mean_us", "sim_secs"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<28} {:>10} {:>14.3} {:>12.1} {:>12}",
-            r.name,
-            r.count,
-            r.real_ns as f64 / 1e6,
-            r.mean_ns as f64 / 1e3,
-            r.sim_secs
-        );
-    }
-    out
-}
-
-/// One row of the histogram quantile table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantileRow {
-    /// Histogram name ("probe_us", "resolver.latency_us", ...).
-    pub name: String,
-    /// Total samples.
-    pub count: u64,
-    /// Estimated quantiles (log2-bucket interpolation, 2x accuracy).
-    pub p50: u64,
-    /// 95th percentile estimate.
-    pub p95: u64,
-    /// 99th percentile estimate.
-    pub p99: u64,
-}
-
-/// The collector's histograms as quantile rows, sorted by name.
-pub fn quantile_rows(c: &Collector) -> Vec<QuantileRow> {
-    c.histograms
-        .iter()
-        .map(|(name, h)| QuantileRow {
-            name: (*name).to_string(),
-            count: h.count,
-            p50: h.quantile(0.50),
-            p95: h.quantile(0.95),
-            p99: h.quantile(0.99),
-        })
-        .collect()
-}
-
-/// Renders the quantile rows as an aligned text table (printed by
-/// `exp_profile` under the per-stage profile).
-pub fn quantile_table(rows: &[QuantileRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<28} {:>10} {:>12} {:>12} {:>12}",
-        "histogram", "count", "p50", "p95", "p99"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<28} {:>10} {:>12} {:>12} {:>12}",
-            r.name, r.count, r.p50, r.p95, r.p99
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,18 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_rows_cover_all_histograms() {
-        let rows = quantile_rows(&sample_collector());
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "probe_us");
-        assert_eq!(rows[0].count, 2);
-        assert!(rows[0].p50 <= rows[0].p95 && rows[0].p95 <= rows[0].p99);
-        let table = quantile_table(&rows);
-        assert!(table.contains("probe_us"));
-        assert!(table.contains("p99"));
-    }
-
-    #[test]
     fn exposition_is_deterministic() {
         let c = sample_collector();
         assert_eq!(prometheus_text(&c), prometheus_text(&c.clone()));
@@ -264,7 +182,5 @@ mod tests {
         assert_eq!(rows[0].name, "scan.policy");
         assert_eq!(rows[1].name, "scan.record");
         assert_eq!(rows[1].mean_ns, 750_000_000);
-        let table = profile_table(&rows);
-        assert!(table.contains("scan.policy"));
     }
 }

@@ -54,13 +54,25 @@ use std::time::Instant;
 // FNV-1a (the workspace-wide digest primitive)
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64-bit over a byte string — the same digest primitive the
-/// checkpoint format and bench binaries use.
+/// FNV-1a 64-bit's offset basis: the hash of the empty string, where a
+/// streamed hash starts.
+pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit over a byte string — the digest primitive of both
+/// checkpoint headers, the ledger and resolution digests, the ecosystem
+/// fingerprints and the bench binaries.
+#[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv64_extend(FNV64_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a 64-bit hash `h` over `bytes`, for callers that
+/// hash in pieces: `fnv64_extend(fnv64(a), b) == fnv64(a ++ b)`.
+#[inline]
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
 }
@@ -439,6 +451,7 @@ mod tests {
     fn fnv64_matches_reference_vectors() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64_extend(fnv64(b"ab"), b"cd"), fnv64(b"abcd"));
     }
 
     #[test]

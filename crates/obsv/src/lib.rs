@@ -93,8 +93,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns telemetry on or off programmatically (test harnesses, the
-/// profiling binary). Overrides whatever the environment said.
+/// Turns telemetry on or off programmatically (test harnesses: the
+/// scanner's identity suites, the root package's work-count gate).
+/// Overrides whatever the environment said.
 pub fn set_enabled(on: bool) {
     ENV_INIT.call_once(|| {});
     ENABLED.store(on, Ordering::Relaxed);

@@ -120,7 +120,7 @@ pub(crate) fn write_event(name: &str) {
 /// writer is a `static` that is never dropped, so nothing flushes it at
 /// exit, and lines still in the buffer then are lost. The shared study
 /// runners (`mtasts_bench::{full_study, full_scans_only, weekly_only}`),
-/// `exp_notify`, `exp_profile` and `exp_e2e` call it; otherwise lines
+/// `exp_notify` and `exp_e2e` call it; otherwise lines
 /// reach disk only when the buffer fills.
 pub fn flush() {
     if let Some(w) = writer() {

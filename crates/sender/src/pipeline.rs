@@ -40,6 +40,7 @@ use crate::resolver::{resolve_shared, ResolverConfig, ShardedPolicyCache, Transp
 use mtasts::{CachedPolicy, Mode, ReportBuilder, StsFailure, StsOutcome};
 use netbase::AttemptEvent;
 use netbase::{map_sharded, DetRng, DomainName, Duration, RetryPolicy, RetryVerdict, SimInstant};
+use obsv::health::fnv64;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -428,15 +429,6 @@ pub struct QueueOutcome {
 pub fn ledger_digest(records: &[MessageRecord]) -> String {
     let payload = serde_json::to_string(records).expect("ledger serializes");
     format!("{:016x}", fnv64(payload.as_bytes()))
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Magic tag of the queue checkpoint header line.

@@ -55,6 +55,7 @@ use crate::enforce::ResolvedPolicy;
 use crate::pipeline::MxTransport;
 use mtasts::{CachedPolicy, Classified, Mode, PolicyCache};
 use netbase::{default_scan_threads, map_sharded, DomainName, Duration, SimInstant, TokenBucket};
+use obsv::health::{fnv64, fnv64_extend};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,24 +96,11 @@ impl<T: MxTransport + ?Sized> PolicySource for TransportSource<'_, T> {
 // Sharded cache
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64-bit, fed incrementally (shard selection, ledger digests).
-fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// The shard a domain maps to among `n` shards (`n` a power of two):
 /// FNV-1a over each label followed by `.`, i.e. over the name and a
 /// trailing `.`; stable across runs and processes.
 fn shard_index_for(domain: &DomainName, n: usize) -> usize {
-    let h = fnv64(FNV_OFFSET, domain.as_str().as_bytes());
-    let h = fnv64(h, b".");
+    let h = fnv64_extend(fnv64(domain.as_str().as_bytes()), b".");
     (h as usize) & (n - 1)
 }
 
@@ -495,7 +483,7 @@ pub struct Resolution {
 /// compare.
 pub fn resolution_digest(rows: &[Resolution]) -> String {
     let payload = serde_json::to_string(rows).expect("ledger serializes");
-    format!("{:016x}", fnv64(FNV_OFFSET, payload.as_bytes()))
+    format!("{:016x}", fnv64(payload.as_bytes()))
 }
 
 fn row_for(

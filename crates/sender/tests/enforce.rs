@@ -30,6 +30,7 @@ use mtasts_sender::{
     QueueConfig, QueueOutcome, StsApplication,
 };
 use netbase::DomainName;
+use obsv::health::fnv64;
 
 /// The strip/redirect attack window every scenario here uses: opens at
 /// +60 s — after every domain's first-wave resolution (admissions land
@@ -405,18 +406,6 @@ fn kill_resume_mid_attack_window_is_byte_identical() {
         serde_json::to_string(&resumed.tlsrpt.build("e", "c", day)).unwrap(),
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// FNV-1a 64 — mirrors the checkpoint header hash so the test can forge
-/// a checkpoint whose *envelope* is valid but whose cache section is
-/// garbage.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[test]

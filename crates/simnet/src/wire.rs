@@ -112,7 +112,7 @@ impl WireWorld {
                     httpsim::Response::text(StatusCode(*status), body),
                 );
             }
-            let tls = Arc::new(RwLock::new(web_tls_config(&endpoint)));
+            let tls = Arc::new(RwLock::new(web_tls_config(endpoint)));
             let server = HttpsServer::spawn("127.0.0.1:0".parse().unwrap(), tls, router).await?;
             web_addrs.insert(ip, server.addr());
             https_servers.push(server);
@@ -125,7 +125,7 @@ impl WireWorld {
             if endpoint.reachability != Reachability::Up {
                 continue;
             }
-            let config = Arc::new(Mutex::new(mx_config(&endpoint)));
+            let config = Arc::new(Mutex::new(mx_config(endpoint)));
             let server = MxServer::spawn("127.0.0.1:0".parse().unwrap(), config).await?;
             mx_addrs.insert(ip, server.addr());
             mx_servers.push(server);

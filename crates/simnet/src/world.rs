@@ -9,7 +9,6 @@ use dns::{DnsError, InMemoryAuthorities, Lookup, Rcode, RecordType, Zone};
 use netbase::{DomainName, SimInstant};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// First 10/8 offset *not* served by [`World::alloc_ip`]. The sequential
 /// allocator hands out `10.0.0.1 ..` up to (exclusive) this offset; the
@@ -27,8 +26,8 @@ pub struct World {
     pub authorities: InMemoryAuthorities,
     /// The shared web PKI.
     pub pki: SharedPki,
-    web: HashMap<Ipv4Addr, Arc<WebEndpoint>>,
-    mx: HashMap<Ipv4Addr, Arc<MxEndpoint>>,
+    web: HashMap<Ipv4Addr, WebEndpoint>,
+    mx: HashMap<Ipv4Addr, MxEndpoint>,
     signed_zones: HashSet<DomainName>,
     dns_faults: FaultSchedule,
     attacker: AttackSchedule,
@@ -63,10 +62,10 @@ impl World {
     pub fn inject_transient_faults(&mut self, cfg: &TransientFaultConfig) {
         self.set_dns_faults(cfg.dns_schedule());
         for (ip, ep) in self.web.iter_mut() {
-            Arc::make_mut(ep).faults = cfg.web_schedule(u64::from(u32::from(*ip)));
+            ep.faults = cfg.web_schedule(u64::from(u32::from(*ip)));
         }
         for (ip, ep) in self.mx.iter_mut() {
-            Arc::make_mut(ep).faults = cfg.mx_schedule(u64::from(u32::from(*ip)));
+            ep.faults = cfg.mx_schedule(u64::from(u32::from(*ip)));
         }
     }
 
@@ -117,7 +116,6 @@ impl World {
     /// from-scratch build at the new date would issue them.
     pub fn shift_cert_validity(&mut self, delta: netbase::Duration) {
         for ep in self.web.values_mut() {
-            let ep = Arc::make_mut(ep);
             for chain in ep.chains.values_mut() {
                 for cert in chain.iter_mut().filter(|c| !c.is_ca) {
                     cert.shift_validity(delta);
@@ -130,7 +128,7 @@ impl World {
             }
         }
         for ep in self.mx.values_mut() {
-            for cert in Arc::make_mut(ep).chain.iter_mut().filter(|c| !c.is_ca) {
+            for cert in ep.chain.iter_mut().filter(|c| !c.is_ca) {
                 cert.shift_validity(delta);
             }
         }
@@ -202,7 +200,7 @@ impl World {
     /// Registers a web endpoint at a specific IP (tests, named incidents,
     /// deterministic per-domain addressing).
     pub fn put_web_endpoint(&mut self, ip: Ipv4Addr, endpoint: WebEndpoint) {
-        self.web.insert(ip, Arc::new(endpoint));
+        self.web.insert(ip, endpoint);
     }
 
     /// Removes the web endpoint at `ip`; returns whether one existed.
@@ -210,22 +208,20 @@ impl World {
         self.web.remove(&ip).is_some()
     }
 
-    /// Mutates the web endpoint at `ip`, copy-on-write: handles taken
-    /// earlier by [`World::web_endpoint`] keep the old snapshot.
+    /// Mutates the web endpoint at `ip` in place.
     pub fn with_web<R>(
         &mut self,
         ip: Ipv4Addr,
         f: impl FnOnce(&mut WebEndpoint) -> R,
     ) -> Option<R> {
-        self.web.get_mut(&ip).map(|ep| f(Arc::make_mut(ep)))
+        self.web.get_mut(&ip).map(f)
     }
 
-    /// A shared handle to the web endpoint at `ip`: a refcount bump, not a
-    /// copy, and an immutable snapshot (later mutations copy on write and
-    /// never show through it). Provider hosts carry every customer's
-    /// chains and documents, so the policy fetch reads them in place.
-    pub fn web_endpoint(&self, ip: Ipv4Addr) -> Option<Arc<WebEndpoint>> {
-        self.web.get(&ip).cloned()
+    /// The web endpoint at `ip`, borrowed. Provider hosts carry every
+    /// customer's chains and documents, so the policy fetch reads them in
+    /// place; no change can land while the borrow lives.
+    pub fn web_endpoint(&self, ip: Ipv4Addr) -> Option<&WebEndpoint> {
+        self.web.get(&ip)
     }
 
     /// All web endpoint IPs.
@@ -243,7 +239,7 @@ impl World {
     /// Registers an MX endpoint at a specific IP (deterministic per-domain
     /// addressing).
     pub fn put_mx_endpoint(&mut self, ip: Ipv4Addr, endpoint: MxEndpoint) {
-        self.mx.insert(ip, Arc::new(endpoint));
+        self.mx.insert(ip, endpoint);
     }
 
     /// Removes the MX endpoint at `ip`; returns whether one existed.
@@ -251,16 +247,14 @@ impl World {
         self.mx.remove(&ip).is_some()
     }
 
-    /// Mutates the MX endpoint at `ip`, copy-on-write like
-    /// [`World::with_web`].
+    /// Mutates the MX endpoint at `ip` in place.
     pub fn with_mx<R>(&mut self, ip: Ipv4Addr, f: impl FnOnce(&mut MxEndpoint) -> R) -> Option<R> {
-        self.mx.get_mut(&ip).map(|ep| f(Arc::make_mut(ep)))
+        self.mx.get_mut(&ip).map(f)
     }
 
-    /// A shared handle to the MX endpoint at `ip`: an immutable snapshot,
-    /// shared like [`World::web_endpoint`].
-    pub fn mx_endpoint(&self, ip: Ipv4Addr) -> Option<Arc<MxEndpoint>> {
-        self.mx.get(&ip).cloned()
+    /// The MX endpoint at `ip`, borrowed like [`World::web_endpoint`].
+    pub fn mx_endpoint(&self, ip: Ipv4Addr) -> Option<&MxEndpoint> {
+        self.mx.get(&ip)
     }
 
     /// All MX endpoint IPs.
@@ -364,8 +358,9 @@ impl Default for World {
 
 // The parallel scan engine hands `&World` to shard workers, which read it
 // without a lock: the world is plain data (no `Rc`/`RefCell`/`Cell`), and
-// endpoints handed out of it are `Arc` snapshots. This assertion turns a
-// future regression into a compile error instead of a data race.
+// endpoints are borrowed out of it, so no edit can land while a worker
+// reads one. This assertion turns a future regression into a compile
+// error instead of a data race.
 #[allow(dead_code)]
 fn static_assert_world_is_shareable() {
     fn shareable<T: Send + Sync>() {}
@@ -537,68 +532,29 @@ mod tests {
     }
 
     #[test]
-    fn reads_share_the_endpoint_instead_of_copying_it() {
-        let mut w = World::new();
-        let (web_ip, mx_ip) = shared_hosts(&mut w);
-        let a = w.web_endpoint(web_ip).unwrap();
-        let b = w.web_endpoint(web_ip).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let a = w.mx_endpoint(mx_ip).unwrap();
-        let b = w.mx_endpoint(mx_ip).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn held_handles_keep_their_snapshot_across_mutation() {
+    fn bulk_mutations_reach_every_endpoint() {
         let mut w = World::new();
         let (web_ip, mx_ip) = shared_hosts(&mut w);
         let policy_host = n("mta-sts.example.com");
-        let key = (policy_host.clone(), mtasts::WELL_KNOWN_PATH.to_string());
-
-        let old_web = w.web_endpoint(web_ip).unwrap();
-        w.with_web(web_ip, |ep| {
-            ep.install_policy(policy_host, "version: STSv1\nmode: testing\n");
-        });
-        let new_web = w.web_endpoint(web_ip).unwrap();
-        assert!(!Arc::ptr_eq(&old_web, &new_web));
-        assert_eq!(
-            old_web.documents[&key].1,
-            "version: STSv1\nmode: none\nmax_age: 60\n"
-        );
-        assert_eq!(new_web.documents[&key].1, "version: STSv1\nmode: testing\n");
-
-        let old_mx = w.mx_endpoint(mx_ip).unwrap();
-        w.with_mx(mx_ip, |ep| ep.chain.clear());
-        assert_eq!(old_mx.chain.len(), 2, "leaf + intermediate");
-        assert!(w.mx_endpoint(mx_ip).unwrap().chain.is_empty());
-    }
-
-    #[test]
-    fn bulk_mutations_reach_endpoints_while_readers_hold_them() {
-        let mut w = World::new();
-        let (web_ip, mx_ip) = shared_hosts(&mut w);
-        let policy_host = n("mta-sts.example.com");
-        let held_web = w.web_endpoint(web_ip).unwrap();
-        let held_mx = w.mx_endpoint(mx_ip).unwrap();
         let leaf = |chain: &[pkix::SimCert]| chain.first().unwrap().not_before;
+        let web_before = leaf(&w.web_endpoint(web_ip).unwrap().chains[&policy_host]);
+        let mx_before = leaf(&w.mx_endpoint(mx_ip).unwrap().chain);
 
         let delta = netbase::Duration::days(7);
         w.shift_cert_validity(delta);
-        let web = w.web_endpoint(web_ip).unwrap();
-        let mx = w.mx_endpoint(mx_ip).unwrap();
         assert_eq!(
-            leaf(&web.chains[&policy_host]),
-            leaf(&held_web.chains[&policy_host]) + delta
+            leaf(&w.web_endpoint(web_ip).unwrap().chains[&policy_host]),
+            web_before + delta
         );
-        assert_eq!(leaf(&mx.chain), leaf(&held_mx.chain) + delta);
+        assert_eq!(
+            leaf(&w.mx_endpoint(mx_ip).unwrap().chain),
+            mx_before + delta
+        );
 
         assert!(!w.has_transient_faults());
         w.inject_transient_faults(&TransientFaultConfig::uniform(5, 0.1));
         assert!(w.has_transient_faults());
         assert!(!w.web_endpoint(web_ip).unwrap().faults.is_empty());
         assert!(!w.mx_endpoint(mx_ip).unwrap().faults.is_empty());
-        // The handles taken before either mutation still read the old
-        // endpoints.
-        assert!(held_web.faults.is_empty() && held_mx.faults.is_empty());
     }
 }

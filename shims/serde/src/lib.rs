@@ -472,9 +472,10 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 // ---------------------------------------------------------------- Value
 // Identity impls, mirroring real serde_json's `Value: Serialize +
 // Deserialize`: a `Value` serializes as itself and deserializes by
-// cloning the tree. This is what lets `serde_json::from_str::<Value>`
-// parse arbitrary JSON (e.g. the committed BENCH_*.json reports in
-// `bench::trend`) without a struct definition per file shape.
+// cloning the tree, so `serde_json::from_str::<Value>` parses arbitrary
+// JSON without a struct definition per file shape. The workspace's one
+// user of `Value` is `scanner::supervisor`, which walks a serialized
+// report into the run manifest's totals.
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
