@@ -6,9 +6,10 @@
 //! cached entry and either settles the answer or asks for an HTTPS
 //! fetch under the record's `id`; [`conclude`] turns that fetch into the
 //! policy to store or the §3.3 stale-or-unavailable answer. The TOFU
-//! [`PolicyCache`] composes the two steps with its store, and the
-//! `sender` crate's queue and resolution service run them under their
-//! own locking, admission and single-flight.
+//! [`PolicyCache`] composes the two steps with its store; the `sender`
+//! crate's delivery queue resolves through a `PolicyCache`, and its
+//! resolution service runs the steps over a sharded cache with
+//! admission and in-batch single-flight.
 //!
 //! [`SenderEngine`] adds the MX/TLS half for one delivery: given the
 //! observations a sending MTA makes — the record lookup, the policy
@@ -185,9 +186,11 @@ pub enum Disposition {
     /// Fresh cache entry despite a failed record lookup (TOFU
     /// downgrade protection).
     HitDespiteDns,
-    /// A completed HTTPS fetch (this caller was the flight leader).
+    /// A completed HTTPS fetch (in a resolver batch: the domain's first
+    /// request).
     Fetched,
-    /// Parked on another caller's in-flight fetch and reused its result.
+    /// A later request for the same domain in a resolver batch, answered
+    /// with the first request's result instead of a fetch of its own.
     Coalesced,
     /// Refresh failed; a retained cached policy governs (RFC 8461 §3.3).
     StaleFallback,
@@ -197,8 +200,8 @@ pub enum Disposition {
     RecordInvalid,
     /// Fetch failed and nothing cached could take over.
     Unavailable,
-    /// Admission control refused the fetch leg (token bucket empty or
-    /// delay past the bound).
+    /// Admission control refused the fetch leg (its admission would
+    /// wait past the bound).
     Shed,
 }
 

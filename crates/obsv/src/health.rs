@@ -47,6 +47,8 @@ use crate::trace::{escape_into, ts_us};
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{BufWriter, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -75,6 +77,54 @@ pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+// ---------------------------------------------------------------------
+// Sealed files and atomic writes
+// ---------------------------------------------------------------------
+
+/// Seals `payload` behind a `<magic> <len> <fnv64>` header line: the
+/// payload's byte length and its [`fnv64`] as 16 hex digits. Both
+/// checkpoint formats (`MTASTS-CKPT1`, `MTASTS-DLVQ1`) are this framing
+/// over JSON, each with its own magic.
+pub fn seal(magic: &str, payload: &str) -> String {
+    format!(
+        "{magic} {} {:016x}\n{payload}",
+        payload.len(),
+        fnv64(payload.as_bytes())
+    )
+}
+
+/// The payload that [`seal`] framed in `text` under `magic`; `None` on
+/// any mismatch — another magic, a malformed header, a truncated or
+/// extended payload, a hash that does not vouch for it.
+pub fn unseal<'a>(magic: &str, text: &'a str) -> Option<&'a str> {
+    let (header, payload) = text.split_once('\n')?;
+    let mut fields = header.split(' ');
+    if fields.next() != Some(magic) {
+        return None;
+    }
+    let len: usize = fields.next()?.parse().ok()?;
+    let hash = u64::from_str_radix(fields.next()?, 16).ok()?;
+    let intact =
+        fields.next().is_none() && payload.len() == len && fnv64(payload.as_bytes()) == hash;
+    intact.then_some(payload)
+}
+
+/// Writes `contents` to `path` atomically: first a temp sibling named
+/// for this writer (pid and a process-wide sequence, so writers sharing
+/// a directory never clobber each other's), then a rename over `path`,
+/// which therefore always holds either the old or the new contents in
+/// full. On failure the temp file is removed and the error returned.
+pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    static WRITER_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = WRITER_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{}-{seq}", std::process::id()));
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 // ---------------------------------------------------------------------
@@ -413,19 +463,15 @@ impl RunManifest {
         }
     }
 
-    /// Writes the manifest atomically (unique temp file + rename, the
-    /// checkpoint discipline) so a kill mid-write can't leave a torn
-    /// manifest next to a good checkpoint.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = self.to_json();
-        let pid = std::process::id();
-        let tmp = path.with_extension(format!("tmp.{pid}"));
-        std::fs::write(&tmp, json.as_bytes())?;
-        std::fs::rename(&tmp, path)
+    /// Writes the manifest with [`write_atomic`], as the checkpoints
+    /// are written, so a kill mid-write can't leave a torn manifest next
+    /// to a good checkpoint.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        write_atomic(path, self.to_json().as_bytes())
     }
 
     /// The conventional manifest path for a checkpoint file.
-    pub fn path_for_checkpoint(checkpoint: &std::path::Path) -> std::path::PathBuf {
+    pub fn path_for_checkpoint(checkpoint: &Path) -> std::path::PathBuf {
         let mut name = checkpoint.file_name().unwrap_or_default().to_os_string();
         name.push(".manifest.json");
         checkpoint.with_file_name(name)
@@ -452,6 +498,20 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64_extend(fnv64(b"ab"), b"cd"), fnv64(b"abcd"));
+    }
+
+    #[test]
+    fn unseal_returns_exactly_what_seal_framed() {
+        let sealed = seal("MAGIC1", "{\"a\":1}");
+        assert_eq!(
+            sealed,
+            format!("MAGIC1 7 {:016x}\n{{\"a\":1}}", fnv64(b"{\"a\":1}"))
+        );
+        assert_eq!(unseal("MAGIC1", &sealed), Some("{\"a\":1}"));
+        assert_eq!(unseal("MAGIC2", &sealed), None);
+        assert_eq!(unseal("MAGIC1", &sealed[..sealed.len() - 1]), None);
+        assert_eq!(unseal("MAGIC1", &format!("{sealed} ")), None);
+        assert_eq!(unseal("MAGIC1", &sealed.replace("\"a\"", "\"b\"")), None);
     }
 
     #[test]
@@ -519,6 +579,21 @@ mod tests {
         m.write(&path).unwrap();
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, m.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_manifest_write_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("obsv_manifest_dir_{}", std::process::id()));
+        let path = dir.join("run.manifest.json");
+        // A directory where the manifest should go: the rename fails.
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(RunManifest::default().write(&path).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["run.manifest.json"], "temp sibling left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

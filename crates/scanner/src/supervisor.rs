@@ -44,14 +44,13 @@ use crate::taxonomy::DomainScan;
 use ecosystem::{DomainFingerprint, Ecosystem, IncrementalWorld, SnapshotDetail};
 use netbase::default_scan_threads;
 use netbase::{map_sharded, shard_bounds, DomainName, SimDate};
-use obsv::health::fnv64;
+use obsv::health::{fnv64, seal, unseal, write_atomic};
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
 
 /// Supervisor knobs.
 #[derive(Debug, Clone, Default)]
@@ -177,8 +176,7 @@ fn freeze_ips(ips: &HashMap<DomainName, Ipv4Addr>) -> Vec<(DomainName, Ipv4Addr)
     out
 }
 
-/// Magic tag of the checkpoint header line; [`fnv64`] (FNV-1a 64-bit)
-/// is the integrity hash of the payload after it.
+/// Magic tag of the checkpoint's [`seal`] header line.
 const CKPT_MAGIC: &str = "MTASTS-CKPT1";
 
 impl Checkpoint {
@@ -195,47 +193,20 @@ impl Checkpoint {
 
     /// Parses and verifies the on-disk format; `None` means corrupt.
     fn parse(text: &str) -> Option<Checkpoint> {
-        let (header, payload) = text.split_once('\n')?;
-        let mut fields = header.split(' ');
-        if fields.next() != Some(CKPT_MAGIC) {
-            return None;
-        }
-        let len: usize = fields.next()?.parse().ok()?;
-        let hash: u64 = u64::from_str_radix(fields.next()?, 16).ok()?;
-        if fields.next().is_some() || payload.len() != len || fnv64(payload.as_bytes()) != hash {
-            return None;
-        }
-        serde_json::from_str(payload).ok()
+        serde_json::from_str(unseal(CKPT_MAGIC, text)?).ok()
     }
 
-    /// Atomically persists the checkpoint: write a temp sibling, then
-    /// rename over `path`.
-    ///
-    /// The temp name is unique per writer (pid + a process-wide
-    /// sequence), so two studies — or two shards — sharing a checkpoint
-    /// directory never clobber each other's in-flight file; the rename
-    /// step keeps the visible checkpoint always either the old or the
-    /// new complete state.
+    /// Persists the checkpoint with [`write_atomic`]: two studies — or
+    /// two shards — sharing a checkpoint directory never clobber each
+    /// other's in-flight file, and the visible checkpoint is always
+    /// either the old or the new complete state.
     ///
     /// I/O failure (full disk, unwritable directory) is a recoverable
     /// error, not a panic: the supervisor records it and continues the
     /// campaign without checkpoints.
-    fn store(&self, path: &PathBuf) -> std::io::Result<()> {
-        static WRITER_SEQ: AtomicU64 = AtomicU64::new(0);
+    fn store(&self, path: &Path) -> std::io::Result<()> {
         let payload = serde_json::to_string(self).expect("checkpoint serializes");
-        let text = format!(
-            "{CKPT_MAGIC} {} {:016x}\n{payload}",
-            payload.len(),
-            fnv64(payload.as_bytes())
-        );
-        let seq = WRITER_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &text)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        Ok(())
+        write_atomic(path, seal(CKPT_MAGIC, &payload).as_bytes())
     }
 }
 

@@ -7,9 +7,9 @@
 //!
 //! - **Per-(domain, wave) resolution.** The policy for a recipient
 //!   domain is resolved once per wave — at the admission instant of the
-//!   wave's first message for that domain — through the shared TOFU
+//!   wave's first message for that domain — through the queue's TOFU
 //!   cache with RFC 8461 §3.3 stale fallback
-//!   ([`crate::resolver::resolve_shared`]). Workers then see an
+//!   ([`mtasts::PolicyCache::resolve`]). Workers then see an
 //!   immutable [`WavePolicies`] snapshot, so resolution order (and
 //!   therefore cache state) is independent of thread count.
 //! - **Typed TLS requirements.** Policy mode maps to a per-attempt

@@ -28,13 +28,15 @@
 //!   per-recipient envelope status, multi-MX fail-over, typed
 //!   4xx-requeue / 5xx-bounce classification, and checkpoint/resume;
 //! - [`enforce`]: MTA-STS enforcement *inside* the queue — per-(domain,
-//!   wave) policy resolution through the core's one RFC 8461 decision
+//!   wave) policy resolution through the core's TOFU
+//!   [`mtasts::PolicyCache`] and its one RFC 8461 decision
 //!   ([`mtasts::classify`] / [`mtasts::conclude`]) with §3.3 stale
 //!   fallback, typed per-attempt TLS requirements, and DANE precedence
 //!   (RFC 7672);
-//! - [`resolver`]: the shared-concurrency policy-resolution service —
-//!   sharded TOFU cache with lock-free reads, single-flight refresh,
-//!   token-bucket fetch admission, and a Prometheus `/metrics` surface;
+//! - [`resolver`]: the policy-resolution service — deterministic batch
+//!   resolution over a sharded TOFU cache whose workers classify under
+//!   shard read locks, in-batch single-flight, token-bucket fetch
+//!   admission, and a Prometheus `/metrics` surface;
 //! - [`scenario`]: the degraded-MX chaos worlds (hard-down, flapping,
 //!   tier outage, greylisting) shared by tests, bench, and example.
 
@@ -61,8 +63,7 @@ pub use pipeline::{
 pub use platform::{Platform, TestCase, TestRecord};
 pub use profile::{SenderPopulation, SenderProfile, TlsSupport};
 pub use resolver::{
-    resolution_digest, resolve_shared, AdmissionConfig, DaemonConfig, Disposition, MetricsSnapshot,
-    PolicyResolver, PolicySource, Resolution, ResolverConfig, ResolverDaemon, ShardedPolicyCache,
-    TransportSource,
+    resolution_digest, AdmissionConfig, DaemonConfig, Disposition, MetricsSnapshot, PolicyResolver,
+    PolicySource, Resolution, ResolverConfig, ResolverDaemon, ShardedPolicyCache, TransportSource,
 };
 pub use scenario::{Degradation, Scenario, ScenarioSpec, StsDeployment};

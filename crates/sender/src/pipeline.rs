@@ -36,14 +36,12 @@ use crate::enforce::{
     EnforcementConfig, ResolvedPolicy, StsApplication, TlsEvidence, TlsRequirement, WavePolicies,
 };
 use crate::mx_select::{filter_ladder_for_policy, implicit_mx, mx_ladder, MxCandidate};
-use crate::resolver::{resolve_shared, ResolverConfig, ShardedPolicyCache, TransportSource};
-use mtasts::{CachedPolicy, Mode, ReportBuilder, StsFailure, StsOutcome};
+use mtasts::{CachedPolicy, Mode, PolicyCache, ReportBuilder, StsFailure, StsOutcome};
 use netbase::AttemptEvent;
 use netbase::{map_sharded, DetRng, DomainName, Duration, RetryPolicy, RetryVerdict, SimInstant};
-use obsv::health::fnv64;
+use obsv::health::{fnv64, seal, unseal, write_atomic};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
 
 /// One per-recipient envelope in the queue.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -463,38 +461,14 @@ impl QueueCheckpoint {
     }
 
     fn parse(text: &str) -> Option<QueueCheckpoint> {
-        let (header, payload) = text.split_once('\n')?;
-        let mut fields = header.split(' ');
-        if fields.next() != Some(QUEUE_CKPT_MAGIC) {
-            return None;
-        }
-        let len: usize = fields.next()?.parse().ok()?;
-        let hash: u64 = u64::from_str_radix(fields.next()?, 16).ok()?;
-        if fields.next().is_some() || payload.len() != len || fnv64(payload.as_bytes()) != hash {
-            return None;
-        }
-        serde_json::from_str(payload).ok()
+        serde_json::from_str(unseal(QUEUE_CKPT_MAGIC, text)?).ok()
     }
 
-    /// Atomic store: unique temp sibling, then rename (see the scan
-    /// supervisor for the rationale). I/O failure is returned, not
+    /// Atomic store ([`write_atomic`]). I/O failure is returned, not
     /// panicked, so the queue can keep draining checkpoint-free.
-    fn store(&self, path: &PathBuf) -> std::io::Result<()> {
-        static WRITER_SEQ: AtomicU64 = AtomicU64::new(0);
+    fn store(&self, path: &Path) -> std::io::Result<()> {
         let payload = serde_json::to_string(self).expect("checkpoint serializes");
-        let text = format!(
-            "{QUEUE_CKPT_MAGIC} {} {:016x}\n{payload}",
-            payload.len(),
-            fnv64(payload.as_bytes())
-        );
-        let seq = WRITER_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &text)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        Ok(())
+        write_atomic(path, seal(QUEUE_CKPT_MAGIC, &payload).as_bytes())
     }
 }
 
@@ -563,16 +537,14 @@ impl DeliveryQueue {
         }
         // The TOFU policy cache rides the checkpoint so a resumed run
         // replays the same cache decisions the uninterrupted run makes.
-        // Since PR 8 it is the resolver's sharded cache, so the queue
-        // and a co-resident daemon share one implementation; the
-        // snapshot format (sorted entries) is unchanged.
-        let sts_cache = ShardedPolicyCache::from_snapshot(
-            ckpt.sts_cache.clone(),
-            ResolverConfig::default().shards,
-        );
-        // Only enforcement writes the cache; otherwise checkpoints keep
-        // the loaded snapshot.
-        let live_cache = self.cfg.enforcement.is_some().then_some(&sts_cache);
+        // Only the driver thread touches it, between waves. A queue
+        // without enforcement has none, and its checkpoints keep the
+        // loaded snapshot.
+        let mut sts_cache = self
+            .cfg
+            .enforcement
+            .is_some()
+            .then(|| PolicyCache::from_snapshot(ckpt.sts_cache.clone()));
         let mut index = ckpt.next_index;
         let mut processed_here = 0usize;
 
@@ -580,7 +552,7 @@ impl DeliveryQueue {
             if let Some(budget) = self.cfg.message_budget {
                 if processed_here >= budget {
                     ckpt.next_index = index;
-                    let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
+                    let _ = store_checkpoint(&mut ckpt, sts_cache.as_ref(), &mut checkpoint_path);
                     obsv::event!("delivery.queue_suspend");
                     let tlsrpt = fold_tlsrpt(&ckpt.records);
                     return QueueOutcome {
@@ -604,17 +576,16 @@ impl DeliveryQueue {
             // one resolution per (domain, wave), at the admission
             // instant of the wave's first message for that domain, so
             // cache state never depends on worker interleaving.
-            let wave_policies = if self.cfg.enforcement.is_some() {
-                resolve_wave(
+            let wave_policies = match &mut sts_cache {
+                Some(cache) => resolve_wave(
                     &self.cfg,
-                    &sts_cache,
+                    cache,
                     transport,
                     batch,
                     index as u64,
                     &mut ckpt.stats,
-                )
-            } else {
-                WavePolicies::new()
+                ),
+                None => WavePolicies::new(),
             };
             let mut wave_span = obsv::span!("delivery.wave");
             // Workers only read the board; the wave's events fold into it
@@ -649,11 +620,11 @@ impl DeliveryQueue {
             index = wave_end;
             ckpt.next_index = index;
             if index < messages.len() {
-                let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
+                let _ = store_checkpoint(&mut ckpt, sts_cache.as_ref(), &mut checkpoint_path);
             }
         }
 
-        let _ = store_checkpoint(&mut ckpt, live_cache, &mut checkpoint_path);
+        let _ = store_checkpoint(&mut ckpt, sts_cache.as_ref(), &mut checkpoint_path);
         let tlsrpt = fold_tlsrpt(&ckpt.records);
         QueueOutcome {
             records: ckpt.records,
@@ -669,13 +640,12 @@ impl DeliveryQueue {
 /// submission order, at the admission instant of its first message.
 fn resolve_wave<T: MxTransport>(
     cfg: &QueueConfig,
-    cache: &ShardedPolicyCache,
+    cache: &mut PolicyCache,
     transport: &T,
     batch: &[QueuedMessage],
     base_seq: u64,
     stats: &mut QueueStats,
 ) -> WavePolicies {
-    let source = TransportSource(transport);
     let mut policies = WavePolicies::new();
     for (j, msg) in batch.iter().enumerate() {
         let Some(domain) = msg.recipient_domain() else {
@@ -685,7 +655,12 @@ fn resolve_wave<T: MxTransport>(
             continue;
         }
         let now = admission_instant(cfg, base_seq + j as u64);
-        let (resolved, _) = resolve_shared(cache, &source, &domain, now);
+        let (resolved, _) = cache.resolve(
+            &domain,
+            transport.sts_record(&domain, now).as_deref(),
+            || transport.fetch_sts_policy(&domain, now),
+            now,
+        );
         if matches!(resolved, ResolvedPolicy::Active { stale: true, .. }) {
             stats.stale_fallbacks += 1;
             obsv::counter!("delivery.sts_stale_fallback");
@@ -743,7 +718,7 @@ fn admission_instant(cfg: &QueueConfig, seq: u64) -> SimInstant {
 /// is about to be written.
 fn store_checkpoint(
     ckpt: &mut QueueCheckpoint,
-    cache: Option<&ShardedPolicyCache>,
+    cache: Option<&PolicyCache>,
     path_slot: &mut Option<PathBuf>,
 ) -> bool {
     let Some(path) = path_slot else { return true };

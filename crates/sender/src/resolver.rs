@@ -1,55 +1,54 @@
-//! The shared-concurrency policy-resolution service: "how do I deliver
-//! to domain X right now?" for millions of queued messages (ROADMAP
-//! item 2; paper §2.4/§3.3).
+//! The policy-resolution service: "how do I deliver to domain X right
+//! now?" for millions of queued messages (ROADMAP item 2; paper
+//! §2.4/§3.3).
 //!
 //! The core's [`mtasts::SenderEngine`] answers that question for *one*
 //! caller at a time over a private [`PolicyCache`]. A long-running MTA
-//! answers it for hundreds of concurrent delivery workers, and the
-//! sender-side measurements ("Lazy Gatekeepers", PAPERS.md) show that
-//! *this* layer — what the cache does under live traffic — decides how
-//! much protection MTA-STS actually delivers. This module is that
-//! service:
+//! answers it for batches of queued messages, and the sender-side
+//! measurements ("Lazy Gatekeepers", PAPERS.md) show that *this* layer
+//! — what the cache does under live traffic — decides how much
+//! protection MTA-STS actually delivers. This module is that service:
 //!
 //! - **[`ShardedPolicyCache`]** — `RwLock`-per-shard over
 //!   [`PolicyCache`], deciding with the core's [`mtasts::classify`] /
 //!   [`mtasts::conclude`]. Reads (the overwhelmingly common warm-path
-//!   operation) take a shard read lock and never write, so they proceed
-//!   concurrently; writes touch exactly one shard. Shard
-//!   assignment is FNV-1a over the domain's labels, so it is stable
-//!   across runs and processes.
-//! - **Single-flight refresh** — a thundering herd of N workers
-//!   resolving the same cold domain triggers exactly **one** policy
-//!   fetch: the first caller becomes the flight leader, the other N−1
-//!   park on the in-flight slot (a condvar) and reuse the leader's
-//!   result. Coalesced waits are counted.
+//!   operation) take a shard read lock and never write, so a batch's
+//!   workers classify concurrently; writes touch exactly one shard.
+//!   Shard assignment is FNV-1a over the domain's labels, so it is
+//!   stable across runs and processes.
+//! - **Single-flight refresh** — within a batch, every request for the
+//!   same cold domain coalesces onto the first occurrence's fetch: N
+//!   copies of one cold domain trigger exactly **one** policy fetch,
+//!   and the other N−1 rows are [`Disposition::Coalesced`] with the
+//!   first row's answer.
 //! - **Request admission** — the HTTPS fetch leg (the part that can
 //!   hammer a small policy host) is gated by a
-//!   [`netbase::rate::TokenBucket`]. The deterministic batch driver
-//!   plans admission instants with [`TokenBucket::plan_admissions`],
-//!   exactly as the parallel scanner's per-shard clocks do, and sheds
-//!   requests whose admission would be delayed past the configured
-//!   bound.
+//!   [`netbase::rate::TokenBucket`]. Each batch plans its fetches'
+//!   admission instants once on that bucket's clock, as the parallel
+//!   scanner plans its per-shard clocks, and sheds a request whose
+//!   admission would be delayed past the configured bound.
 //! - **Kumomta egress semantics** — answers are the existing
 //!   [`ResolvedPolicy`] / [`crate::enforce::TlsRequirement`] types, so
 //!   cached policy *mode* adjusts the effective TLS requirement and the
 //!   DANE/TLSA precedence rule of the queue is untouched (DANE is
 //!   per-MX-host and stays with the attempt planner).
 //! - **`/metrics`** — the service's counters (hits, fetches, coalesced
-//!   waits, stale fallbacks, shed requests, …) render through the
+//!   requests, stale fallbacks, shed requests, …) render through the
 //!   `obsv` Prometheus exporter; [`ResolverDaemon`] serves them over a
 //!   real TCP socket.
 //!
 //! # Determinism contract
 //!
-//! Live concurrent [`PolicyResolver::resolve`] calls are scheduled by
-//! the OS and make no ordering promise beyond single-flight. The
-//! **batch** driver [`PolicyResolver::resolve_batch`] is the
-//! deterministic surface: for a fixed `(cache state, source behaviour,
-//! batch, submit instant)` its resolution ledger — and therefore
-//! [`resolution_digest`] — is byte-identical at every `SCAN_THREADS`,
-//! because classification is a pure read phase, fetch admission is
-//! planned once on the single logical bucket, and stores fold back in
-//! submission order.
+//! [`PolicyResolver::resolve_batch`] is the only resolution path: for a
+//! fixed `(cache state, source behaviour, batch, submit instant)` its
+//! resolution ledger — and therefore [`resolution_digest`] — is
+//! byte-identical at every `SCAN_THREADS`, because classification is a
+//! pure read phase, fetch admission is planned once on the single
+//! logical bucket, and stores fold back in submission order. The
+//! service state a batch mutates (counters, latency histogram,
+//! admission bucket) sits behind one lock held for the whole batch, so
+//! concurrent callers run one batch at a time, each against the cache
+//! the previous batch left.
 
 use crate::enforce::ResolvedPolicy;
 use crate::pipeline::MxTransport;
@@ -58,8 +57,9 @@ use netbase::{default_scan_threads, map_sharded, DomainName, Duration, SimInstan
 use obsv::health::{fnv64, fnv64_extend};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
+
+pub use mtasts::Disposition;
 
 // ---------------------------------------------------------------------
 // Policy source
@@ -78,8 +78,8 @@ pub trait PolicySource: Sync {
     fn fetch_policy(&self, domain: &DomainName, now: SimInstant) -> Result<String, String>;
 }
 
-/// Adapts any queue transport into a [`PolicySource`], so the delivery
-/// pipeline and the daemon resolve through one cache implementation.
+/// Adapts any queue transport into a [`PolicySource`], so the resolver
+/// can serve the same world a delivery queue routes through.
 pub struct TransportSource<'a, T: MxTransport + ?Sized>(pub &'a T);
 
 impl<T: MxTransport + ?Sized> PolicySource for TransportSource<'_, T> {
@@ -112,8 +112,6 @@ fn shard_index_for(domain: &DomainName, n: usize) -> usize {
 #[derive(Debug)]
 pub struct ShardedPolicyCache {
     shards: Vec<RwLock<PolicyCache>>,
-    /// Cache uses (served decisions), summed across all callers.
-    hits: AtomicU64,
 }
 
 impl ShardedPolicyCache {
@@ -123,14 +121,12 @@ impl ShardedPolicyCache {
         let n = shards.max(1).next_power_of_two();
         ShardedPolicyCache {
             shards: (0..n).map(|_| RwLock::new(PolicyCache::new())).collect(),
-            hits: AtomicU64::new(0),
         }
     }
 
     /// Rebuilds a cache from a [`snapshot`](ShardedPolicyCache::snapshot)
     /// (same entry format as [`PolicyCache::snapshot`], so pipeline
-    /// checkpoints written before the sharded cache still restore).
-    /// Counters start at zero — seeding is not traffic.
+    /// checkpoints restore into either).
     pub fn from_snapshot(
         entries: Vec<(DomainName, CachedPolicy)>,
         shards: usize,
@@ -141,20 +137,12 @@ impl ShardedPolicyCache {
         for (domain, entry) in entries {
             per_shard[shard_index_for(&domain, n)].push((domain, entry));
         }
-        // Per-shard `from_snapshot` keeps counters at zero: seeding is
-        // not fetch traffic.
         ShardedPolicyCache {
             shards: per_shard
                 .into_iter()
                 .map(|entries| RwLock::new(PolicyCache::from_snapshot(entries)))
                 .collect(),
-            hits: AtomicU64::new(0),
         }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a domain lives in: FNV-1a over its labels, stable
@@ -164,9 +152,8 @@ impl ShardedPolicyCache {
     }
 
     /// Step one of the decision for `domain` ([`mtasts::classify`])
-    /// under a shard **read** lock — the lock-free-read warm path: a hit
-    /// clones only the `Policy`. Counts a hit when a fresh entry serves
-    /// the answer.
+    /// under a shard **read** lock — the warm path: a hit clones only
+    /// the `Policy`.
     pub fn classify(
         &self,
         domain: &DomainName,
@@ -176,11 +163,7 @@ impl ShardedPolicyCache {
         let shard = self.shards[self.shard_index(domain)]
             .read()
             .expect("shard lock poisoned");
-        let classified = mtasts::classify(record_txts, shard.peek(domain), now);
-        if classified.is_hit() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        classified
+        mtasts::classify(record_txts, shard.peek(domain), now)
     }
 
     /// Step two after a fetch under `record_id` ([`mtasts::conclude`],
@@ -248,16 +231,6 @@ impl ShardedPolicyCache {
         self.len() == 0
     }
 
-    /// `(cache uses, completed fetches)` across all shards.
-    pub fn stats(&self) -> (u64, u64) {
-        let fetches = self
-            .shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").stats().1)
-            .sum();
-        (self.hits.load(Ordering::Relaxed), fetches)
-    }
-
     /// A canonical snapshot: every entry from every shard, sorted by
     /// domain — byte-identical to the equivalent single
     /// [`PolicyCache::snapshot`], whatever the shard count (the
@@ -274,85 +247,8 @@ impl ShardedPolicyCache {
 }
 
 // ---------------------------------------------------------------------
-// Shared resolution (pipeline + resolver leaders)
-// ---------------------------------------------------------------------
-
-pub use mtasts::Disposition;
-
-/// The answer for a fetch that admission control refused.
-fn shed() -> (ResolvedPolicy, Disposition) {
-    (
-        ResolvedPolicy::Unavailable {
-            reason: "fetch shed by admission control".to_string(),
-        },
-        Disposition::Shed,
-    )
-}
-
-/// Resolves `domain` against the shared cache given its `_mta-sts`
-/// lookup: the core decision, with `admit_fetch` gating the HTTPS leg
-/// (admission control). Everything up to the fetch is lock-free reads
-/// plus at most one shard write on a completed fetch.
-///
-/// This is the single implementation both the delivery pipeline's
-/// per-wave resolution and the resolver's flight leaders run.
-fn resolve_with_record<S: PolicySource + ?Sized>(
-    cache: &ShardedPolicyCache,
-    source: &S,
-    domain: &DomainName,
-    record_txts: Option<&[String]>,
-    now: SimInstant,
-    admit_fetch: &mut dyn FnMut(SimInstant) -> bool,
-) -> (ResolvedPolicy, Disposition) {
-    match cache.classify(domain, record_txts, now) {
-        Classified::Resolved(resolved, disposition) => (resolved, disposition),
-        Classified::Fetch(_) if !admit_fetch(now) => shed(),
-        Classified::Fetch(record_id) => {
-            cache.conclude(domain, &record_id, source.fetch_policy(domain, now), now)
-        }
-    }
-}
-
-/// Sequential resolution through the shared cache — the delivery
-/// pipeline's per-wave entry point (no admission, no flight: wave
-/// resolution is already one-caller-per-domain by construction).
-pub fn resolve_shared<S: PolicySource + ?Sized>(
-    cache: &ShardedPolicyCache,
-    source: &S,
-    domain: &DomainName,
-    now: SimInstant,
-) -> (ResolvedPolicy, Disposition) {
-    let txts = source.record_txts(domain, now);
-    resolve_with_record(cache, source, domain, txts.as_deref(), now, &mut |_| true)
-}
-
-// ---------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------
-
-/// The resolver's service counters. Monotonic, relaxed atomics: totals
-/// are exact (every event increments exactly once), order is not
-/// meaningful.
-#[derive(Debug, Default)]
-struct Metrics {
-    requests: AtomicU64,
-    hits: AtomicU64,
-    hits_despite_dns: AtomicU64,
-    fetches: AtomicU64,
-    coalesced: AtomicU64,
-    stale_fallbacks: AtomicU64,
-    shed: AtomicU64,
-    undeployed: AtomicU64,
-    record_invalid: AtomicU64,
-    unavailable: AtomicU64,
-    evicted: AtomicU64,
-    sweeps: AtomicU64,
-    /// Wall-clock latency of live [`PolicyResolver::resolve`] calls in
-    /// microseconds. A service observable (the `/metrics` surface
-    /// reports p50/p95/p99 from it), never part of any deterministic
-    /// ledger — which is why it may hold real timings.
-    latency_us: Mutex<obsv::Histogram>,
-}
 
 /// A point-in-time copy of the service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -365,7 +261,7 @@ pub struct MetricsSnapshot {
     pub hits_despite_dns: u64,
     /// Completed HTTPS policy fetches.
     pub fetches: u64,
-    /// Callers that parked on an in-flight fetch and reused its result.
+    /// Batch rows that reused an earlier row's fetch of the same domain.
     pub coalesced: u64,
     /// RFC 8461 §3.3 stale fallbacks served.
     pub stale_fallbacks: u64,
@@ -385,21 +281,36 @@ pub struct MetricsSnapshot {
     pub cache_entries: u64,
 }
 
-impl Metrics {
-    fn count(&self, disposition: Disposition) {
-        let slot = match disposition {
-            Disposition::Hit => &self.hits,
-            Disposition::HitDespiteDns => &self.hits_despite_dns,
-            Disposition::Fetched => &self.fetches,
-            Disposition::Coalesced => &self.coalesced,
-            Disposition::StaleFallback => &self.stale_fallbacks,
-            Disposition::Shed => &self.shed,
-            Disposition::Undeployed => &self.undeployed,
-            Disposition::RecordInvalid => &self.record_invalid,
-            Disposition::Unavailable => &self.unavailable,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
+impl MetricsSnapshot {
+    fn count(&mut self, disposition: Disposition) {
+        *match disposition {
+            Disposition::Hit => &mut self.hits,
+            Disposition::HitDespiteDns => &mut self.hits_despite_dns,
+            Disposition::Fetched => &mut self.fetches,
+            Disposition::Coalesced => &mut self.coalesced,
+            Disposition::StaleFallback => &mut self.stale_fallbacks,
+            Disposition::Shed => &mut self.shed,
+            Disposition::Undeployed => &mut self.undeployed,
+            Disposition::RecordInvalid => &mut self.record_invalid,
+            Disposition::Unavailable => &mut self.unavailable,
+        } += 1;
     }
+}
+
+/// What [`PolicyResolver::resolve_batch`] and [`PolicyResolver::sweep`]
+/// mutate, behind the resolver's one service lock.
+#[derive(Debug, Default)]
+struct Service {
+    /// The counters; [`PolicyResolver::metrics`] fills `cache_entries`.
+    counters: MetricsSnapshot,
+    /// Wall-clock latency per resolved row in microseconds. A service
+    /// observable (the `/metrics` surface reports p50/p95/p99 from it),
+    /// never part of any deterministic ledger — which is why it may
+    /// hold real timings.
+    latency_us: obsv::Histogram,
+    /// The single logical admission bucket; `None` when admission is
+    /// off.
+    bucket: Option<TokenBucket>,
 }
 
 // ---------------------------------------------------------------------
@@ -413,10 +324,8 @@ pub struct AdmissionConfig {
     pub rate_per_sec: f64,
     /// Burst capacity.
     pub burst: u32,
-    /// Batch driver: a fetch whose planned admission instant would lie
-    /// more than this far past its submit instant is shed instead of
-    /// queued. The live path sheds when no token is immediately
-    /// available (a parked delivery worker cannot wait out a refill).
+    /// A fetch whose planned admission instant would lie more than this
+    /// far past its submit instant is shed instead of queued.
     pub max_delay: Duration,
 }
 
@@ -451,14 +360,6 @@ impl ResolverConfig {
     }
 }
 
-/// One in-flight fetch slot: the leader publishes its result here and
-/// wakes every parked follower.
-#[derive(Default)]
-struct Flight {
-    result: Mutex<Option<(ResolvedPolicy, Disposition)>>,
-    ready: Condvar,
-}
-
 /// One row of the resolution ledger — serializable, so the batch
 /// driver's output digests like the delivery ledger does.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -486,6 +387,16 @@ pub fn resolution_digest(rows: &[Resolution]) -> String {
     format!("{:016x}", fnv64(payload.as_bytes()))
 }
 
+/// The answer for a fetch that admission control refused.
+fn shed() -> (ResolvedPolicy, Disposition) {
+    (
+        ResolvedPolicy::Unavailable {
+            reason: "fetch shed by admission control".to_string(),
+        },
+        Disposition::Shed,
+    )
+}
+
 fn row_for(
     seq: u64,
     domain: &DomainName,
@@ -507,16 +418,12 @@ fn row_for(
     }
 }
 
-/// The concurrent policy-resolution service.
+/// The policy-resolution service.
 pub struct PolicyResolver {
     cfg: ResolverConfig,
     cache: ShardedPolicyCache,
-    /// Per-shard in-flight fetch slots (single-flight).
-    inflight: Vec<Mutex<HashMap<DomainName, Arc<Flight>>>>,
-    /// The single logical admission bucket (per-shard clocks are
-    /// *planned* from it, as the scan engine does).
-    bucket: Option<Mutex<TokenBucket>>,
-    metrics: Metrics,
+    /// Taken once per batch and once per sweep, and held throughout.
+    service: Mutex<Service>,
 }
 
 impl PolicyResolver {
@@ -534,17 +441,17 @@ impl PolicyResolver {
         entries: Vec<(DomainName, CachedPolicy)>,
     ) -> PolicyResolver {
         let cache = ShardedPolicyCache::from_snapshot(entries, cfg.shards);
-        let inflight = (0..cache.shard_count()).map(|_| Mutex::default()).collect();
         let bucket = cfg
             .admission
             .as_ref()
-            .map(|a| Mutex::new(TokenBucket::new(a.rate_per_sec, a.burst, epoch)));
+            .map(|a| TokenBucket::new(a.rate_per_sec, a.burst, epoch));
         PolicyResolver {
             cfg,
             cache,
-            inflight,
-            bucket,
-            metrics: Metrics::default(),
+            service: Mutex::new(Service {
+                bucket,
+                ..Service::default()
+            }),
         }
     }
 
@@ -556,19 +463,8 @@ impl PolicyResolver {
     /// A copy of the service counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            requests: self.metrics.requests.load(Ordering::Relaxed),
-            hits: self.metrics.hits.load(Ordering::Relaxed),
-            hits_despite_dns: self.metrics.hits_despite_dns.load(Ordering::Relaxed),
-            fetches: self.metrics.fetches.load(Ordering::Relaxed),
-            coalesced: self.metrics.coalesced.load(Ordering::Relaxed),
-            stale_fallbacks: self.metrics.stale_fallbacks.load(Ordering::Relaxed),
-            shed: self.metrics.shed.load(Ordering::Relaxed),
-            undeployed: self.metrics.undeployed.load(Ordering::Relaxed),
-            record_invalid: self.metrics.record_invalid.load(Ordering::Relaxed),
-            unavailable: self.metrics.unavailable.load(Ordering::Relaxed),
-            evicted: self.metrics.evicted.load(Ordering::Relaxed),
-            sweeps: self.metrics.sweeps.load(Ordering::Relaxed),
             cache_entries: self.cache.len() as u64,
+            ..self.service.lock().expect("service lock poisoned").counters
         }
     }
 
@@ -595,10 +491,10 @@ impl PolicyResolver {
         for (name, value) in pairs {
             *c.counters.entry(name).or_default() += value;
         }
-        if let Ok(h) = self.metrics.latency_us.lock() {
-            if h.count > 0 {
-                c.histograms.insert("resolver.latency_us", h.clone());
-            }
+        let service = self.service.lock().expect("service lock poisoned");
+        if service.latency_us.count > 0 {
+            c.histograms
+                .insert("resolver.latency_us", service.latency_us.clone());
         }
         c
     }
@@ -611,111 +507,12 @@ impl PolicyResolver {
     /// Removes expired entries (the disposal path the decision logic
     /// deliberately does not take).
     pub fn sweep(&self, now: SimInstant) -> usize {
+        let mut service = self.service.lock().expect("service lock poisoned");
         let evicted = self.cache.evict_expired(now);
-        self.metrics.sweeps.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .evicted
-            .fetch_add(evicted as u64, Ordering::Relaxed);
+        service.counters.sweeps += 1;
+        service.counters.evicted += evicted as u64;
         obsv::counter!("resolver.sweep_evicted", evicted as u64);
         evicted
-    }
-
-    /// Live concurrent resolution with single-flight refresh: any
-    /// number of threads may call this; a cold domain triggers exactly
-    /// one policy fetch, with every other caller parked on the flight
-    /// slot and reusing the leader's result.
-    pub fn resolve<S: PolicySource>(
-        &self,
-        source: &S,
-        domain: &DomainName,
-        now: SimInstant,
-    ) -> (ResolvedPolicy, Disposition) {
-        let started = std::time::Instant::now();
-        let out = self.resolve_inner(source, domain, now);
-        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if let Ok(mut h) = self.metrics.latency_us.lock() {
-            h.record(us);
-        }
-        out
-    }
-
-    fn resolve_inner<S: PolicySource>(
-        &self,
-        source: &S,
-        domain: &DomainName,
-        now: SimInstant,
-    ) -> (ResolvedPolicy, Disposition) {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let txts = source.record_txts(domain, now);
-
-        // Warm path: one shard read lock, no writes anywhere.
-        if let Classified::Resolved(resolved, disposition) =
-            self.cache.classify(domain, txts.as_deref(), now)
-        {
-            if disposition.is_hit() {
-                self.metrics.count(disposition);
-                obsv::counter!("resolver.hit");
-                return (resolved, disposition);
-            }
-        }
-
-        // Cold path: join or lead the flight for this domain.
-        let shard = self.cache.shard_index(domain);
-        let (flight, leader) = {
-            let mut map = self.inflight[shard].lock().expect("inflight lock poisoned");
-            match map.get(domain) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight::default());
-                    map.insert(domain.clone(), Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-
-        if !leader {
-            // Park until the leader publishes, then reuse its result.
-            let mut slot = flight.result.lock().expect("flight lock poisoned");
-            while slot.is_none() {
-                slot = flight.ready.wait(slot).expect("flight lock poisoned");
-            }
-            let (resolved, _) = slot.clone().expect("slot filled");
-            self.metrics.count(Disposition::Coalesced);
-            obsv::counter!("resolver.coalesced_wait");
-            return (resolved, Disposition::Coalesced);
-        }
-
-        // Leader: re-run the full resolution (the cache may have been
-        // filled between the classification above and taking leadership
-        // — `resolve_with_record` classifies again first, so a
-        // just-landed policy turns this flight into a hit without a
-        // second fetch).
-        let mut admit = |at: SimInstant| match &self.bucket {
-            Some(bucket) => bucket.lock().expect("bucket lock poisoned").try_acquire(at),
-            None => true,
-        };
-        let outcome = resolve_with_record(
-            &self.cache,
-            source,
-            domain,
-            txts.as_deref(),
-            now,
-            &mut admit,
-        );
-        {
-            let mut slot = flight.result.lock().expect("flight lock poisoned");
-            *slot = Some(outcome.clone());
-            flight.ready.notify_all();
-        }
-        self.inflight[shard]
-            .lock()
-            .expect("inflight lock poisoned")
-            .remove(domain);
-        self.metrics.count(outcome.1);
-        if matches!(outcome.1, Disposition::Fetched) {
-            obsv::counter!("resolver.fetch");
-        }
-        outcome
     }
 
     /// Deterministic batch resolution: resolves `domains` (a wave of
@@ -723,11 +520,11 @@ impl PolicyResolver {
     /// per request, in submission order.
     ///
     /// Within the batch, duplicate cold domains coalesce onto the first
-    /// occurrence's fetch — the batch-mode face of single-flight.
-    /// Fetch admission instants are planned once on the logical bucket
-    /// via [`TokenBucket::plan_admissions`] (or the shedding variant
-    /// when a delay bound is configured), so the ledger — and
+    /// occurrence's fetch (single-flight). Fetch admission instants are
+    /// planned once on the logical bucket, so the ledger — and
     /// [`resolution_digest`] — is byte-identical at every thread count.
+    /// The service lock is held for the whole batch: a concurrent batch
+    /// waits for this one and then finds its fetched policies cached.
     pub fn resolve_batch<S: PolicySource>(
         &self,
         source: &S,
@@ -735,10 +532,10 @@ impl PolicyResolver {
         submitted: SimInstant,
     ) -> Vec<Resolution> {
         let batch_started = std::time::Instant::now();
+        let mut service = self.service.lock().expect("service lock poisoned");
+        let service = &mut *service;
         let threads = self.cfg.effective_threads();
-        self.metrics
-            .requests
-            .fetch_add(domains.len() as u64, Ordering::Relaxed);
+        service.counters.requests += domains.len() as u64;
 
         // Phase A (parallel, pure reads): record lookup + step one of
         // the decision per request. No writes happen anywhere in this
@@ -770,21 +567,18 @@ impl PolicyResolver {
         // Admission plan: one instant per fetch leader, from the single
         // logical bucket (deterministic per-shard clocks, PR-3 style).
         // `None` = shed.
-        let admissions: Vec<Option<SimInstant>> = match (&self.bucket, &self.cfg.admission) {
-            (Some(bucket), Some(adm)) => {
-                let mut bucket = bucket.lock().expect("bucket lock poisoned");
-                fetch_leaders
-                    .iter()
-                    .map(|_| {
-                        let wait = bucket.time_until_available(submitted);
-                        if wait > adm.max_delay {
-                            None
-                        } else {
-                            Some(bucket.acquire_at(submitted))
-                        }
-                    })
-                    .collect()
-            }
+        let admissions: Vec<Option<SimInstant>> = match (&mut service.bucket, &self.cfg.admission) {
+            (Some(bucket), Some(adm)) => fetch_leaders
+                .iter()
+                .map(|_| {
+                    let wait = bucket.time_until_available(submitted);
+                    if wait > adm.max_delay {
+                        None
+                    } else {
+                        Some(bucket.acquire_at(submitted))
+                    }
+                })
+                .collect(),
             _ => fetch_leaders.iter().map(|_| Some(submitted)).collect(),
         };
 
@@ -834,7 +628,7 @@ impl PolicyResolver {
             let domain = &domains[i];
             let row = match class {
                 Classified::Resolved(resolved, disposition) if disposition.is_hit() => {
-                    self.metrics.count(*disposition);
+                    service.counters.count(*disposition);
                     row_for(i as u64, domain, resolved, *disposition, submitted)
                 }
                 _ => {
@@ -842,10 +636,10 @@ impl PolicyResolver {
                     let (resolved, disposition, at) =
                         leader_outcome.get(&leader).expect("leader resolved");
                     if leader == i {
-                        self.metrics.count(*disposition);
+                        service.counters.count(*disposition);
                         row_for(i as u64, domain, resolved, *disposition, *at)
                     } else {
-                        self.metrics.count(Disposition::Coalesced);
+                        service.counters.count(Disposition::Coalesced);
                         row_for(i as u64, domain, resolved, Disposition::Coalesced, *at)
                     }
                 }
@@ -859,10 +653,8 @@ impl PolicyResolver {
         if !rows.is_empty() {
             let us = u64::try_from(batch_started.elapsed().as_micros()).unwrap_or(u64::MAX);
             let mean = us / rows.len() as u64;
-            if let Ok(mut h) = self.metrics.latency_us.lock() {
-                for _ in 0..rows.len() {
-                    h.record(mean);
-                }
+            for _ in 0..rows.len() {
+                service.latency_us.record(mean);
             }
         }
         rows
@@ -990,7 +782,7 @@ impl ResolverDaemon {
         }
     }
 
-    /// The shared resolver (hand clones to delivery workers).
+    /// The shared resolver (hand clones to the serving thread).
     pub fn resolver(&self) -> Arc<PolicyResolver> {
         Arc::clone(&self.resolver)
     }

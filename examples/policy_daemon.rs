@@ -1,13 +1,13 @@
 //! The policy-resolution daemon end to end (DESIGN.md
 //! "Policy-resolution service"): a shared single-flight TOFU cache
-//! answering "how do I deliver to domain X right now?" for concurrent
+//! answering "how do I deliver to domain X right now?" for batches of
 //! sender traffic, with rate-admitted refreshes, periodic expiry
 //! sweeps, and a live Prometheus `/metrics` endpoint served over TCP.
 //!
 //! The walkthrough:
 //!
-//! 1. a thundering herd — 8 worker threads all resolving the same cold
-//!    domain at once — triggers exactly **one** policy fetch;
+//! 1. a thundering herd — one batch of 8 requests for the same cold
+//!    domain — triggers exactly **one** policy fetch;
 //! 2. three daemon ticks drain mixed request batches deterministically
 //!    (cold fetches, warm hits, §3.3 stale fallbacks under a simulated
 //!    policy-host outage);
@@ -78,20 +78,11 @@ fn main() {
     ));
 
     // --- 1. The thundering herd -------------------------------------
-    println!("== cold herd: 8 workers, 1 domain ==");
-    let world = Arc::new(World { outage: false });
-    let herd: Vec<_> = (0..8)
-        .map(|_| {
-            let resolver = Arc::clone(&resolver);
-            let world = Arc::clone(&world);
-            std::thread::spawn(move || {
-                let (_, disposition) = resolver.resolve(&*world, &n("alpha.example"), epoch());
-                disposition
-            })
-        })
-        .collect();
-    for (i, h) in herd.into_iter().enumerate() {
-        println!("  worker {i}: {:?}", h.join().expect("worker"));
+    println!("== cold herd: 8 requests, 1 domain ==");
+    let world = World { outage: false };
+    let herd = vec![n("alpha.example"); 8];
+    for row in resolver.resolve_batch(&world, &herd, epoch()) {
+        println!("  request {}: {:?}", row.seq, row.disposition);
     }
     let m = resolver.metrics();
     println!(
@@ -117,7 +108,7 @@ fn main() {
     ];
 
     println!("== tick 1: mixed batch, policy hosts up ==");
-    for row in daemon.tick(&*world, &batch) {
+    for row in daemon.tick(&world, &batch) {
         println!(
             "  #{} {:<22} {:?}{}",
             row.seq,
@@ -130,7 +121,7 @@ fn main() {
     }
 
     println!("== tick 2: same batch, fully warm ==");
-    for row in daemon.tick(&*world, &batch) {
+    for row in daemon.tick(&world, &batch) {
         println!(
             "  #{} {:<22} {:?}",
             row.seq,

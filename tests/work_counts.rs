@@ -57,10 +57,10 @@ const PINS: &[(&str, u64)] = &[
     ("full bytes", 218_670_708),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
-    ("delivery allocs", 13_170),
-    ("delivery bytes", 1_091_569),
-    ("resolver allocs", 552),
-    ("resolver bytes", 56_664),
+    ("delivery allocs", 13_161),
+    ("delivery bytes", 1_087_709),
+    ("resolver allocs", 551),
+    ("resolver bytes", 55_768),
     // Span counts.
     ("span ecosystem.advance", 171),
     ("span snapshot.weekly", 160),
