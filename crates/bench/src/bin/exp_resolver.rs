@@ -78,13 +78,6 @@ struct RegimeReport {
 }
 
 #[derive(Serialize)]
-struct HotPathNote {
-    before: &'static str,
-    after: &'static str,
-    beneficiary: &'static str,
-}
-
-#[derive(Serialize)]
 struct BenchReport {
     experiment: &'static str,
     seed: u64,
@@ -92,7 +85,6 @@ struct BenchReport {
     shards: usize,
     threads: usize,
     regimes: Vec<RegimeReport>,
-    hot_path_clone_fix: HotPathNote,
     notes: &'static str,
 }
 
@@ -254,16 +246,6 @@ fn main() {
         shards: 16,
         threads,
         regimes,
-        hot_path_clone_fix: HotPathNote {
-            before: "PolicyCache::decide cloned the cached entry (full Policy + \
-                     mx patterns) on every resolution, including the warm-path \
-                     majority that only needed the classification",
-            after: "assess borrows the entry for the whole decision and clones \
-                    only in the UseCached*/fallback arms that hand a policy out; \
-                    decide delegates to assess",
-            beneficiary: "the warm regime above (pure read-lock assess) and every \
-                          Fetch-classified decision that ends shed or undeployed",
-        },
         notes: "synthetic uniformly-deployed world; per-wave resolution ledger \
                 digests folded in wave order and asserted byte-identical at 1 \
                 and 8 worker threads before any timing is reported; outage row \

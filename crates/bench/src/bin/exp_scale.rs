@@ -20,8 +20,6 @@
 //!
 //! - the weekly digest at scale 0.05 is identical for 1 and 8 scan
 //!   threads (thread count is unobservable);
-//! - streamed chunked generation digests byte-identical to monolithic
-//!   at scale 0.05;
 //! - `snapshot.weekly` mean self-time at scale 0.05 is ≥3× below the
 //!   pre-streaming baseline of 7590.769 µs/call (a per-stage profile
 //!   of the O(population) weekly loop);
@@ -40,8 +38,8 @@
 //! `MTASTS_SCALE_MAX` caps the sweep (CI uses 0.25 to stay inside its
 //! timeout; the recorded EXPERIMENTS.md run uses the full 1.0).
 
-use ecosystem::{DomainSpec, EcosystemConfig};
-use obsv::health::{fnv64, fnv64_extend, FNV64_OFFSET};
+use ecosystem::EcosystemConfig;
+use obsv::health::fnv64;
 use scanner::longitudinal::{MxHistory, Study, WeeklyPoint};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -74,7 +72,6 @@ struct StepReport {
     snapshot_weekly_mean_us: f64,
     peak_rss_kb: u64,
     weekly_digest: String,
-    chunked_parity: Option<bool>,
     /// Identity digest of the step's [`obsv::health::RunManifest`] —
     /// a pure function of seed, config, and outputs, so a re-run of the
     /// same row must reproduce it bit-for-bit.
@@ -92,7 +89,6 @@ struct BenchReport {
     required_speedup: f64,
     speedup_at_smallest_scale: f64,
     digest_parity_threads_1_8: bool,
-    chunked_parity: bool,
     rss_linear_slack: f64,
     rss_per_domain_slack: f64,
     steps: Vec<StepReport>,
@@ -135,36 +131,13 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Folds one spec into a population digest: FNV-1a over the Debug
-/// rendering of every spec, in order, however the specs are chunked.
-fn spec_digest(h: u64, d: &DomainSpec) -> u64 {
-    fnv64_extend(h, format!("{d:?}").as_bytes())
-}
-
 /// Child mode: one scale step in a fresh process, JSON report on stdout.
-fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
+fn run_step(seed: u64, scale: f64, threads: usize) -> ! {
     let config = EcosystemConfig::paper(seed, scale);
     let t0 = Instant::now();
     let eco = ecosystem::Ecosystem::generate(config.clone());
     let generate_secs = t0.elapsed().as_secs_f64();
     let domains = eco.population.domains.len();
-
-    let chunked_parity = chunk_check.then(|| {
-        let mono = eco
-            .population
-            .domains
-            .iter()
-            .fold(FNV64_OFFSET, spec_digest);
-        let mut streamed: u64 = 0;
-        for chunk_size in [1usize, 7, 1024] {
-            let chunks = ecosystem::spec::generate_chunked(&config, chunk_size);
-            streamed = chunks.fold(FNV64_OFFSET, |h, chunk| chunk.iter().fold(h, spec_digest));
-            if streamed != mono {
-                break;
-            }
-        }
-        streamed == mono
-    });
 
     let study = Study::new(eco);
     // Flight recorder on: per-date windows accumulate alongside the
@@ -230,7 +203,6 @@ fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
         snapshot_weekly_mean_us: weekly_row.mean_ns as f64 / 1e3,
         peak_rss_kb: peak_rss_kb(),
         weekly_digest: digest,
-        chunked_parity,
         manifest_identity_digest: format!("{:016x}", manifest.identity_digest()),
         sim_windows,
         wall_windows,
@@ -240,16 +212,12 @@ fn run_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> ! {
 }
 
 /// Spawns a child step and parses its report.
-fn spawn_step(seed: u64, scale: f64, threads: usize, chunk_check: bool) -> StepReport {
+fn spawn_step(seed: u64, scale: f64, threads: usize) -> StepReport {
     let exe = std::env::current_exe().expect("own path");
     let out = std::process::Command::new(exe)
         .env("MTASTS_SEED", seed.to_string())
         .env("MTASTS_SCALE_STEP", scale.to_string())
         .env("MTASTS_SCALE_THREADS", threads.to_string())
-        .env(
-            "MTASTS_SCALE_CHUNK_CHECK",
-            if chunk_check { "1" } else { "0" },
-        )
         .output()
         .expect("spawn step child");
     assert!(
@@ -278,8 +246,7 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(8);
-        let chunk_check = std::env::var("MTASTS_SCALE_CHUNK_CHECK").as_deref() == Ok("1");
-        run_step(seed, scale, threads, chunk_check);
+        run_step(seed, scale, threads);
     }
 
     let seed: u64 = std::env::var("MTASTS_SEED")
@@ -292,24 +259,18 @@ fn main() {
         .unwrap_or(1.0);
 
     // Thread-parity gate at the smallest scale: 1 vs 8 scan threads
-    // must digest identically (the chunked-generation parity check
-    // rides along in the 8-thread child).
+    // must digest identically.
     let smallest = SWEEP[0];
     eprintln!("# scale {smallest}: threads=1 (parity reference)...");
-    let one_thread = spawn_step(seed, smallest, 1, false);
-    eprintln!("# scale {smallest}: threads=8 (+ chunked parity)...");
-    let first = spawn_step(seed, smallest, 8, true);
+    let one_thread = spawn_step(seed, smallest, 1);
+    eprintln!("# scale {smallest}: threads=8...");
+    let first = spawn_step(seed, smallest, 8);
     let digest_parity = one_thread.weekly_digest == first.weekly_digest;
     assert!(
         digest_parity,
         "weekly digest diverges across scan threads at scale {smallest}: \
          {} (1 thread) vs {} (8 threads)",
         one_thread.weekly_digest, first.weekly_digest
-    );
-    let chunked_parity = first.chunked_parity == Some(true);
-    assert!(
-        chunked_parity,
-        "chunked generation diverged from monolithic at scale {smallest}"
     );
 
     let speedup = BASELINE_WEEKLY_MEAN_US / first.snapshot_weekly_mean_us;
@@ -332,7 +293,7 @@ fn main() {
             continue;
         }
         eprintln!("# scale {scale}: threads=8...");
-        steps.push(spawn_step(seed, scale, 8, false));
+        steps.push(spawn_step(seed, scale, 8));
     }
 
     // Peak-RSS growth: the resident population makes total RSS linear
@@ -391,7 +352,6 @@ fn main() {
         required_speedup: REQUIRED_SPEEDUP,
         speedup_at_smallest_scale: speedup,
         digest_parity_threads_1_8: digest_parity,
-        chunked_parity,
         rss_linear_slack: RSS_LINEAR_SLACK,
         rss_per_domain_slack: RSS_PER_DOMAIN_SLACK,
         steps,

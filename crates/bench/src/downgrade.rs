@@ -18,11 +18,11 @@
 //! [`ReportBuilder`].
 
 use mtasts::{
-    DeliveryObservation, Mode, ReportBuilder, ResultType, SenderAction, SenderEngine, StsFailure,
-    StsOutcome, TlsReport,
+    DeliveryObservation, Mode, ReportBuilder, ResultType, SenderAction, SenderEngine, StsOutcome,
+    TlsReport,
 };
 use netbase::{DomainName, Duration, SimDate, SimInstant};
-use pkix::validate_chain;
+use sender::TlsRequirement;
 use serde::Serialize;
 use simnet::endpoint::Reachability;
 use simnet::{AttackKind, AttackSchedule, MxEndpoint, WebEndpoint, World};
@@ -99,7 +99,7 @@ impl SweepSender {
             .and_then(|hosts| hosts.first().cloned())
             .unwrap_or_else(|| domain.clone());
         let record_txts = world.mta_sts_txts(domain, now).ok();
-        let probe = world.probe_mx(&mx, now);
+        let probe = world.probe_mx(&mx, None, now);
         if !self.use_cache {
             self.engine = SenderEngine::new();
         }
@@ -116,12 +116,9 @@ impl SweepSender {
             },
             mx_host: &mx,
             check_mx_tls: || {
-                if !probe.starttls_offered {
-                    return Err(StsFailure::StartTlsUnavailable);
-                }
-                let chain = probe.chain.as_deref().unwrap_or_default();
-                validate_chain(chain, &mx, now, world.pki.trust_store())
-                    .map_err(StsFailure::CertInvalid)
+                TlsRequirement::RequirePkix
+                    .check(&probe, &mx, now, world.pki.trust_store())
+                    .map(drop)
             },
             now,
         });

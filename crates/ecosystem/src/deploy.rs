@@ -1029,7 +1029,7 @@ mod tests {
         assert!(!mx.is_empty());
         for host in &mx {
             assert!(mtasts::mx_matches_policy(host, &policy), "{host}");
-            let probe = world.probe_mx(host, now);
+            let probe = world.probe_mx(host, None, now);
             assert_eq!(
                 probe.cert_verdict(host, now, world.pki.trust_store()),
                 Some(Ok(())),

@@ -390,7 +390,7 @@ mod tests {
             );
             if let Ok(hosts) = world.mx_records(&spec.name, now) {
                 for host in hosts {
-                    let probe = world.probe_mx(&host, now);
+                    let probe = world.probe_mx(&host, None, now);
                     let _ = writeln!(
                         out,
                         "  mx {host} verdict={:?}",

@@ -32,9 +32,6 @@ pub use deploy::Ecosystem;
 pub use fingerprint::{DomainFingerprint, FingerprintContext};
 pub use incremental::{AdvanceStats, IncrementalWorld};
 pub use providers::{MailProvider, OptOutBehavior, PolicyProvider};
-pub use spec::{
-    DomainSpec, FaultProfile, MailHosting, PolicyHosting, Population, PopulationChunks,
-    PopulationIndex, PopulationPlan,
-};
+pub use spec::{DomainSpec, FaultProfile, MailHosting, PolicyHosting, Population, PopulationIndex};
 pub use timeline::ChangeTimeline;
 pub use tld::TldId;

@@ -281,133 +281,6 @@ impl PopulationIndex {
     }
 }
 
-/// The insertion-order blueprint plus the name-sorted traversal order.
-///
-/// [`plan`] runs every generation pass (the passes are whole-population:
-/// quota shuffles, sequential cohort counters, the Tranco permutation) but
-/// materializes nothing twice: [`PopulationPlan::into_chunks`] *moves*
-/// each spec out exactly once in name-sorted order, and
-/// [`PopulationPlan::into_population`] walks the same permutation — so
-/// chunked and monolithic emission are byte-identical by construction.
-#[derive(Debug, Clone)]
-pub struct PopulationPlan {
-    /// Specs in insertion (generation) order; `take`n on emission.
-    specs: Vec<Option<DomainSpec>>,
-    /// Name-sorted permutation over `specs`.
-    order: Vec<u32>,
-    small_policy_providers: u32,
-    small_mail_providers: u32,
-}
-
-impl PopulationPlan {
-    /// Number of planned domains.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Small policy-provider count (for deploy-side naming).
-    pub fn small_policy_providers(&self) -> u32 {
-        self.small_policy_providers
-    }
-
-    /// Small mail-provider count.
-    pub fn small_mail_providers(&self) -> u32 {
-        self.small_mail_providers
-    }
-
-    /// Streams the population as fixed-size chunks in name-sorted order.
-    pub fn into_chunks(self, chunk_size: usize) -> PopulationChunks {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        PopulationChunks {
-            specs: self.specs,
-            order: self.order,
-            cursor: 0,
-            chunk_size,
-            small_policy_providers: self.small_policy_providers,
-            small_mail_providers: self.small_mail_providers,
-        }
-    }
-
-    /// Materializes the whole population (same traversal as the chunk
-    /// stream) and builds the columnar index.
-    pub fn into_population(mut self) -> Population {
-        let mut domains = Vec::with_capacity(self.order.len());
-        for &i in &self.order {
-            domains.push(
-                self.specs[i as usize]
-                    .take()
-                    .expect("order is a permutation"),
-            );
-        }
-        Population::from_parts(
-            domains,
-            self.small_policy_providers,
-            self.small_mail_providers,
-        )
-    }
-}
-
-/// Iterator over name-sorted, fixed-size spec chunks (see
-/// [`PopulationPlan::into_chunks`]). Each spec is moved out exactly once;
-/// the stream never holds a second copy of the population.
-#[derive(Debug)]
-pub struct PopulationChunks {
-    specs: Vec<Option<DomainSpec>>,
-    order: Vec<u32>,
-    cursor: usize,
-    chunk_size: usize,
-    small_policy_providers: u32,
-    small_mail_providers: u32,
-}
-
-impl PopulationChunks {
-    /// Small policy-provider count (for deploy-side naming).
-    pub fn small_policy_providers(&self) -> u32 {
-        self.small_policy_providers
-    }
-
-    /// Small mail-provider count.
-    pub fn small_mail_providers(&self) -> u32 {
-        self.small_mail_providers
-    }
-
-    /// Total number of domains across all chunks.
-    pub fn total_len(&self) -> usize {
-        self.order.len()
-    }
-}
-
-impl Iterator for PopulationChunks {
-    type Item = Vec<DomainSpec>;
-
-    fn next(&mut self) -> Option<Vec<DomainSpec>> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.chunk_size).min(self.order.len());
-        let chunk = self.order[self.cursor..end]
-            .iter()
-            .map(|&i| {
-                self.specs[i as usize]
-                    .take()
-                    .expect("each index emitted once")
-            })
-            .collect();
-        self.cursor = end;
-        Some(chunk)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.order.len() - self.cursor).div_ceil(self.chunk_size);
-        (left, Some(left))
-    }
-}
-
 /// The lucidgrow incident window: every lucidgrow-customer policy is
 /// wrong (3LD+ vs their unique MXes) and set to `enforce` (§4.4: observed
 /// on January 23, 2024, resolved quickly).
@@ -422,19 +295,8 @@ pub const JUNE8_WINDOW: (SimDate, SimDate) = (
     SimDate::from_days_since_epoch(19_884), // 2024-06-10
 );
 
-/// Deterministically generates the whole population.
+/// Deterministically generates the whole population, sorted by name.
 pub fn generate(config: &EcosystemConfig) -> Population {
-    plan(config).into_population()
-}
-
-/// Streams the population as name-sorted, fixed-size chunks — same specs,
-/// same order, same bytes as [`generate`], without a second copy.
-pub fn generate_chunked(config: &EcosystemConfig, chunk_size: usize) -> PopulationChunks {
-    plan(config).into_chunks(chunk_size)
-}
-
-/// Runs every generation pass and returns the emission-ready blueprint.
-pub fn plan(config: &EcosystemConfig) -> PopulationPlan {
     let root = DetRng::new(config.seed).fork("ecosystem");
     let mut domains: Vec<DomainSpec> = Vec::new();
 
@@ -688,17 +550,10 @@ pub fn plan(config: &EcosystemConfig) -> PopulationPlan {
         });
     }
 
-    // Name-sorted traversal order. Chunked emission and monolithic
-    // materialization both walk this permutation, so they agree byte for
-    // byte by construction.
-    let mut order: Vec<u32> = (0..domains.len() as u32).collect();
-    order.sort_by(|&a, &b| domains[a as usize].name.cmp(&domains[b as usize].name));
-    PopulationPlan {
-        specs: domains.into_iter().map(Some).collect(),
-        order,
-        small_policy_providers: small_provider_count,
-        small_mail_providers,
-    }
+    // Every pass above runs in insertion order; the population is kept
+    // in name order (a stable sort, so equal names keep that order).
+    domains.sort_by(|a, b| a.name.cmp(&b.name));
+    Population::from_parts(domains, small_provider_count, small_mail_providers)
 }
 
 /// Draws mail hosting for domains with no structural constraint.
@@ -1151,68 +1006,6 @@ mod tests {
             (calib::TLSRPT_EVENTUAL - 0.05..calib::TLSRPT_EVENTUAL + 0.05).contains(&share),
             "{share}"
         );
-    }
-
-    /// FNV-1a over the Debug rendering of every spec, in order.
-    fn population_digest(domains: &[DomainSpec]) -> u64 {
-        domains.iter().fold(obsv::health::FNV64_OFFSET, |h, d| {
-            obsv::health::fnv64_extend(h, format!("{d:?}").as_bytes())
-        })
-    }
-
-    #[test]
-    fn chunked_generation_matches_monolithic() {
-        let config = small_config();
-        let mono = generate(&config);
-        let mono_digest = population_digest(&mono.domains);
-        for chunk_size in [1usize, 7, 1024] {
-            let chunks = generate_chunked(&config, chunk_size);
-            assert_eq!(chunks.small_policy_providers(), mono.small_policy_providers);
-            assert_eq!(chunks.small_mail_providers(), mono.small_mail_providers);
-            assert_eq!(chunks.total_len(), mono.domains.len());
-            let mut streamed: Vec<DomainSpec> = Vec::new();
-            for chunk in chunks {
-                assert!(!chunk.is_empty() && chunk.len() <= chunk_size);
-                streamed.extend(chunk);
-            }
-            assert_eq!(
-                population_digest(&streamed),
-                mono_digest,
-                "chunk_size {chunk_size}"
-            );
-            assert_eq!(streamed, mono.domains);
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-
-        /// Chunked generation is byte-identical to monolithic for
-        /// arbitrary seeds and fractional scales, at chunk sizes 1, 7
-        /// and 1024 — the digest-parity oracle, property-tested.
-        #[test]
-        fn chunked_digest_parity_over_seeds(
-            seed in 0u64..1_000_000,
-            scale_thousandths in 3u32..12,
-        ) {
-            let config =
-                EcosystemConfig::paper(seed, f64::from(scale_thousandths) / 1000.0);
-            let mono = generate(&config);
-            let mono_digest = population_digest(&mono.domains);
-            for chunk_size in [1usize, 7, 1024] {
-                let chunks = generate_chunked(&config, chunk_size);
-                let mut streamed: Vec<DomainSpec> = Vec::new();
-                for chunk in chunks {
-                    streamed.extend(chunk);
-                }
-                proptest::prop_assert_eq!(
-                    population_digest(&streamed),
-                    mono_digest,
-                    "chunk_size {}",
-                    chunk_size
-                );
-            }
-        }
     }
 
     #[test]

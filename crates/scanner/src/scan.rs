@@ -341,7 +341,7 @@ pub(crate) fn mx_stage(
                 now,
                 MxProbeOutcome::is_transient_failure,
                 |at, _| {
-                    let probe = world.probe_mx(host, at);
+                    let probe = world.probe_mx(host, None, at);
                     if probe.is_transient_failure() {
                         Err(probe)
                     } else {

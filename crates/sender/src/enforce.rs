@@ -20,15 +20,20 @@
 //! - **Evidence, not booleans.** Each delivered attempt reports
 //!   [`TlsEvidence`] so `testing` mode can account soft failures for
 //!   RFC 8460 TLSRPT without refusing anything.
+//! - **One TLS check.** [`TlsRequirement::check`] turns one MX session
+//!   ([`simnet::World::probe_mx`]) into evidence or a refusal. The
+//!   queue's transport, the deliverability platform and the downgrade
+//!   sweep's sender all call it.
 //!
 //! The cache itself rides the `MTASTS-DLVQ1` checkpoint (see
 //! `pipeline.rs`), so kill/resume replays the same resolution sequence
 //! a straight-through run performs.
 
-use mtasts::Mode;
-use netbase::DomainName;
-use pkix::CertError;
+use mtasts::{Mode, StsFailure};
+use netbase::{DomainName, SimInstant};
+use pkix::{validate_chain, CertError, TrustStore};
 use serde::{Deserialize, Serialize};
+use simnet::MxProbeOutcome;
 use std::collections::BTreeMap;
 
 pub use mtasts::{report_outcome, ResolvedPolicy};
@@ -68,6 +73,57 @@ pub enum TlsRequirement {
     /// DANE governs: the presented chain must validate against these
     /// TLSA records (RFC 7672).
     RequireDane(Vec<dns::TlsaRecord>),
+}
+
+impl TlsRequirement {
+    /// Whether the session `probe` observed with `host` meets this
+    /// requirement at `now` (RFC 8461 §4.1 and §5; RFC 7672 for DANE).
+    ///
+    /// A session without a presented chain (no STARTTLS, a stripped or
+    /// failed upgrade, or no session at all) stays in plaintext: the
+    /// opportunistic arms accept that, the required arms refuse it with
+    /// [`StsFailure::StartTlsUnavailable`]. With a chain, `RequirePkix`
+    /// and `RequireDane` refuse a chain that fails validation, and
+    /// `OpportunisticAudit` reports the failure without refusing. The
+    /// DANE arm passes the DNSSEC gate: its records come from a signed
+    /// zone ([`simnet::World::tlsa_records`]).
+    pub fn check(
+        &self,
+        probe: &MxProbeOutcome<'_>,
+        host: &DomainName,
+        now: SimInstant,
+        roots: &TrustStore,
+    ) -> Result<TlsEvidence, StsFailure> {
+        let Some(chain) = probe.chain.as_deref() else {
+            return match self {
+                TlsRequirement::Opportunistic | TlsRequirement::OpportunisticAudit => {
+                    Ok(TlsEvidence::Plaintext)
+                }
+                TlsRequirement::RequirePkix | TlsRequirement::RequireDane(_) => {
+                    Err(StsFailure::StartTlsUnavailable)
+                }
+            };
+        };
+        match self {
+            TlsRequirement::Opportunistic => Ok(TlsEvidence::Encrypted),
+            TlsRequirement::OpportunisticAudit => {
+                Ok(match validate_chain(chain, host, now, roots) {
+                    Ok(()) => TlsEvidence::Validated,
+                    Err(e) => TlsEvidence::CertFailed(e),
+                })
+            }
+            TlsRequirement::RequirePkix => validate_chain(chain, host, now, roots)
+                .map(|()| TlsEvidence::Validated)
+                .map_err(StsFailure::CertInvalid),
+            TlsRequirement::RequireDane(tlsa) => {
+                danelite::validate_dane(tlsa, chain, true, host, now, roots)
+                    .map(|_| TlsEvidence::Validated)
+                    .map_err(|e| StsFailure::DaneInvalid {
+                        reason: e.to_string(),
+                    })
+            }
+        }
+    }
 }
 
 /// TLS evidence from a delivered attempt.

@@ -1134,10 +1134,11 @@ fn attempt_ladder<T: MxTransport>(
 }
 
 /// The fast-path transport: routes and attempts against the in-process
-/// [`simnet::World`], mirroring `World::probe_mx`'s fault/attack
-/// semantics plus RCPT-level rejection — so the wire deployment (real
-/// SMTP over localhost, assembled in the root-package tests) produces
-/// the same ledger for fault-free scenarios.
+/// [`simnet::World`]. Each attempt is one [`simnet::World::probe_mx`]
+/// session naming the message's recipient, judged by
+/// [`TlsRequirement::check`]; the wire deployment (real SMTP over
+/// localhost, assembled in the root-package tests) produces the same
+/// ledger for fault-free scenarios.
 pub struct FastTransport<'a> {
     world: &'a simnet::World,
 }
@@ -1167,126 +1168,20 @@ impl MxTransport for FastTransport<'_> {
         now: SimInstant,
         tls: &TlsRequirement,
     ) -> AttemptDisposition {
-        use simnet::{FaultStage, Reachability};
-        let Ok(lookup) = self.world.resolve(mx_host, dns::RecordType::A, now) else {
-            return AttemptDisposition::HostUnreachable;
-        };
-        let Some(ip) = lookup.a_addrs().first().copied() else {
-            return AttemptDisposition::HostUnreachable;
-        };
-        let Some(endpoint) = self.world.mx_endpoint(ip) else {
-            return AttemptDisposition::HostUnreachable;
-        };
-        if endpoint.reachability != Reachability::Up {
+        let probe = self.world.probe_mx(mx_host, Some(&message.rcpt_to), now);
+        if !probe.reachable {
             return AttemptDisposition::HostUnreachable;
         }
-        let fault_scope = format_args!("mx/{ip}");
-        if endpoint
-            .faults
-            .sample(FaultStage::Tcp, fault_scope, now)
-            .is_some()
-        {
-            return AttemptDisposition::HostUnreachable;
-        }
-        if endpoint
-            .faults
-            .sample(FaultStage::Smtp, fault_scope, now)
-            .is_some()
-        {
+        if let Some(reply) = probe.reply {
             return AttemptDisposition::Reply {
-                code: 450,
-                text: "4.7.0 greylisted, try again later".to_string(),
+                code: reply.code,
+                text: reply.text,
             };
         }
-        if let Some(rcpt_domain) = message.recipient_domain() {
-            if endpoint.reject_rcpt_domains.contains(&rcpt_domain) {
-                return AttemptDisposition::Reply {
-                    code: 550,
-                    text: format!("5.7.1 relaying denied for {rcpt_domain}"),
-                };
-            }
+        match tls.check(&probe, mx_host, now, self.world.pki.trust_store()) {
+            Ok(tls) => AttemptDisposition::Delivered { tls },
+            Err(failure) => AttemptDisposition::TlsRefused { failure },
         }
-        // STARTTLS availability and the presented chain mirror
-        // `World::probe_mx`: a strip attacker removes the capability, a
-        // cert-substituting MITM terminates TLS with its own chain.
-        let stripped = self
-            .world
-            .attack_active(simnet::AttackKind::StartTlsStrip, mx_host, now);
-        let starttls = endpoint.starttls
-            && !endpoint.hide_starttls
-            && !endpoint.helo_only
-            && !stripped
-            && !endpoint.chain.is_empty();
-        let substitute;
-        let chain: &[pkix::SimCert] = if starttls
-            && self
-                .world
-                .attack_active(simnet::AttackKind::MxCertSubstitute, mx_host, now)
-        {
-            substitute = self.world.pki.forge(
-                &simnet::CertKind::UntrustedCa,
-                std::slice::from_ref(mx_host),
-                now,
-            );
-            &substitute
-        } else {
-            &endpoint.chain
-        };
-        let roots = self.world.pki.trust_store();
-        let evidence = match tls {
-            TlsRequirement::Opportunistic => {
-                if starttls {
-                    TlsEvidence::Encrypted
-                } else {
-                    TlsEvidence::Plaintext
-                }
-            }
-            TlsRequirement::OpportunisticAudit => {
-                if !starttls {
-                    TlsEvidence::Plaintext
-                } else {
-                    match pkix::validate_chain(chain, mx_host, now, roots) {
-                        Ok(()) => TlsEvidence::Validated,
-                        Err(e) => TlsEvidence::CertFailed(e),
-                    }
-                }
-            }
-            TlsRequirement::RequirePkix => {
-                if !starttls {
-                    return AttemptDisposition::TlsRefused {
-                        failure: StsFailure::StartTlsUnavailable,
-                    };
-                }
-                match pkix::validate_chain(chain, mx_host, now, roots) {
-                    Ok(()) => TlsEvidence::Validated,
-                    Err(e) => {
-                        return AttemptDisposition::TlsRefused {
-                            failure: StsFailure::CertInvalid(e),
-                        }
-                    }
-                }
-            }
-            TlsRequirement::RequireDane(tlsa) => {
-                if !starttls {
-                    return AttemptDisposition::TlsRefused {
-                        failure: StsFailure::StartTlsUnavailable,
-                    };
-                }
-                // The transport only hands out TLSA records from signed
-                // zones, so the DNSSEC gate passed upstream.
-                match danelite::validate_dane(tlsa, chain, true, mx_host, now, roots) {
-                    Ok(_) => TlsEvidence::Validated,
-                    Err(e) => {
-                        return AttemptDisposition::TlsRefused {
-                            failure: StsFailure::DaneInvalid {
-                                reason: e.to_string(),
-                            },
-                        }
-                    }
-                }
-            }
-        };
-        AttemptDisposition::Delivered { tls: evidence }
     }
 
     fn sts_record(&self, domain: &DomainName, now: SimInstant) -> Option<Vec<String>> {
@@ -1302,24 +1197,7 @@ impl MxTransport for FastTransport<'_> {
     }
 
     fn tlsa_records(&self, mx_host: &DomainName, now: SimInstant) -> Option<Vec<dns::TlsaRecord>> {
-        let name = danelite::tlsa_name(mx_host);
-        if !self.world.is_signed(&name) {
-            return None;
-        }
-        let lookup = self.world.resolve(&name, dns::RecordType::Tlsa, now).ok()?;
-        let records: Vec<dns::TlsaRecord> = lookup
-            .records
-            .iter()
-            .filter_map(|r| match &r.data {
-                dns::RecordData::Tlsa(t) => Some(t.clone()),
-                _ => None,
-            })
-            .collect();
-        if records.is_empty() {
-            None
-        } else {
-            Some(records)
-        }
+        self.world.tlsa_records(mx_host, now)
     }
 
     fn attack_touched(&self, name: &DomainName, now: SimInstant) -> bool {

@@ -6,12 +6,12 @@
 //! sender's validation behaviour from which messages arrive and whether
 //! TLS was used — exactly how the paper's dataset was produced (§6.1).
 
+use crate::enforce::TlsRequirement;
 use crate::profile::{SenderProfile, TlsSupport};
-use danelite::{tlsa_for_cert, validate_dane};
-use dns::{RecordData, RecordType, TlsaRecord};
-use mtasts::{DeliveryObservation, SenderAction, SenderEngine, StsFailure};
+use danelite::tlsa_for_cert;
+use dns::RecordData;
+use mtasts::{DeliveryObservation, SenderAction, SenderEngine};
 use netbase::{DomainName, SimDate, SimInstant};
-use pkix::validate_chain;
 use serde::Serialize;
 use simnet::{CertKind, MxEndpoint, WebEndpoint, World};
 
@@ -103,35 +103,16 @@ impl Platform {
         // Resolve the receiver's MX and probe it like a real sender.
         let mx_hosts = world.mx_records(&domain, now).unwrap_or_default();
         let mx = mx_hosts.first().cloned().unwrap_or_else(|| domain.clone());
-        let probe = world.probe_mx(&mx, now);
+        let probe = world.probe_mx(&mx, None, now);
+        let roots = world.pki.trust_store();
         let starttls = probe.starttls_offered;
-        let chain = probe.chain.clone().unwrap_or_default();
+        let pkix = || TlsRequirement::RequirePkix.check(&probe, &mx, now, roots);
 
-        // DANE evidence.
-        let tlsa_name = danelite::tlsa_name(&mx);
-        let tlsa_records: Vec<TlsaRecord> = world
-            .resolve(&tlsa_name, RecordType::Tlsa, now)
-            .map(|l| {
-                l.records
-                    .iter()
-                    .filter_map(|r| match &r.data {
-                        RecordData::Tlsa(t) => Some(t.clone()),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let zone_signed = world.is_signed(&mx);
-        let dane_applies = zone_signed && !tlsa_records.is_empty();
-        let dane_verdict = dane_applies.then(|| {
-            validate_dane(
-                &tlsa_records,
-                &chain,
-                zone_signed,
-                &mx,
-                now,
-                world.pki.trust_store(),
-            )
+        // DANE evidence: usable TLSA records govern when the zone is signed.
+        let dane_ok = world.tlsa_records(&mx, now).map(|tlsa| {
+            TlsRequirement::RequireDane(tlsa)
+                .check(&probe, &mx, now, roots)
+                .is_ok()
         });
 
         // MTA-STS evidence through the real sender engine.
@@ -139,46 +120,30 @@ impl Platform {
         let sts_applies = record_txts
             .as_ref()
             .is_some_and(|t| t.iter().any(|s| s.starts_with("v=STSv1")));
-        let sts_action = if profile.validates_mtasts {
+        let sts_action = profile.validates_mtasts.then(|| {
             let mut engine = SenderEngine::new();
-            let fetch_world = world;
-            let fetch_domain = domain.clone();
-            let mx_for_check = mx.clone();
-            let chain_for_check = chain.clone();
-            let trust = world.pki.trust_store().clone();
             let (_, action) = engine.evaluate(DeliveryObservation {
                 domain: &domain,
                 record_txts: record_txts.as_deref(),
-                fetch_policy: move || {
-                    let outcome = fetch_world.fetch_policy(&fetch_domain, now);
-                    outcome
+                fetch_policy: || {
+                    world
+                        .fetch_policy(&domain, now)
                         .result
                         .map(|(_, raw)| raw)
                         .map_err(|e| e.to_string())
                 },
                 mx_host: &mx,
-                check_mx_tls: move || {
-                    if !starttls {
-                        return Err(StsFailure::StartTlsUnavailable);
-                    }
-                    validate_chain(&chain_for_check, &mx_for_check, now, &trust)
-                        .map_err(StsFailure::CertInvalid)
-                },
+                check_mx_tls: || pkix().map(drop),
                 now,
             });
-            Some(action)
-        } else {
-            None
-        };
+            action
+        });
 
         // Combine per the profile (RFC 8461: DANE should take precedence
         // when both apply; the milter bug inverts that).
         let mut delivered = true;
         let mut tls_used = starttls && profile.tls != TlsSupport::None;
         let mut validated = false;
-
-        let dane_decision =
-            |verdict: &Result<danelite::CertUsage, danelite::DaneError>| verdict.is_ok();
 
         match profile.tls {
             TlsSupport::None => {
@@ -188,14 +153,13 @@ impl Platform {
                 tls_used = false;
             }
             TlsSupport::PkixAlways => {
-                let pkix_ok = starttls
-                    && validate_chain(&chain, &mx, now, self.world.pki.trust_store()).is_ok();
+                let pkix_ok = pkix().is_ok();
                 delivered = pkix_ok;
                 validated = pkix_ok;
                 tls_used = pkix_ok;
             }
             TlsSupport::Opportunistic => {
-                let dane_active = profile.validates_dane && dane_verdict.is_some();
+                let dane_active = profile.validates_dane && dane_ok.is_some();
                 let sts_active = profile.validates_mtasts && sts_applies;
                 if dane_active && sts_active {
                     if profile.prefers_mtasts_over_dane {
@@ -204,12 +168,12 @@ impl Platform {
                         validated = sts_action == Some(SenderAction::Deliver);
                     } else {
                         // RFC-compliant: DANE takes precedence.
-                        let ok = dane_decision(dane_verdict.as_ref().expect("dane active"));
+                        let ok = dane_ok == Some(true);
                         delivered = ok;
                         validated = ok;
                     }
                 } else if dane_active {
-                    let ok = dane_decision(dane_verdict.as_ref().expect("dane active"));
+                    let ok = dane_ok == Some(true);
                     delivered = ok;
                     validated = ok;
                 } else if sts_active {

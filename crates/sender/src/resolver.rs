@@ -478,7 +478,7 @@ impl PolicyResolver {
             ("resolver.hits", snap.hits),
             ("resolver.hits_despite_dns", snap.hits_despite_dns),
             ("resolver.fetches", snap.fetches),
-            ("resolver.coalesced_waits", snap.coalesced),
+            ("resolver.coalesced", snap.coalesced),
             ("resolver.stale_fallbacks", snap.stale_fallbacks),
             ("resolver.shed_requests", snap.shed),
             ("resolver.undeployed", snap.undeployed),

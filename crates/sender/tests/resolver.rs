@@ -511,10 +511,7 @@ fn daemon_serves_prometheus_metrics_over_tcp() {
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("resolver_requests 2"), "{response}");
     assert!(response.contains("resolver_fetches 1"), "{response}");
-    assert!(
-        response.contains("resolver_coalesced_waits 1"),
-        "{response}"
-    );
+    assert!(response.contains("resolver_coalesced 1"), "{response}");
     assert!(response.contains("resolver_cache_entries 1"), "{response}");
 }
 

@@ -155,7 +155,10 @@ pub struct MxEndpoint {
     pub reachability: Reachability,
     /// Whether STARTTLS is advertised and usable.
     pub starttls: bool,
-    /// The certificate chain presented after STARTTLS (empty = alert).
+    /// The certificate chain presented after STARTTLS. An empty chain
+    /// still offers STARTTLS and completes the upgrade with no
+    /// certificate: an opportunistic sender encrypts, and validation
+    /// fails with `NoCertificate` (PKIX and DANE alike).
     pub chain: Vec<pkix::SimCert>,
     /// Whether the server hides STARTTLS (greylisting-style).
     pub hide_starttls: bool,

@@ -1,10 +1,13 @@
-//! The fast-path error ladders: policy fetch and MX probe.
+//! The fast-path error ladders: policy fetch and MX session.
 //!
 //! These walk the exact layer sequence the paper's taxonomy is built on
 //! (§4.3.3: DNS → TCP → TLS → HTTP → policy syntax; §4.3.4: reachability →
-//! STARTTLS → certificate), against the in-memory [`World`]. The wire path
-//! in [`crate::wire`] performs the same ladders over real sockets; the
-//! differential tests in `tests/` assert agreement.
+//! STARTTLS → certificate), against the in-memory [`World`].
+//! [`World::probe_mx`] is the one model of an SMTP session with a
+//! simulated MX: the scanner's probe, the delivery queue's transport and
+//! every simulated sender read it. The wire path in [`crate::wire`]
+//! performs the same ladders over real sockets; the differential tests
+//! in `tests/` assert agreement.
 
 use crate::endpoint::{CertKind, Reachability, TlsBehavior};
 use crate::faults::{AttackKind, FaultStage};
@@ -14,6 +17,7 @@ use mtasts::{parse_policy, Policy, PolicyError};
 use netbase::{DomainName, SimInstant};
 use pkix::{validate_chain, CertError, SimCert};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// TLS-layer failure detail.
@@ -124,42 +128,66 @@ impl PolicyFetchOutcome {
     }
 }
 
-/// Everything an MX probe observes (§4.1's instrumented client).
+/// A non-positive SMTP reply that ended an MX session.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MxProbeOutcome {
+pub struct SmtpReply {
+    /// The reply code: 4xx asks the client to come back, 5xx refuses.
+    pub code: u16,
+    /// The reply text after the code.
+    pub text: String,
+}
+
+/// Everything one SMTP session with an MX observes (§4.1's instrumented
+/// client: connect → EHLO → STARTTLS → certificate).
+///
+/// A fast-path session borrows the endpoint's installed chain; only an
+/// attacker's forged chain, or one read off the wire, is owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MxProbeOutcome<'w> {
     /// Whether the SMTP endpoint was reachable at all.
     pub reachable: bool,
     /// Whether EHLO failed and HELO was used.
     pub used_helo: bool,
-    /// Whether STARTTLS was advertised.
+    /// Whether STARTTLS was advertised, as the client saw it (a stripping
+    /// attacker removes it).
     pub starttls_offered: bool,
-    /// The presented certificate chain (empty = none installed), when the
-    /// upgrade was attempted.
-    pub chain: Option<Vec<SimCert>>,
+    /// The chain the upgraded session presented: `Some` exactly when a
+    /// TLS session was established, and empty when the server presented
+    /// no certificate.
+    pub chain: Option<Cow<'w, [SimCert]>>,
     /// A handshake-level failure description, if the upgrade broke.
     pub tls_failure: Option<String>,
-    /// A 4xx tempfail reply (greylisting), if the session was deferred.
-    /// Definitionally transient: the server asked the client to come back.
-    pub tempfail: Option<String>,
+    /// The reply that ended the session before STARTTLS: a 450 greylist
+    /// tempfail, or a 550 for a recipient the endpoint rejects.
+    pub reply: Option<SmtpReply>,
 }
 
-impl MxProbeOutcome {
+impl MxProbeOutcome<'_> {
     /// An unreachable-host outcome.
-    fn unreachable() -> MxProbeOutcome {
+    pub(crate) fn unreachable() -> MxProbeOutcome<'static> {
         MxProbeOutcome {
             reachable: false,
             used_helo: false,
             starttls_offered: false,
             chain: None,
             tls_failure: None,
-            tempfail: None,
+            reply: None,
+        }
+    }
+
+    /// A reachable session that `reply` ended before any upgrade.
+    fn ended(reply: SmtpReply) -> MxProbeOutcome<'static> {
+        MxProbeOutcome {
+            reachable: true,
+            reply: Some(reply),
+            ..MxProbeOutcome::unreachable()
         }
     }
 
     /// Whether the probe failed in a plausibly transient way (host down or
-    /// session deferred) and is worth retrying.
+    /// a 4xx tempfail) and is worth retrying.
     pub fn is_transient_failure(&self) -> bool {
-        !self.reachable || self.tempfail.is_some()
+        !self.reachable || self.reply.as_ref().is_some_and(|r| r.code / 100 == 4)
     }
 
     /// Validates the presented chain for `host`; `None` when no chain was
@@ -171,7 +199,7 @@ impl MxProbeOutcome {
         roots: &pkix::TrustStore,
     ) -> Option<Result<(), CertError>> {
         self.chain
-            .as_ref()
+            .as_deref()
             .map(|chain| validate_chain(chain, host, now, roots))
     }
 }
@@ -388,8 +416,21 @@ impl World {
         }
     }
 
-    /// Probes one MX host (§4.1's instrumented SMTP client, fast path).
-    pub fn probe_mx(&self, mx_host: &DomainName, now: SimInstant) -> MxProbeOutcome {
+    /// One SMTP session with `mx_host` at `now` (§4.1's instrumented
+    /// client, fast path). `rcpt_to` is the envelope recipient a sender
+    /// names; a scan names none.
+    ///
+    /// The session draws, in this order: the endpoint's TCP fault, its
+    /// SMTP greylist fault, the recipient check, an on-path STARTTLS
+    /// strip and a certificate substitution. A draw that ends the session
+    /// stops it, so the later ones neither fire nor count; in particular
+    /// a rejected recipient draws no attack window.
+    pub fn probe_mx(
+        &self,
+        mx_host: &DomainName,
+        rcpt_to: Option<&str>,
+        now: SimInstant,
+    ) -> MxProbeOutcome<'_> {
         let Ok(lookup) = self.resolve(mx_host, RecordType::A, now) else {
             return MxProbeOutcome::unreachable();
         };
@@ -415,14 +456,21 @@ impl World {
             .sample(FaultStage::Smtp, fault_scope, now)
             .is_some()
         {
-            return MxProbeOutcome {
-                reachable: true,
-                used_helo: false,
-                starttls_offered: false,
-                chain: None,
-                tls_failure: None,
-                tempfail: Some("450 4.7.0 greylisted, try again later".to_string()),
-            };
+            return MxProbeOutcome::ended(SmtpReply {
+                code: 450,
+                text: "4.7.0 greylisted, try again later".to_string(),
+            });
+        }
+        let rcpt_domain = rcpt_to
+            .and_then(|to| to.rsplit_once('@'))
+            .and_then(|(_, domain)| domain.parse::<DomainName>().ok());
+        if let Some(domain) = rcpt_domain {
+            if endpoint.reject_rcpt_domains.contains(&domain) {
+                return MxProbeOutcome::ended(SmtpReply {
+                    code: 550,
+                    text: format!("5.7.1 relaying denied for {domain}"),
+                });
+            }
         }
         let used_helo = endpoint.helo_only;
         // An on-path STRIPTLS attacker filters the capability out of the
@@ -430,31 +478,26 @@ impl World {
         let stripped = self.attack_active(AttackKind::StartTlsStrip, mx_host, now);
         let starttls_offered =
             endpoint.starttls && !endpoint.hide_starttls && !endpoint.helo_only && !stripped;
-        if !starttls_offered {
-            return MxProbeOutcome {
-                reachable: true,
-                used_helo,
-                starttls_offered,
-                chain: None,
-                tls_failure: None,
-                tempfail: None,
-            };
-        }
         // A cert-substituting MITM terminates the upgraded session with a
         // chain from its own CA for the right name.
-        let chain = if self.attack_active(AttackKind::MxCertSubstitute, mx_host, now) {
-            self.pki
-                .forge(&CertKind::UntrustedCa, std::slice::from_ref(mx_host), now)
-        } else {
-            endpoint.chain.clone()
-        };
+        let chain = starttls_offered.then(|| {
+            if self.attack_active(AttackKind::MxCertSubstitute, mx_host, now) {
+                Cow::Owned(self.pki.forge(
+                    &CertKind::UntrustedCa,
+                    std::slice::from_ref(mx_host),
+                    now,
+                ))
+            } else {
+                Cow::Borrowed(endpoint.chain.as_slice())
+            }
+        });
         MxProbeOutcome {
             reachable: true,
             used_helo,
             starttls_offered,
-            chain: Some(chain),
+            chain,
             tls_failure: None,
-            tempfail: None,
+            reply: None,
         }
     }
 }
@@ -631,7 +674,7 @@ mod tests {
     #[test]
     fn probe_healthy_mx() {
         let w = good_world();
-        let probe = w.probe_mx(&n("mx.example.com"), now());
+        let probe = w.probe_mx(&n("mx.example.com"), None, now());
         assert!(probe.reachable && probe.starttls_offered);
         let verdict = probe
             .cert_verdict(&n("mx.example.com"), now(), w.pki.trust_store())
@@ -807,16 +850,16 @@ mod tests {
             mx.faults =
                 FaultSchedule::new(3).with_window(FaultKind::SmtpGreylist, now(), outage_end);
         });
-        let during = w.probe_mx(&n("mx.example.com"), now());
+        let during = w.probe_mx(&n("mx.example.com"), None, now());
         assert!(during.reachable);
-        assert!(during.tempfail.as_deref().unwrap().starts_with("450"));
+        assert_eq!(during.reply.as_ref().map(|r| r.code), Some(450));
         assert!(during.is_transient_failure());
         assert!(
             during.chain.is_none(),
             "a deferred session upgrades nothing"
         );
-        let after = w.probe_mx(&n("mx.example.com"), outage_end);
-        assert!(after.tempfail.is_none() && after.chain.is_some());
+        let after = w.probe_mx(&n("mx.example.com"), None, outage_end);
+        assert!(after.reply.is_none() && after.chain.is_some());
         assert!(!after.is_transient_failure());
     }
 
@@ -872,16 +915,16 @@ mod tests {
 
         // STARTTLS stripping on the victim's MX.
         w.set_attacker(attack(AttackKind::StartTlsStrip));
-        let strip = w.probe_mx(&n("mx.example.com"), now());
+        let strip = w.probe_mx(&n("mx.example.com"), None, now());
         assert!(strip.reachable && !strip.starttls_offered && strip.chain.is_none());
         assert!(
-            w.probe_mx(&n("mx.example.com"), window_end)
+            w.probe_mx(&n("mx.example.com"), None, window_end)
                 .starttls_offered
         );
 
         // Cert substitution: the chain no longer validates.
         w.set_attacker(attack(AttackKind::MxCertSubstitute));
-        let subst = w.probe_mx(&n("mx.example.com"), now());
+        let subst = w.probe_mx(&n("mx.example.com"), None, now());
         assert_eq!(
             subst.cert_verdict(&n("mx.example.com"), now(), w.pki.trust_store()),
             Some(Err(CertError::UnknownIssuer))
@@ -894,7 +937,7 @@ mod tests {
         let ip = w.mx_ips()[0];
         // Hide STARTTLS.
         w.with_mx(ip, |mx| mx.hide_starttls = true);
-        let hidden = w.probe_mx(&n("mx.example.com"), now());
+        let hidden = w.probe_mx(&n("mx.example.com"), None, now());
         assert!(hidden.reachable && !hidden.starttls_offered && hidden.chain.is_none());
         // Self-signed chain.
         w.with_mx(ip, |mx| {
@@ -904,15 +947,15 @@ mod tests {
             .pki
             .issue(&CertKind::SelfSigned, &[n("mx.example.com")], now());
         w.with_mx(ip, |mx| mx.chain = self_signed);
-        let probe = w.probe_mx(&n("mx.example.com"), now());
+        let probe = w.probe_mx(&n("mx.example.com"), None, now());
         assert_eq!(
             probe.cert_verdict(&n("mx.example.com"), now(), w.pki.trust_store()),
             Some(Err(CertError::SelfSigned))
         );
         // Unreachable.
         w.with_mx(ip, |mx| mx.reachability = Reachability::Timeout);
-        assert!(!w.probe_mx(&n("mx.example.com"), now()).reachable);
+        assert!(!w.probe_mx(&n("mx.example.com"), None, now()).reachable);
         // Unresolvable host.
-        assert!(!w.probe_mx(&n("mx.nowhere.org"), now()).reachable);
+        assert!(!w.probe_mx(&n("mx.nowhere.org"), None, now()).reachable);
     }
 }

@@ -10,7 +10,11 @@
 //! - the **fast path** ([`World::fetch_policy`], [`World::probe_mx`]):
 //!   synchronous, allocation-light walks of the §4.3.3 error ladder
 //!   (DNS → TCP → TLS → HTTP → syntax) used by the scanner at
-//!   tens-of-thousands-of-domains scale;
+//!   tens-of-thousands-of-domains scale. [`World::probe_mx`] is the one
+//!   model of an SMTP session with a simulated MX: fault draws, the
+//!   recipient check and the two SMTP-path attacks (STARTTLS strip,
+//!   certificate substitution) act there, for the scanner, the delivery
+//!   queue's transport and every simulated sender alike;
 //! - the **wire path** ([`wire`]): the same endpoints served over real
 //!   tokio TCP/UDP sockets with the full `httpsim`/`smtp`/`tlssim`
 //!   protocol stacks, used by examples and differential tests that assert
@@ -34,7 +38,8 @@ pub use faults::{
     TransientFaultConfig,
 };
 pub use fetch::{
-    dns_error_is_transient, MxProbeOutcome, PolicyFetchError, PolicyFetchOutcome, TlsFailure,
+    dns_error_is_transient, MxProbeOutcome, PolicyFetchError, PolicyFetchOutcome, SmtpReply,
+    TlsFailure,
 };
 pub use pki::SharedPki;
 pub use world::{World, DYNAMIC_IP_LIMIT};

@@ -319,15 +319,8 @@ impl WireWorld {
     }
 
     /// The wire-path MX probe: the instrumented client over real TCP.
-    pub async fn probe_mx(&self, mx_host: &DomainName) -> MxProbeOutcome {
-        let unreachable = MxProbeOutcome {
-            reachable: false,
-            used_helo: false,
-            starttls_offered: false,
-            chain: None,
-            tls_failure: None,
-            tempfail: None,
-        };
+    pub async fn probe_mx(&self, mx_host: &DomainName) -> MxProbeOutcome<'static> {
+        let unreachable = MxProbeOutcome::unreachable();
         let Ok(lookup) = self.wire_resolve(mx_host.clone(), RecordType::A).await else {
             return unreachable;
         };
@@ -349,7 +342,7 @@ impl WireWorld {
         match smtp::probe_mx(socket, &config).await {
             Ok(result) => {
                 let (chain, tls_failure) = match result.tls {
-                    Some(Ok(chain)) => (Some(chain), None),
+                    Some(Ok(chain)) => (Some(chain.into()), None),
                     Some(Err(e)) => (None, Some(e)),
                     None => (None, None),
                 };
@@ -359,7 +352,7 @@ impl WireWorld {
                     starttls_offered: result.starttls_offered,
                     chain,
                     tls_failure,
-                    tempfail: None,
+                    reply: None,
                 }
             }
             Err(_) => unreachable,
@@ -441,7 +434,7 @@ mod tests {
                 (Err(fe), Err(se)) => assert_eq!(fe.layer(), se.layer(), "{domain}"),
                 other => panic!("paths disagree for {domain}: {other:?}"),
             }
-            let fast_probe = world.probe_mx(&domain.prefixed("mx").unwrap(), now());
+            let fast_probe = world.probe_mx(&domain.prefixed("mx").unwrap(), None, now());
             let slow_probe = wire.probe_mx(&domain.prefixed("mx").unwrap()).await;
             assert_eq!(fast_probe.reachable, slow_probe.reachable);
             assert_eq!(fast_probe.starttls_offered, slow_probe.starttls_offered);

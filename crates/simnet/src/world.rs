@@ -5,7 +5,7 @@ use crate::faults::{
     AttackKind, AttackSchedule, FaultKind, FaultSchedule, FaultStage, TransientFaultConfig,
 };
 use crate::pki::SharedPki;
-use dns::{DnsError, InMemoryAuthorities, Lookup, Rcode, RecordType, Zone};
+use dns::{DnsError, InMemoryAuthorities, Lookup, Rcode, RecordData, RecordType, TlsaRecord, Zone};
 use netbase::{DomainName, SimInstant};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -347,6 +347,26 @@ impl World {
             return Ok(vec![(0, self.attacker.attacker_host().clone())]);
         }
         Ok(self.resolve(domain, RecordType::Mx, now)?.mx_hosts())
+    }
+
+    /// The TLSA RRset at `_25._tcp.<mx_host>` when the zone holding it is
+    /// DNSSEC-signed and the set is not empty: the records DANE (RFC 7672)
+    /// lets a sender use. `None` when DANE does not apply to the host.
+    pub fn tlsa_records(&self, mx_host: &DomainName, now: SimInstant) -> Option<Vec<TlsaRecord>> {
+        let name = danelite::tlsa_name(mx_host);
+        if !self.is_signed(&name) {
+            return None;
+        }
+        let lookup = self.resolve(&name, RecordType::Tlsa, now).ok()?;
+        let records: Vec<TlsaRecord> = lookup
+            .records
+            .iter()
+            .filter_map(|r| match &r.data {
+                RecordData::Tlsa(t) => Some(t.clone()),
+                _ => None,
+            })
+            .collect();
+        (!records.is_empty()).then_some(records)
     }
 }
 

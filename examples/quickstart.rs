@@ -6,9 +6,9 @@
 //! ```
 
 use dns::RecordData;
-use mtasts::{DeliveryObservation, SenderAction, SenderEngine, StsFailure};
+use mtasts::{DeliveryObservation, SenderAction, SenderEngine};
 use netbase::{DomainName, SimDate};
-use pkix::validate_chain;
+use sender::TlsRequirement;
 use simnet::{CertKind, MxEndpoint, WebEndpoint, World};
 
 fn n(s: &str) -> DomainName {
@@ -89,28 +89,23 @@ fn main() {
     for domain in [n("good.example"), n("broken.example")] {
         let record_txts = world.mta_sts_txts(&domain, now).ok();
         let mx = world.mx_records(&domain, now).unwrap().remove(0);
-        let fetch_world = &world;
-        let fetch_domain = domain.clone();
-        let probe = world.probe_mx(&mx, now);
-        let chain = probe.chain.clone().unwrap_or_default();
-        let trust = world.pki.trust_store().clone();
-        let mx_for_tls = mx.clone();
+        // One SMTP session with the MX, judged as MTA-STS `enforce` would.
+        let probe = world.probe_mx(&mx, None, now);
         let (outcome, action) = engine.evaluate(DeliveryObservation {
             domain: &domain,
             record_txts: record_txts.as_deref(),
-            fetch_policy: move || {
-                fetch_world
-                    .fetch_policy(&fetch_domain, now)
+            fetch_policy: || {
+                world
+                    .fetch_policy(&domain, now)
                     .result
                     .map(|(_, raw)| raw)
                     .map_err(|e| e.to_string())
             },
             mx_host: &mx,
-            check_mx_tls: move || {
-                if !probe.starttls_offered {
-                    return Err(StsFailure::StartTlsUnavailable);
-                }
-                validate_chain(&chain, &mx_for_tls, now, &trust).map_err(StsFailure::CertInvalid)
+            check_mx_tls: || {
+                TlsRequirement::RequirePkix
+                    .check(&probe, &mx, now, world.pki.trust_store())
+                    .map(drop)
             },
             now,
         });

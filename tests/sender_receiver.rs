@@ -4,10 +4,10 @@
 //! real [`mtasts::SenderEngine`], and healthy domains must be delivered.
 
 use ecosystem::{Ecosystem, EcosystemConfig, SnapshotDetail};
-use mtasts::{DeliveryObservation, SenderAction, SenderEngine, StsFailure};
+use mtasts::{DeliveryObservation, SenderAction, SenderEngine};
 use netbase::{DomainName, SimDate, SimInstant};
-use pkix::validate_chain;
 use scanner::scan_snapshot;
+use sender::TlsRequirement;
 use simnet::World;
 
 /// Runs a full MTA-STS-validating delivery against the world, returning
@@ -19,28 +19,22 @@ fn deliver(world: &World, domain: &DomainName, now: SimInstant) -> SenderAction 
     let Some(mx) = mx_records.first().cloned() else {
         return SenderAction::DeliverUnvalidated;
     };
-    let probe = world.probe_mx(&mx, now);
-    let chain = probe.chain.clone().unwrap_or_default();
-    let trust = world.pki.trust_store().clone();
-    let fetch_world = world;
-    let fetch_domain = domain.clone();
-    let mx_for_tls = mx.clone();
+    let probe = world.probe_mx(&mx, None, now);
     let (_, action) = engine.evaluate(DeliveryObservation {
         domain,
         record_txts: record_txts.as_deref(),
-        fetch_policy: move || {
-            fetch_world
-                .fetch_policy(&fetch_domain, now)
+        fetch_policy: || {
+            world
+                .fetch_policy(domain, now)
                 .result
                 .map(|(_, raw)| raw)
                 .map_err(|e| e.to_string())
         },
         mx_host: &mx,
-        check_mx_tls: move || {
-            if !probe.starttls_offered {
-                return Err(StsFailure::StartTlsUnavailable);
-            }
-            validate_chain(&chain, &mx_for_tls, now, &trust).map_err(StsFailure::CertInvalid)
+        check_mx_tls: || {
+            TlsRequirement::RequirePkix
+                .check(&probe, &mx, now, world.pki.trust_store())
+                .map(drop)
         },
         now,
     });

@@ -72,7 +72,7 @@ async fn fast_and_wire_paths_agree_on_generated_domains() {
             continue;
         };
         for mx in mx_records.iter().take(1) {
-            let fast = world.probe_mx(mx, now);
+            let fast = world.probe_mx(mx, None, now);
             let slow = wire.probe_mx(mx).await;
             assert_eq!(fast.reachable, slow.reachable, "{mx}");
             assert_eq!(fast.starttls_offered, slow.starttls_offered, "{mx}");

@@ -49,12 +49,12 @@ const ALLOC_BAND_PPM: u64 = 1_000;
 /// without a pin fails too.
 const PINS: &[(&str, u64)] = &[
     // Allocations and bytes requested, per phase.
-    ("generate allocs", 111_301),
-    ("generate bytes", 6_155_980),
+    ("generate allocs", 111_299),
+    ("generate bytes", 6_101_556),
     ("weekly allocs", 841_397),
     ("weekly bytes", 71_152_700),
-    ("full allocs", 2_234_207),
-    ("full bytes", 218_670_708),
+    ("full allocs", 2_178_487),
+    ("full bytes", 215_031_254),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
     ("delivery allocs", 13_161),
