@@ -147,8 +147,7 @@ impl SweepSender {
         // while any attack window covers the domain or its MX
         // (omniscient labelling — the sim knows what a real sender
         // cannot).
-        let attacked = !world.attacks_active(domain, now).is_empty()
-            || !world.attacks_active(&mx, now).is_empty();
+        let attacked = world.attacker().touches(domain, now) || world.attacker().touches(&mx, now);
         if unvalidated && attacked {
             stats.intercepted += 1;
         }

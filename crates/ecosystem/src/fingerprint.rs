@@ -14,10 +14,10 @@
 //!   fault.
 //!
 //! Between two dates, a domain whose fingerprint is unchanged deploys
-//! byte-identically and scans byte-identically (certificate validity
-//! windows are re-dated wholesale by
-//! [`crate::incremental::IncrementalWorld::advance_to`], and transient
-//! faults / attack windows are excluded at the cache layer, not here).
+//! byte-identically and scans byte-identically (its certificates keep
+//! their verdicts at every later study date, because a valid leaf lives
+//! as long as its issuing CA, and transient faults / attack windows are
+//! excluded at the cache layer, not here).
 //! The component split exists for the RFC 8461 short-circuit: when only
 //! the `mx` component is dirty, a scanner can keep the cached record and
 //! policy-fetch stages — the record `id` is unchanged — and re-run just

@@ -4,15 +4,19 @@
 //! each [`IncrementalWorld::advance_to`], applies only the diff between
 //! the previous and the new date:
 //!
-//! 1. every *leaf* certificate's validity window is shifted by the
-//!    inter-snapshot delta (exactly what re-issuing at the new date would
-//!    produce — see [`pkix::SimCert::shift_validity`]);
-//! 2. shared CNAME targets are reconciled (their A record is owned by the
+//! 1. shared CNAME targets are reconciled (their A record is owned by the
 //!    first adopted customer in population order, which can change);
-//! 3. every domain's [`DomainFingerprint`] at the new date is compared to
+//! 2. every domain's [`DomainFingerprint`] at the new date is compared to
 //!    the fingerprint it was installed with: unchanged domains are left
 //!    alone, new adopters are installed, dirty domains are uninstalled
 //!    with their *old*-date semantics and reinstalled with the new.
+//!
+//! An installed endpoint is never touched again, certificates included:
+//! a valid leaf lives as long as its issuing CA
+//! ([`simnet::SharedPki::issue_valid`]), so it validates at every later
+//! study date as a fresh build's would. An expired leaf stays expired,
+//! and a self-signed or rogue-CA chain fails on its anchor before any
+//! date is read.
 //!
 //! The equivalence contract — the reason this is safe to use under the
 //! digest oracle — is that [`crate::Ecosystem::world_at`] itself is a
@@ -31,7 +35,7 @@ use crate::fingerprint::DomainFingerprint;
 use crate::providers::CnameStyle;
 use crate::spec::{DomainSpec, PolicyHosting};
 use dns::{RecordData, RecordType};
-use netbase::{DomainName, Duration, SimDate};
+use netbase::{DomainName, SimDate};
 use simnet::World;
 
 /// What one [`IncrementalWorld::advance_to`] actually did.
@@ -150,9 +154,6 @@ impl IncrementalWorld {
             self.installed = vec![None; eco.population.domains.len()];
             self.installed_count = 0;
         } else {
-            let prev = prev.expect("infra exists, so a date was set");
-            self.world
-                .shift_cert_validity(Duration::days(date.days_since(prev)));
             self.reconcile_shared_targets(eco, date);
         }
         assert_eq!(

@@ -56,17 +56,6 @@ impl SimCert {
         buf
     }
 
-    /// Shifts the validity window by `delta` and re-signs with the issuer
-    /// key — exactly the certificate the same authority would have issued
-    /// `delta` later. Incremental world construction uses this to re-date
-    /// unchanged endpoints' certificates between snapshots so a delta-built
-    /// world validates identically to a from-scratch build at the new date.
-    pub fn shift_validity(&mut self, delta: netbase::Duration) {
-        self.not_before += delta;
-        self.not_after += delta;
-        self.signature = keyed_digest(self.issuer_key_id, &self.tbs_bytes());
-    }
-
     /// Whether the certificate is self-signed (issuer == subject key).
     pub fn is_self_signed(&self) -> bool {
         self.issuer_key_id == self.subject_key_id

@@ -21,9 +21,10 @@
 //! fingerprint component covering a stage hashes every world input that
 //! stage can observe — so "component unchanged" implies "stage output
 //! unchanged", and replaying the cached output *is* re-running the
-//! stage. Certificates do not break this: the incremental world
-//! re-dates unchanged endpoints' leaf certificates each advance, and
-//! scan outputs only carry cert *verdicts*, which agree.
+//! stage. Certificates do not break this: scan outputs only carry cert
+//! *verdicts*, and an installed chain's verdict does not move with the
+//! date (a valid leaf lives as long as its issuing CA, an expired one
+//! stays expired, an untrusted one fails on its anchor).
 //!
 //! # The RFC 8461 short-circuit
 //!

@@ -2,9 +2,9 @@
 //! engine"): every driver that goes through the change-driven rescan
 //! cache must serialize *byte-identically* to its from-scratch oracle —
 //! reused scans included. A cache that is merely "close" (a drifted
-//! retry count, a re-resolved policy IP, a re-dated certificate verdict
-//! leaking into a reused scan) fails here, not in an analysis table
-//! three crates away.
+//! retry count, a re-resolved policy IP, a certificate that validates
+//! differently at a later date than a fresh build's) fails here, not in
+//! an analysis table three crates away.
 //!
 //! CI runs this suite at `SCAN_THREADS=1` and `SCAN_THREADS=8` alongside
 //! the parallel-determinism suite.

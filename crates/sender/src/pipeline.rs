@@ -1201,7 +1201,7 @@ impl MxTransport for FastTransport<'_> {
     }
 
     fn attack_touched(&self, name: &DomainName, now: SimInstant) -> bool {
-        !self.world.attacks_active(name, now).is_empty()
+        self.world.attacker().touches(name, now)
     }
 }
 

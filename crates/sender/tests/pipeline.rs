@@ -15,6 +15,8 @@
 //!   host is re-admitted through a half-open probe;
 //! - **typed taxonomy**: 5xx bounces immediately, 4xx requeues with
 //!   backoff until the cap;
+//! - **interception grading**: labelling a delivery as intercepted
+//!   counts no attack traffic;
 //! - **MX shuffle** (property): the seeded equal-preference shuffle is
 //!   a permutation, stable per `(seed, domain)`, and independent of
 //!   thread count.
@@ -271,6 +273,24 @@ fn hard_greylisting_requeues_to_the_cap_then_bounces_typed() {
     // Greylisting is protocol-level: the hosts are alive, no breaker
     // may open.
     assert_eq!(out.board.open_count(), 0);
+}
+
+#[test]
+fn interception_grading_counts_no_attack_traffic() {
+    // A policy-blind queue under a STARTTLS strip from the first
+    // instant: each stripped session is one attack-window hit and one
+    // intercepted delivery. Grading which deliveries the attacker
+    // touched is not an attack operation and must add no hit.
+    obsv::set_enabled(true);
+    obsv::reset();
+    let strip = Degradation::StartTlsStrip {
+        delay_secs: 0,
+        duration_secs: 600,
+    };
+    let out = run_scenario(strip, 1);
+    let hits = obsv::snapshot().counter("attack_window_hits_total");
+    assert!(out.stats.intercepted > 0, "{:?}", out.stats);
+    assert_eq!(hits, out.stats.intercepted, "{:?}", out.stats);
 }
 
 // ---- satellite: MX weight-shuffle properties -------------------------

@@ -371,13 +371,12 @@ impl AttackSchedule {
         hit
     }
 
-    /// Every attack kind active against `name` at `now` (deduplicated, in
-    /// [`AttackKind::ALL`] order).
-    pub fn active_kinds(&self, name: &DomainName, now: SimInstant) -> Vec<AttackKind> {
-        AttackKind::ALL
-            .into_iter()
-            .filter(|k| self.active(*k, name, now))
-            .collect()
+    /// Whether any attack window covers `name` at `now`. Unlike
+    /// [`AttackSchedule::active`] it counts nothing: experiments use it to
+    /// grade which deliveries the attacker touched (an omniscient label,
+    /// not an operation the attacker performs).
+    pub fn touches(&self, name: &DomainName, now: SimInstant) -> bool {
+        self.windows.iter().any(|w| w.applies(name, now))
     }
 
     /// Whether the schedule can ever fire.
@@ -615,10 +614,10 @@ mod tests {
             &victim,
             t0() + Duration::seconds(20)
         ));
-        assert_eq!(
-            s.active_kinds(&victim, inside),
-            vec![AttackKind::DnsTxtStrip]
-        );
+        // `touches` asks about every window, whatever its kind.
+        assert!(s.touches(&record, inside));
+        assert!(!s.touches(&other, inside));
+        assert!(!s.touches(&victim, t0()));
     }
 
     #[test]

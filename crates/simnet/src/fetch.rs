@@ -461,16 +461,18 @@ impl World {
                 text: "4.7.0 greylisted, try again later".to_string(),
             });
         }
-        let rcpt_domain = rcpt_to
+        // Almost no MX rejects a domain, so parse the recipient only for
+        // one that does.
+        let rejected = rcpt_to
+            .filter(|_| !endpoint.reject_rcpt_domains.is_empty())
             .and_then(|to| to.rsplit_once('@'))
-            .and_then(|(_, domain)| domain.parse::<DomainName>().ok());
-        if let Some(domain) = rcpt_domain {
-            if endpoint.reject_rcpt_domains.contains(&domain) {
-                return MxProbeOutcome::ended(SmtpReply {
-                    code: 550,
-                    text: format!("5.7.1 relaying denied for {domain}"),
-                });
-            }
+            .and_then(|(_, domain)| domain.parse::<DomainName>().ok())
+            .filter(|domain| endpoint.reject_rcpt_domains.contains(domain));
+        if let Some(domain) = rejected {
+            return MxProbeOutcome::ended(SmtpReply {
+                code: 550,
+                text: format!("5.7.1 relaying denied for {domain}"),
+            });
         }
         let used_helo = endpoint.helo_only;
         // An on-path STRIPTLS attacker filters the capability out of the

@@ -11,15 +11,14 @@ use netbase::{DomainName, Duration, SimInstant};
 use pkix::authority::self_signed_leaf;
 use pkix::{CertAuthority, SimCert, TrustStore};
 
-/// Default leaf lifetime (90 days, Let's Encrypt-style).
+/// Lifetime of a leaf outside the shared PKI (90 days, Let's
+/// Encrypt-style): it dates self-signed and rogue-CA leaves, whose
+/// untrusted anchor decides their verdict before any date does.
 pub const LEAF_LIFETIME: Duration = Duration::days(90);
 
-/// The shared PKI: root, issuing intermediate, and the public trust store.
+/// The shared PKI: the issuing intermediate and the public trust store
+/// that holds its root.
 pub struct SharedPki {
-    /// Kept so the root's certificate (and key id) outlive setup — the
-    /// trust store references it and examples may serve it.
-    #[allow(dead_code)]
-    root: CertAuthority,
     issuing: CertAuthority,
     /// The trust store every validating client uses (cheap to clone).
     trust: TrustStore,
@@ -35,11 +34,7 @@ impl SharedPki {
         let issuing = root.issue_intermediate("SimNet Issuing CA R1", nb, na);
         let mut trust = TrustStore::empty();
         trust.add_root(&root);
-        SharedPki {
-            root,
-            issuing,
-            trust,
-        }
+        SharedPki { issuing, trust }
     }
 
     /// The public trust store.
@@ -47,13 +42,9 @@ impl SharedPki {
         &self.trust
     }
 
-    /// The intermediate's certificate (served alongside leaves).
-    pub fn issuing_cert(&self) -> SimCert {
-        self.issuing.cert.clone()
-    }
-
     /// Issues a *valid* domain-validated chain (leaf + intermediate) for
-    /// `names`, valid from `now` for [`LEAF_LIFETIME`].
+    /// `names`, valid from `now` until the issuing CA expires, so it
+    /// validates at every later date of the study window.
     pub fn issue_valid(&mut self, names: &[DomainName], now: SimInstant) -> Vec<SimCert> {
         self.issue(&CertKind::Valid, names, now)
     }
@@ -86,7 +77,9 @@ fn chain_of(
 ) -> Vec<SimCert> {
     match kind {
         CertKind::Valid => {
-            let leaf = issuing.issue_leaf(names, now, now + LEAF_LIFETIME);
+            // Valid as long as its issuer: a chain installed at one
+            // study date still validates at every later one.
+            let leaf = issuing.issue_leaf(names, now, issuing.cert.not_after);
             vec![leaf, issuing.cert.clone()]
         }
         CertKind::Expired => {
@@ -142,14 +135,20 @@ mod tests {
         SimDate::ymd(2024, 6, 1).at_midnight()
     }
 
+    /// From the first full-scan date (2023-11-07) to the last
+    /// (2024-09-29): an installed chain keeps its verdict that long.
+    const STUDY_SPAN: Duration = Duration::days(327);
+
     #[test]
     fn valid_chains_validate() {
         let mut pki = SharedPki::new();
-        let chain = pki.issue_valid(&[n("mta-sts.example.com")], now());
+        let host = n("mta-sts.example.com");
+        let chain = pki.issue_valid(std::slice::from_ref(&host), now());
         assert_eq!(chain.len(), 2);
-        assert!(
-            validate_chain(&chain, &n("mta-sts.example.com"), now(), pki.trust_store()).is_ok()
-        );
+        for at in [now(), now() + STUDY_SPAN] {
+            let got = validate_chain(&chain, &host, at, pki.trust_store());
+            assert_eq!(got, Ok(()), "at {at}");
+        }
     }
 
     #[test]
@@ -171,8 +170,10 @@ mod tests {
         ];
         for (kind, expected) in cases {
             let chain = pki.issue(&kind, std::slice::from_ref(&host), now());
-            let got = validate_chain(&chain, &host, now(), pki.trust_store());
-            assert_eq!(got, Err(expected), "kind {kind:?}");
+            for at in [now(), now() + STUDY_SPAN] {
+                let got = validate_chain(&chain, &host, at, pki.trust_store());
+                assert_eq!(got, Err(expected.clone()), "kind {kind:?} at {at}");
+            }
         }
     }
 

@@ -86,12 +86,6 @@ impl World {
         self.attacker.active(kind, name, now)
     }
 
-    /// Every attack kind active against `name` at `now` (omniscient view;
-    /// experiments use it to label which deliveries the attacker touched).
-    pub fn attacks_active(&self, name: &DomainName, now: SimInstant) -> Vec<AttackKind> {
-        self.attacker.active_kinds(name, now)
-    }
-
     /// Whether any transient-fault schedule is installed anywhere — the
     /// resolver path or any registered endpoint. Scan caches must refuse
     /// to reuse results across snapshots while this is true: fault draws
@@ -106,32 +100,6 @@ impl World {
     /// Whether any attack window is installed at all (active or not).
     pub fn has_attacker(&self) -> bool {
         !self.attacker.is_empty()
-    }
-
-    /// Shifts every *leaf* certificate's validity window by `delta`,
-    /// re-signing each one. CA certificates keep their fixed windows (the
-    /// shared PKI's root and intermediates are issued once with multi-year
-    /// validity). Incremental deployment calls this between snapshots so
-    /// endpoints that did not change still present certificates dated as a
-    /// from-scratch build at the new date would issue them.
-    pub fn shift_cert_validity(&mut self, delta: netbase::Duration) {
-        for ep in self.web.values_mut() {
-            for chain in ep.chains.values_mut() {
-                for cert in chain.iter_mut().filter(|c| !c.is_ca) {
-                    cert.shift_validity(delta);
-                }
-            }
-            if let Some(chain) = ep.default_chain.as_mut() {
-                for cert in chain.iter_mut().filter(|c| !c.is_ca) {
-                    cert.shift_validity(delta);
-                }
-            }
-        }
-        for ep in self.mx.values_mut() {
-            for cert in ep.chain.iter_mut().filter(|c| !c.is_ca) {
-                cert.shift_validity(delta);
-            }
-        }
     }
 
     /// Drops the zone for `apex` entirely; returns whether it existed.
@@ -534,43 +502,11 @@ mod tests {
         assert!(w.with_web(web_ip, |_| ()).is_none() && w.with_mx(mx_ip, |_| ()).is_none());
     }
 
-    /// One provider-style web host and one MX host, both with a leaf chain.
-    fn shared_hosts(w: &mut World) -> (Ipv4Addr, Ipv4Addr) {
-        let policy_host = n("mta-sts.example.com");
-        let mut web = WebEndpoint::up();
-        web.install_chain(
-            policy_host.clone(),
-            w.pki.issue_valid(std::slice::from_ref(&policy_host), now()),
-        );
-        web.install_policy(policy_host, "version: STSv1\nmode: none\nmax_age: 60\n");
-        let mx_host = n("mx.example.com");
-        let mx_chain = w.pki.issue_valid(std::slice::from_ref(&mx_host), now());
-        (
-            w.add_web_endpoint(web),
-            w.add_mx_endpoint(MxEndpoint::healthy(mx_host, mx_chain)),
-        )
-    }
-
     #[test]
     fn bulk_mutations_reach_every_endpoint() {
         let mut w = World::new();
-        let (web_ip, mx_ip) = shared_hosts(&mut w);
-        let policy_host = n("mta-sts.example.com");
-        let leaf = |chain: &[pkix::SimCert]| chain.first().unwrap().not_before;
-        let web_before = leaf(&w.web_endpoint(web_ip).unwrap().chains[&policy_host]);
-        let mx_before = leaf(&w.mx_endpoint(mx_ip).unwrap().chain);
-
-        let delta = netbase::Duration::days(7);
-        w.shift_cert_validity(delta);
-        assert_eq!(
-            leaf(&w.web_endpoint(web_ip).unwrap().chains[&policy_host]),
-            web_before + delta
-        );
-        assert_eq!(
-            leaf(&w.mx_endpoint(mx_ip).unwrap().chain),
-            mx_before + delta
-        );
-
+        let web_ip = w.add_web_endpoint(WebEndpoint::up());
+        let mx_ip = w.add_mx_endpoint(MxEndpoint::plaintext(n("mx.example.com")));
         assert!(!w.has_transient_faults());
         w.inject_transient_faults(&TransientFaultConfig::uniform(5, 0.1));
         assert!(w.has_transient_faults());

@@ -53,12 +53,12 @@ const PINS: &[(&str, u64)] = &[
     ("generate bytes", 6_101_556),
     ("weekly allocs", 841_397),
     ("weekly bytes", 71_152_700),
-    ("full allocs", 2_178_487),
-    ("full bytes", 215_031_254),
+    ("full allocs", 1_936_979),
+    ("full bytes", 193_655_389),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
-    ("delivery allocs", 13_161),
-    ("delivery bytes", 1_087_709),
+    ("delivery allocs", 12_844),
+    ("delivery bytes", 1_080_101),
     ("resolver allocs", 551),
     ("resolver bytes", 55_768),
     // Span counts.
