@@ -22,7 +22,6 @@ fn bench_scan(c: &mut Criterion) {
             scan_domain(
                 black_box(&world),
                 black_box(&one),
-                date,
                 date.at_midnight(),
                 &config,
             )

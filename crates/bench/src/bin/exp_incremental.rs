@@ -186,9 +186,9 @@ fn main() {
     }
     println!("\ncombined speedup: {combined:.2}x (acceptance: >=5x at scale 0.05)");
     println!(
-        "note: domain names are Arc-backed ({} weekly observations reuse \
-         cached name handles instead of reallocating label vectors per date)",
-        weekly.stats.full_hits
+        "note: {} full-scan hits share the cached scan (one Arc<DomainScan>) \
+         instead of copying it per date",
+        full.stats.full_hits
     );
 
     let out = BenchReport {
@@ -200,8 +200,8 @@ fn main() {
         full: full.report(inc_full.len()),
         weekly: weekly.report(inc_weekly.len()),
         combined_speedup: combined,
-        notes: "domain names share Arc-backed label storage; snapshot clones and \
-                cache reuse are refcount bumps, not per-date Vec<String> reallocation",
+        notes: "a domain name is one Arc<str> and a reused scan one Arc<DomainScan>; \
+                snapshot clones and cache reuse are refcount bumps, not per-date copies",
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     std::fs::write(

@@ -25,7 +25,7 @@ use netbase::DomainName;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Threshold for Heuristic 1: providers serve at least this many domains.
 pub const THIRD_PARTY_MIN_DOMAINS: usize = 50;
@@ -141,8 +141,8 @@ impl EntityClassifier {
 
     /// Builds the classifier from one snapshot's scans, with policy-host
     /// resolutions supplied by the scanner.
-    pub fn from_scans<'a>(
-        scans: impl IntoIterator<Item = &'a DomainScan>,
+    pub fn from_scans(
+        scans: &[Arc<DomainScan>],
         policy_ips: &HashMap<DomainName, Ipv4Addr>,
     ) -> EntityClassifier {
         let mut c = EntityClassifier::new();
@@ -268,7 +268,6 @@ impl EntityClassifier {
 mod tests {
     use super::*;
     use crate::taxonomy::DomainScan;
-    use netbase::SimDate;
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> DomainName {
@@ -278,7 +277,6 @@ mod tests {
     fn scan(domain: &str, mx: &[&str], cname: &[&str]) -> DomainScan {
         DomainScan {
             domain: n(domain),
-            date: SimDate::ymd(2024, 9, 29),
             record: Ok("id".into()),
             policy: Err(crate::taxonomy::PolicyLayerError {
                 layer: crate::taxonomy::PolicyLayer::Http,

@@ -7,17 +7,18 @@
 //! [`ecosystem::IncrementalWorld`] rebuilds only the dirty domains. This
 //! module adds the scanner half — a content-addressed cache of prior
 //! [`DomainScan`]s keyed on that fingerprint, so an unchanged domain's
-//! scan is reused wholesale (its date re-stamped) and a partially
-//! changed domain re-runs only its dirty stages. The monthly campaign
-//! ([`crate::supervisor`]) scans every adopter through this cache; the
-//! weekly series keeps its own observation cache keyed on the
-//! `(record, mx)` components and reports the same [`CacheStats`].
+//! scan is reused wholesale (the cached `Arc` itself: a scan carries no
+//! date) and a partially changed domain re-runs only its dirty stages.
+//! The monthly campaign ([`crate::supervisor`]) scans every adopter
+//! through this cache; the weekly series keeps its own observation cache
+//! keyed on the `(record, mx)` components and reports the same
+//! [`CacheStats`].
 //!
 //! # Why reuse is byte-identical
 //!
-//! A scan is a pure function of `(world, domain, date, admitted
-//! instant, config)` (the PR-3 determinism contract), and each stage
-//! forks its own RNG scope, so stages are independently pure. The
+//! A scan is a pure function of `(world, domain, admitted instant,
+//! config)` (the determinism contract), and each stage forks its own
+//! RNG scope, so stages are independently pure. The
 //! fingerprint component covering a stage hashes every world input that
 //! stage can observe — so "component unchanged" implies "stage output
 //! unchanged", and replaying the cached output *is* re-running the
@@ -60,6 +61,7 @@ use serde::{Deserialize, Serialize};
 use simnet::World;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Cache accounting for an incremental run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,7 +131,7 @@ pub(crate) enum HitKind {
 /// What the fingerprint diff says must re-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScanPlan {
-    /// Every component clean: re-stamp the cached scan.
+    /// Every component clean: share the cached scan.
     ReuseAll,
     /// Record clean; re-run exactly the dirty stages.
     Stages { policy: bool, mx: bool },
@@ -167,7 +169,7 @@ pub(crate) fn plan_for(
 #[derive(Debug, Clone)]
 struct CacheEntry {
     fp: DomainFingerprint,
-    scan: DomainScan,
+    scan: Arc<DomainScan>,
     policy_ip: Option<Ipv4Addr>,
 }
 
@@ -203,7 +205,7 @@ impl ScanCache {
         &mut self,
         eco: &Ecosystem,
         date: SimDate,
-        scans: &[DomainScan],
+        scans: &[Arc<DomainScan>],
         policy_ips: &HashMap<DomainName, Ipv4Addr>,
     ) {
         let ctx = eco.fingerprint_context(date);
@@ -216,7 +218,7 @@ impl ScanCache {
             };
             self.entries[i] = Some(CacheEntry {
                 fp,
-                scan: scan.clone(),
+                scan: Arc::clone(scan),
                 policy_ip: policy_ips.get(&scan.domain).copied(),
             });
         }
@@ -226,26 +228,20 @@ impl ScanCache {
     /// fingerprint and `index` its population slot; `forced` bypasses
     /// the cache (see module docs). Returns the scan, the resolved
     /// policy IP, and how the result was satisfied.
-    // Every argument is a distinct scan input the determinism contract
-    // names; bundling them into a struct would just rename the problem.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan(
         &self,
         world: &World,
         index: usize,
         domain: &DomainName,
-        date: SimDate,
         now: SimInstant,
         fp: &DomainFingerprint,
         forced: bool,
-    ) -> (DomainScan, Option<Ipv4Addr>, HitKind) {
+    ) -> (Arc<DomainScan>, Option<Ipv4Addr>, HitKind) {
         let prior = self.entries[index].as_ref();
         match plan_for(prior.map(|e| &e.fp), fp, forced) {
             ScanPlan::ReuseAll => {
                 let entry = prior.expect("ReuseAll implies a prior entry");
-                let mut scan = entry.scan.clone();
-                scan.date = date;
-                (scan, entry.policy_ip, HitKind::Full)
+                (Arc::clone(&entry.scan), entry.policy_ip, HitKind::Full)
             }
             ScanPlan::Stages { policy, mx } => {
                 let entry = prior.expect("Stages implies a prior entry");
@@ -281,7 +277,6 @@ impl ScanCache {
                 let mismatches = consistency_mismatches(&policy_result, &mx_records);
                 let scan = DomainScan {
                     domain: domain.clone(),
-                    date,
                     record: entry.scan.record.clone(),
                     policy: policy_result,
                     policy_cname: cname,
@@ -295,40 +290,39 @@ impl ScanCache {
                         mx: mx_attempts,
                     },
                 };
-                (scan, ip, HitKind::Partial)
+                (Arc::new(scan), ip, HitKind::Partial)
             }
             ScanPlan::FullScan => {
-                let scan = scan_domain(world, domain, date, now, &self.config);
+                let scan = scan_domain(world, domain, now, &self.config);
                 let ip = resolve_policy_ip(world, domain, now, &self.config);
                 let kind = if forced {
                     HitKind::Forced
                 } else {
                     HitKind::Miss
                 };
-                (scan, ip, kind)
+                (Arc::new(scan), ip, kind)
             }
         }
     }
 
-    /// Records a fresh result. Forced scans are never inserted: their
+    /// Records a result. Forced scans are never inserted: their
     /// observations are instant-keyed (faults, attacks) and must not
-    /// outlive the instant that produced them. A full hit is not
-    /// re-inserted either: the slot already holds its fingerprint, scan
-    /// and policy IP, and only the date differs, which reuse re-stamps.
+    /// outlive the instant that produced them. A full hit re-inserts the
+    /// slot's own fingerprint, `Arc` and policy IP, which changes nothing.
     pub(crate) fn insert(
         &mut self,
         index: usize,
         fp: DomainFingerprint,
-        scan: &DomainScan,
+        scan: &Arc<DomainScan>,
         policy_ip: Option<Ipv4Addr>,
         kind: HitKind,
     ) {
-        if matches!(kind, HitKind::Forced | HitKind::Full) {
+        if kind == HitKind::Forced {
             return;
         }
         self.entries[index] = Some(CacheEntry {
             fp,
-            scan: scan.clone(),
+            scan: Arc::clone(scan),
             policy_ip,
         });
     }
@@ -411,15 +405,7 @@ mod tests {
             .unwrap();
         let fp = eco.fingerprint_at(spec, &ctx).unwrap();
 
-        let (scan, ip, kind) = cache.scan(
-            &world,
-            index,
-            &spec.name,
-            date,
-            date.at_midnight(),
-            &fp,
-            true,
-        );
+        let (scan, ip, kind) = cache.scan(&world, index, &spec.name, date.at_midnight(), &fp, true);
         assert_eq!(kind, HitKind::Forced);
         cache.insert(index, fp, &scan, ip, kind);
         assert!(
@@ -428,37 +414,22 @@ mod tests {
         );
 
         // The same scan unforced is a miss, then a full hit.
-        let (scan, ip, kind) = cache.scan(
-            &world,
-            index,
-            &spec.name,
-            date,
-            date.at_midnight(),
-            &fp,
-            false,
-        );
+        let (scan, ip, kind) =
+            cache.scan(&world, index, &spec.name, date.at_midnight(), &fp, false);
         assert_eq!(kind, HitKind::Miss);
         cache.insert(index, fp, &scan, ip, kind);
-        let missed = serde_json::to_string(&scan).unwrap();
 
-        // A full hit at a later date re-stamps the reused scan but leaves
-        // the slot untouched: still the miss's scan, dated at the miss.
+        // A full hit at a later date is the miss's scan itself, and
+        // re-inserting it leaves the slot holding that same scan.
         let later = date.add_days(7);
-        let (hit, hit_ip, kind) = cache.scan(
-            &world,
-            index,
-            &spec.name,
-            later,
-            later.at_midnight(),
-            &fp,
-            false,
-        );
+        let (hit, hit_ip, kind) =
+            cache.scan(&world, index, &spec.name, later.at_midnight(), &fp, false);
         assert_eq!(kind, HitKind::Full);
-        assert_eq!((hit.date, hit_ip), (later, ip));
+        assert!(Arc::ptr_eq(&hit, &scan));
+        assert_eq!(hit_ip, ip);
         cache.insert(index, fp, &hit, hit_ip, kind);
         let slot = cache.entries[index].as_ref().unwrap();
-        assert_eq!(slot.scan.date, date);
-        assert_eq!(serde_json::to_string(&slot.scan).unwrap(), missed);
+        assert!(Arc::ptr_eq(&slot.scan, &scan));
     }
 
     #[test]
@@ -581,5 +552,18 @@ mod tests {
             "most domains are unchanged month to month: {stats:?}"
         );
         assert_eq!(stats.forced, 0);
+        // Every full hit is the previous snapshot's scan itself, shared
+        // rather than copied, and nothing else is.
+        let shared = inc
+            .windows(2)
+            .flat_map(|pair| {
+                let prev = &pair[0];
+                pair[1].scans.iter().filter(move |scan| {
+                    prev.scan_of(&scan.domain)
+                        .is_some_and(|old| std::ptr::eq(old, Arc::as_ptr(scan)))
+                })
+            })
+            .count() as u64;
+        assert_eq!(shared, stats.full_hits);
     }
 }

@@ -10,7 +10,7 @@
 //! monthly loop is [`Study::run_full_supervised`], which
 //! [`Study::run_full`] runs under a default [`SupervisorConfig`].
 
-use crate::incremental::{cache_forced, CacheStats, HitKind};
+use crate::incremental::{CacheStats, HitKind};
 use crate::scan::{scan_snapshot_with_threads, ScanConfig, Snapshot};
 use crate::supervisor::{SupervisedOutcome, SupervisorConfig};
 use ecosystem::{DomainSpec, Ecosystem, IncrementalWorld, SnapshotDetail, TldId};
@@ -265,7 +265,9 @@ impl Study {
     /// Policy-side changes (e.g. the lucidgrow incident rewriting hosted
     /// policy documents) deliberately do *not* invalidate weekly
     /// entries — the weekly series never looks at policies: the cache
-    /// key is the (record, mx) fingerprint component pair.
+    /// key is the (record, mx) fingerprint component pair. No transient
+    /// fault or attacker ever enters this series' DNS-only world, so its
+    /// cache, unlike the monthly campaign's, never stands down.
     pub fn run_weekly_with_threads(
         &self,
         threads: usize,
@@ -286,30 +288,15 @@ impl Study {
         // removed — see `counter_sub`).
         let mut mtasts: HashMap<TldId, u64> = HashMap::new();
         let mut tlsrpt: HashMap<TldId, u64> = HashMap::new();
-        // Indices rewritten by the engine since the last delta fold.
-        let mut pending: Vec<u32> = Vec::new();
-        let mut forced_since_fold = false;
         // One date's point, inside that date's `snapshot.weekly` span.
         let mut step = |date: SimDate| -> WeeklyPoint {
             let _span = obsv::span!("snapshot.weekly");
             engine.advance_to(&self.eco, date);
-            pending.extend_from_slice(engine.last_dirty());
             let world = engine.world();
             let now = date.at_midnight();
-            if cache_forced(world) {
-                // Instant-keyed faults: observe everything, cache
-                // nothing. Persistent state is left untouched (and
-                // `pending` retained), so the next clean date folds the
-                // accumulated changes.
-                let observations =
-                    map_sharded(threads, domains, |_, spec| weekly_observe(world, spec, now));
-                stats.count_many(HitKind::Forced, n as u64);
-                forced_since_fold = true;
-                return fold_weekly(date, domains, &observations, &mut history);
-            }
             if !primed {
-                // First clean date: every domain misses once (adopted or
-                // not), priming the cache and the running counters.
+                // First date: every domain misses once (adopted or not),
+                // priming the cache and the running counters.
                 let observations =
                     map_sharded(threads, domains, |_, spec| weekly_observe(world, spec, now));
                 for (i, key) in keys.iter_mut().enumerate() {
@@ -320,18 +307,17 @@ impl Study {
                 mtasts = point.mtasts_per_tld.clone();
                 tlsrpt = point.tlsrpt_among_mtasts_per_tld.clone();
                 obs = observations;
-                pending.clear();
                 primed = true;
-                forced_since_fold = false;
                 return point;
             }
-            // Steady state: only indices the engine rewrote since the
-            // last fold can have a different (record, mx) key, and only
-            // a different key can change the observation.
-            pending.sort_unstable();
-            pending.dedup();
-            let changed: Vec<u32> = pending
-                .drain(..)
+            // Steady state: only indices the engine rewrote on this
+            // advance (ascending, each once) can have a different
+            // (record, mx) key, and only a different key can change the
+            // observation.
+            let changed: Vec<u32> = engine
+                .last_dirty()
+                .iter()
+                .copied()
                 .filter(|&i| {
                     let key = engine
                         .installed_fingerprint(i as usize)
@@ -363,24 +349,12 @@ impl Study {
                     .map(|fp| (fp.record, fp.mx));
                 obs[idx] = ob.clone();
             }
-            if forced_since_fold {
-                // A forced sweep may have appended transient MX sets; a
-                // full dup-guarded walk restores the steady-state tail,
-                // exactly as replaying every cached observation would.
-                for (spec, ob) in domains.iter().zip(&obs) {
-                    if let Some((_, _, mx)) = ob {
-                        history.record(&spec.name, date, mx);
-                    }
-                }
-                forced_since_fold = false;
-            } else {
-                // Unchanged observations repeat their last recorded MX
-                // set, which the dup guard would drop — record only the
-                // changed ones (ascending index order, like a fold).
-                for &i in &changed {
-                    if let Some((_, _, mx)) = &obs[i as usize] {
-                        history.record(&domains[i as usize].name, date, mx);
-                    }
+            // Unchanged observations repeat their last recorded MX set,
+            // which the dup guard would drop — record only the changed
+            // ones (ascending index order, like a fold).
+            for &i in &changed {
+                if let Some((_, _, mx)) = &obs[i as usize] {
+                    history.record(&domains[i as usize].name, date, mx);
                 }
             }
             WeeklyPoint {

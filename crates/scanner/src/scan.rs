@@ -15,13 +15,13 @@ use simnet::{
 };
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The scanner's retry discipline, per stage.
 ///
 /// All retry state derives from `seed` and the domain name, so a scan is a
-/// pure function of `(world, domain, date, config)` — which is what lets
-/// the supervisor resume an interrupted run byte-identically.
+/// pure function of `(world, domain, instant, config)` — which is what
+/// lets the supervisor resume an interrupted run byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanConfig {
     /// Root seed for backoff jitter.
@@ -69,10 +69,11 @@ impl Default for ScanConfig {
 
 /// One full-component snapshot: scans + classification context.
 pub struct Snapshot {
-    /// The snapshot date.
+    /// The snapshot date, and so the date of every scan it holds.
     pub date: SimDate,
-    /// Per-domain results, in input order.
-    pub scans: Vec<DomainScan>,
+    /// Per-domain results, in input order. A scan the rescan cache
+    /// reused is the same allocation as the previous snapshot's.
+    pub scans: Vec<Arc<DomainScan>>,
     /// Resolved policy-host IPs (classification evidence).
     pub policy_ips: HashMap<DomainName, Ipv4Addr>,
     /// Each domain's managing entities, parallel to `scans`.
@@ -88,7 +89,7 @@ impl Snapshot {
     /// once (a pure function of the scans and policy IPs).
     pub fn assemble(
         date: SimDate,
-        scans: Vec<DomainScan>,
+        scans: Vec<Arc<DomainScan>>,
         policy_ips: HashMap<DomainName, Ipv4Addr>,
     ) -> Snapshot {
         let classifier = EntityClassifier::from_scans(&scans, &policy_ips);
@@ -111,7 +112,7 @@ impl Snapshot {
                 .map(|(i, s)| (s.domain.clone(), i))
                 .collect()
         });
-        index.get(domain).map(|&i| &self.scans[i])
+        index.get(domain).map(|&i| &*self.scans[i])
     }
 
     /// Number of domains scanned.
@@ -407,7 +408,6 @@ pub(crate) fn consistency_mismatches(
 pub fn scan_domain(
     world: &World,
     domain: &DomainName,
-    date: SimDate,
     now: SimInstant,
     config: &ScanConfig,
 ) -> DomainScan {
@@ -423,7 +423,6 @@ pub fn scan_domain(
     }
     DomainScan {
         domain: domain.clone(),
-        date,
         record: record.record,
         policy: policy.policy,
         policy_cname: policy.cname,
@@ -482,9 +481,9 @@ pub fn scan_snapshot_with_threads(
     let admissions = plan_admissions(date, rate, domains.len());
     let results = map_sharded(threads, domains, |i, domain| {
         let now = admissions[i];
-        let scan = scan_domain(world, domain, date, now, config);
+        let scan = scan_domain(world, domain, now, config);
         let ip = resolve_policy_ip(world, domain, now, config);
-        (scan, ip)
+        (Arc::new(scan), ip)
     });
     let mut scans = Vec::with_capacity(domains.len());
     let mut policy_ips = HashMap::new();

@@ -20,13 +20,14 @@
 //! - **checkpointing**: with a [`SupervisorConfig::checkpoint_path`],
 //!   completed snapshots and the in-progress snapshot's prefix are
 //!   serialized to disk every [`SupervisorConfig::checkpoint_every`]
-//!   domains, and a fresh run resumes from whatever the file holds.
-//!   Without a path no checkpoint form is built: each snapshot is
-//!   assembled straight from its date's scans;
+//!   domains, and a fresh run resumes from what the file holds unless
+//!   another campaign (seed, scale, scan discipline) wrote it. Without a
+//!   path no checkpoint form is built: each snapshot is assembled
+//!   straight from its date's scans;
 //! - **determinism**: a scan is a pure function of
-//!   `(world, domain, date, config)` and every world is rebuilt from the
-//!   ecosystem seed, so a killed-and-resumed run is *byte-identical* (same
-//!   serialized snapshots) to an uninterrupted one;
+//!   `(world, domain, instant, config)` and every world is rebuilt from
+//!   the ecosystem seed, so a killed-and-resumed run is *byte-identical*
+//!   (same serialized snapshots) to an uninterrupted one;
 //! - **isolation**: each domain scan runs under `catch_unwind`; a panic
 //!   abandons that domain (recorded in the [`DegradationReport`]) and the
 //!   campaign continues;
@@ -43,7 +44,7 @@ use crate::scan::{ScanConfig, Snapshot};
 use crate::taxonomy::DomainScan;
 use ecosystem::{DomainFingerprint, Ecosystem, IncrementalWorld, SnapshotDetail};
 use netbase::default_scan_threads;
-use netbase::{map_sharded, shard_bounds, DomainName, SimDate};
+use netbase::{map_sharded, DomainName, SimDate};
 use obsv::health::{fnv64, seal, unseal, write_atomic};
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;
@@ -51,6 +52,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Supervisor knobs.
 #[derive(Debug, Clone, Default)]
@@ -84,6 +86,16 @@ impl SupervisorConfig {
         } else {
             self.threads
         }
+    }
+
+    /// The campaign's identity, recorded in the run manifest and in each
+    /// checkpoint. Checkpoint path, thread count and domain budget only
+    /// say how a run was driven, so a resumed run digests as an
+    /// uninterrupted one.
+    fn digest(&self, eco: &Ecosystem) -> u64 {
+        let (scan, transient, chaos) = (&self.scan, &self.transient, &self.chaos_panic_domains);
+        let every = self.checkpoint_every;
+        fnv64(format!("{scan:?}|{transient:?}|{chaos:?}|{every}|{:?}", eco.config).as_bytes())
     }
 }
 
@@ -139,7 +151,7 @@ impl DegradationReport {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CompletedSnapshot {
     date: SimDate,
-    scans: Vec<DomainScan>,
+    scans: Vec<Arc<DomainScan>>,
     /// `(domain, ip)` pairs, sorted by [`freeze_ips`]. Both sides
     /// validate on load, so a bad name or address rejects the file.
     policy_ips: Vec<(DomainName, Ipv4Addr)>,
@@ -151,17 +163,15 @@ struct PartialSnapshot {
     date: SimDate,
     /// Index of the next unscanned domain in the snapshot's domain list.
     next_index: usize,
-    scans: Vec<DomainScan>,
+    scans: Vec<Arc<DomainScan>>,
     policy_ips: Vec<(DomainName, Ipv4Addr)>,
-    /// Per-shard progress: how many domains each worker slot has scanned
-    /// in this snapshot so far (operator-facing shard-balance evidence;
-    /// resume correctness rests on `next_index`, not on this).
-    shard_scanned: Vec<u64>,
 }
 
 /// The on-disk checkpoint.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Checkpoint {
+    /// [`SupervisorConfig::digest`] of the campaign that wrote it.
+    config_digest: u64,
     completed: Vec<CompletedSnapshot>,
     partial: Option<PartialSnapshot>,
     report: DegradationReport,
@@ -183,12 +193,17 @@ impl Checkpoint {
     /// Loads the checkpoint, verifying the `MTASTS-CKPT1 <len> <fnv64>`
     /// header. A missing file starts fresh; so does any corruption — a
     /// truncated or bit-rotted checkpoint (a crash mid-write, a full
-    /// disk) must cost the saved progress, never the whole campaign.
-    fn load(path: &PathBuf) -> Checkpoint {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Checkpoint::default();
-        };
-        Checkpoint::parse(&text).unwrap_or_default()
+    /// disk) must cost the saved progress, never the whole campaign —
+    /// and so does a file another campaign wrote (another digest).
+    fn load(path: &Path, config_digest: u64) -> Checkpoint {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| Checkpoint::parse(&text))
+            .filter(|ckpt| ckpt.config_digest == config_digest)
+            .unwrap_or(Checkpoint {
+                config_digest,
+                ..Checkpoint::default()
+            })
     }
 
     /// Parses and verifies the on-disk format; `None` means corrupt.
@@ -280,7 +295,10 @@ impl<'a> Campaign<'a> {
             threads: cfg.effective_threads(),
             world: IncrementalWorld::new(SnapshotDetail::Full),
             cache: ScanCache::new(eco, cfg.scan),
-            ckpt: path.as_ref().map(Checkpoint::load).unwrap_or_default(),
+            ckpt: path
+                .as_deref()
+                .map(|p| Checkpoint::load(p, cfg.digest(eco)))
+                .unwrap_or_default(),
             path,
             budget: cfg.domain_budget,
         }
@@ -340,26 +358,17 @@ impl<'a> Campaign<'a> {
 
         // Resume the scanned prefix when the checkpoint holds one, with
         // the same stat-free seeding as a replayed date.
-        let (mut scans, mut policy_ips, mut index, mut shard_scanned) =
-            match self.ckpt.partial.take() {
-                Some(p) if p.date == date => {
-                    obsv::event!("supervisor.resume_partial_snapshot");
-                    let ips: HashMap<DomainName, Ipv4Addr> = p.policy_ips.into_iter().collect();
-                    if self.cfg.transient.is_none() {
-                        self.cache.seed(eco, date, &p.scans, &ips);
-                    }
-                    (p.scans, ips, p.next_index, p.shard_scanned)
+        let (mut scans, mut policy_ips, mut index) = match self.ckpt.partial.take() {
+            Some(p) if p.date == date => {
+                obsv::event!("supervisor.resume_partial_snapshot");
+                let ips: HashMap<DomainName, Ipv4Addr> = p.policy_ips.into_iter().collect();
+                if self.cfg.transient.is_none() {
+                    self.cache.seed(eco, date, &p.scans, &ips);
                 }
-                _ => (
-                    Vec::with_capacity(jobs.len()),
-                    HashMap::new(),
-                    0,
-                    Vec::new(),
-                ),
-            };
-        if shard_scanned.len() < self.threads {
-            shard_scanned.resize(self.threads, 0);
-        }
+                (p.scans, ips, p.next_index)
+            }
+            _ => (Vec::with_capacity(jobs.len()), HashMap::new(), 0),
+        };
 
         // The campaign is unthrottled: every domain scans at the
         // snapshot's midnight.
@@ -368,7 +377,7 @@ impl<'a> Campaign<'a> {
         let mut scanned_here = 0usize;
         while index < jobs.len() {
             if self.budget == Some(0) {
-                self.store_partial(date, index, &scans, &policy_ips, &shard_scanned);
+                self.store_partial(date, index, &scans, &policy_ips);
                 obsv::event!("supervisor.suspend");
                 return None;
             }
@@ -399,13 +408,10 @@ impl<'a> Campaign<'a> {
                         !chaos.contains(domain),
                         "chaos: injected panic for {domain}"
                     );
-                    self.cache.scan(world, pop, domain, date, now, &fp, forced)
+                    self.cache.scan(world, pop, domain, now, &fp, forced)
                 }))
                 .ok()
             });
-            for (slot, (lo, hi)) in shard_bounds(round.len(), self.threads).iter().enumerate() {
-                shard_scanned[slot] += (hi - lo) as u64;
-            }
             // Absorb in input order — identical for every thread count.
             let report = &mut self.ckpt.report;
             for (&(pop, fp), outcome) in round.iter().zip(results) {
@@ -430,7 +436,7 @@ impl<'a> Campaign<'a> {
             scanned_here += round.len();
             index = round_end;
             if every > 0 && scanned_here.is_multiple_of(every) && index < jobs.len() {
-                self.store_partial(date, index, &scans, &policy_ips, &shard_scanned);
+                self.store_partial(date, index, &scans, &policy_ips);
             }
         }
 
@@ -451,9 +457,8 @@ impl<'a> Campaign<'a> {
         &mut self,
         date: SimDate,
         next_index: usize,
-        scans: &[DomainScan],
+        scans: &[Arc<DomainScan>],
         policy_ips: &HashMap<DomainName, Ipv4Addr>,
-        shard_scanned: &[u64],
     ) {
         if self.path.is_none() {
             return;
@@ -463,7 +468,6 @@ impl<'a> Campaign<'a> {
             next_index,
             scans: scans.to_vec(),
             policy_ips: freeze_ips(policy_ips),
-            shard_scanned: shard_scanned.to_vec(),
         });
         store_or_degrade(&mut self.ckpt, &mut self.path);
         self.ckpt.partial = None;
@@ -515,22 +519,9 @@ impl Study {
                 seed: self.eco.config.seed,
                 threads: threads as u64,
                 wall_ms: u64::try_from(run_started.elapsed().as_millis()).unwrap_or(u64::MAX),
+                config_digest: cfg.digest(&self.eco),
                 ..Default::default()
             };
-            // Checkpoint path, thread count and domain budget are
-            // execution details, not identity: two runs of the same
-            // campaign must digest identically however they were driven.
-            manifest.config_digest = fnv64(
-                format!(
-                    "{:?}|{:?}|{:?}|{}|{:?}",
-                    cfg.scan,
-                    cfg.transient,
-                    cfg.chaos_panic_domains,
-                    cfg.checkpoint_every,
-                    self.eco.config
-                )
-                .as_bytes(),
-            );
             let output = serde_json::to_string(&ckpt.completed).expect("snapshots serialize");
             manifest.output_digest = fnv64(output.as_bytes());
             flatten_totals("report", &ckpt.report.to_value(), &mut manifest.totals);
@@ -828,7 +819,19 @@ mod tests {
         ckpt.store(&path).unwrap();
 
         // Intact: round-trips.
-        assert_eq!(Checkpoint::load(&path).report.domains_scanned, 123);
+        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 123);
+        // Intact but written by another campaign: starts fresh, stamped
+        // with the loading campaign's digest.
+        let other = Checkpoint::load(&path, 1);
+        assert_eq!((other.report.domains_scanned, other.config_digest), (0, 1));
+        // Intact but from before checkpoints carried a digest: starts
+        // fresh too.
+        let payload = serde_json::to_string(&ckpt).unwrap();
+        let undigested = payload.replace("\"config_digest\":0,", "");
+        assert_ne!(undigested, payload);
+        std::fs::write(&path, vouched(&undigested)).unwrap();
+        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
+        ckpt.store(&path).unwrap();
 
         let stored = std::fs::read_to_string(&path).unwrap();
 
@@ -837,7 +840,7 @@ mod tests {
         for cut in 0..stored.len() {
             std::fs::write(&path, &stored[..cut]).unwrap();
             assert_eq!(
-                Checkpoint::load(&path).report.domains_scanned,
+                Checkpoint::load(&path, 0).report.domains_scanned,
                 0,
                 "truncation at {cut} must start fresh"
             );
@@ -848,15 +851,15 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
 
         // Valid JSON without the header is still rejected.
         std::fs::write(&path, "{\"completed\":[],\"partial\":null}").unwrap();
-        assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
 
         // And a missing file starts fresh.
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
 
         // A correct header over a policy-IP pair that does not parse (a
         // writer bug, a hand edit): the decoder rejects the file, and a
@@ -877,7 +880,11 @@ mod tests {
                 fnv64(payload.as_bytes())
             );
             std::fs::write(&path, format!("{header}\n{payload}")).unwrap();
-            assert_eq!(Checkpoint::load(&path).report.domains_scanned, 0, "{bad}");
+            assert_eq!(
+                Checkpoint::load(&path, 0).report.domains_scanned,
+                0,
+                "{bad}"
+            );
             let outcome = study.run_full_supervised(&SupervisorConfig {
                 checkpoint_path: Some(path.clone()),
                 ..SupervisorConfig::default()
@@ -911,14 +918,16 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("ckpt.json");
             let _ = std::fs::remove_file(&path);
-            let outcome = study().run_full_supervised(&SupervisorConfig {
+            let study = study();
+            let cfg = SupervisorConfig {
                 checkpoint_path: Some(path.clone()),
                 checkpoint_every: 8,
                 domain_budget: Some(24),
                 ..SupervisorConfig::default()
-            });
+            };
+            let outcome = study.run_full_supervised(&cfg);
             assert!(matches!(outcome, SupervisedOutcome::Suspended { .. }));
-            let mut ckpt = Checkpoint::load(&path);
+            let mut ckpt = Checkpoint::load(&path, cfg.digest(&study.eco));
             let partial = ckpt.partial.clone().expect("suspended mid-snapshot");
             ckpt.completed.push(CompletedSnapshot {
                 date: partial.date,
@@ -1033,6 +1042,47 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_from_another_study_restarts_fresh() {
+        // Two studies share a checkpoint path. The second must not replay
+        // the first one's snapshots as its own: snapshots match by date,
+        // and both studies scan the same calendar.
+        let dir = std::env::temp_dir().join(format!(
+            "mtasts-supervisor-{}-other-study",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        let _ = std::fs::remove_file(&path);
+        let base = SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 16,
+            ..SupervisorConfig::default()
+        };
+
+        // The first study suspends a few dates in, leaving completed
+        // snapshots and a partial one behind.
+        let first = study();
+        let killed = first.run_full_supervised(&SupervisorConfig {
+            domain_budget: Some(1_500),
+            ..base.clone()
+        });
+        assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
+        let left = Checkpoint::load(&path, base.digest(&first.eco));
+        assert!(!left.completed.is_empty() && left.partial.is_some());
+
+        // Another seed resumes on the same path: it must scan afresh.
+        let other = Study::new(Ecosystem::generate(EcosystemConfig::paper(7, 0.01)));
+        let SupervisedOutcome::Complete { snapshots, .. } = other.run_full_supervised(&base) else {
+            panic!("no budget set: must complete")
+        };
+        assert_eq!(
+            snapshot_fingerprint(&other.run_full()),
+            snapshot_fingerprint(&snapshots)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unwritable_checkpoint_degrades_instead_of_panicking() {
         // The checkpoint path's parent is a regular *file*, so every
         // write attempt fails with ENOTDIR — the shape of a dead disk
@@ -1110,7 +1160,7 @@ mod tests {
         // The final file is one writer's complete checkpoint — never a
         // torn mix (load() would fall back to default and lose the
         // count entirely).
-        let loaded = Checkpoint::load(&path);
+        let loaded = Checkpoint::load(&path, 0);
         assert!(
             (0..4).any(|w| {
                 let d = loaded.report.domains_scanned;

@@ -1,7 +1,7 @@
 //! The per-domain scan record and error taxonomy.
 
 use mtasts::{MismatchKind, Mode, Policy, RecordError};
-use netbase::{DomainName, SimDate};
+use netbase::DomainName;
 use pkix::CertError;
 use serde::{Deserialize, Serialize};
 use simnet::PolicyFetchError;
@@ -167,13 +167,12 @@ impl ScanAttempts {
     }
 }
 
-/// One domain's full-component scan result.
+/// One domain's full-component scan result, dated by the
+/// [`Snapshot`](crate::scan::Snapshot) that holds it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DomainScan {
     /// The scanned domain.
     pub domain: DomainName,
-    /// Scan date.
-    pub date: SimDate,
     /// The `_mta-sts` record evaluation.
     pub record: Result<String, RecordError>,
     /// The policy fetch: parsed policy or the layered error.
@@ -307,7 +306,6 @@ mod tests {
     fn base_scan() -> DomainScan {
         DomainScan {
             domain: n("example.com"),
-            date: SimDate::ymd(2024, 9, 29),
             record: Ok("a123".to_string()),
             policy: Ok(Policy::new(
                 Mode::Enforce,

@@ -20,7 +20,7 @@ const THREAD_COUNTS: [usize; 2] = [1, 8];
 /// scale 0.01. The incremental and from-scratch runs share the fetch and
 /// probe ladders, so comparing them cannot catch a ladder change that
 /// moves both sides; this constant can.
-const SCRATCH_FULL_SCANS_FNV64: u64 = 0x3b9c_112d_f0a0_707e;
+const SCRATCH_FULL_SCANS_FNV64: u64 = 0xe10b_152e_cb84_8e0a;
 
 fn study() -> Study {
     Study::new(Ecosystem::generate(EcosystemConfig::paper(42, 0.01)))

@@ -259,6 +259,20 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+// Real serde has these under its `rc` feature, which the shim declares but
+// does not gate on. Each deserialized `Arc` is a fresh allocation.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<std::sync::Arc<T>, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -569,6 +583,12 @@ mod tests {
         assert_eq!(
             BTreeMap::<String, u8>::from_value(&m.to_value()).unwrap(),
             m
+        );
+        let shared = std::sync::Arc::new(7u8);
+        assert_eq!(shared.to_value(), Value::I64(7));
+        assert_eq!(
+            std::sync::Arc::<u8>::from_value(&shared.to_value()).unwrap(),
+            shared
         );
     }
 }

@@ -53,8 +53,8 @@ const PINS: &[(&str, u64)] = &[
     ("generate bytes", 6_101_556),
     ("weekly allocs", 841_397),
     ("weekly bytes", 71_152_700),
-    ("full allocs", 1_936_979),
-    ("full bytes", 193_655_389),
+    ("full allocs", 1_591_821),
+    ("full bytes", 151_901_443),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
     ("delivery allocs", 12_844),
