@@ -201,7 +201,9 @@ fn main() {
         weekly: weekly.report(inc_weekly.len()),
         combined_speedup: combined,
         notes: "a domain name is one Arc<str> and a reused scan one Arc<DomainScan>; \
-                snapshot clones and cache reuse are refcount bumps, not per-date copies",
+                snapshot clones and cache reuse are refcount bumps, not per-date copies; \
+                the monthly campaign carries its entity classifier across dates and \
+                re-classifies only the scans that changed",
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     std::fs::write(

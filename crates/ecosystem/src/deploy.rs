@@ -641,7 +641,13 @@ impl Ecosystem {
         // ---- the policy host ---------------------------------------------
         let policy_fault = self.effective_policy_fault(spec, date);
         let policy_host = spec.name.prefixed("mta-sts").expect("static label");
-        let document = self.policy_document(spec, date, policy_fault);
+        // Only the full-detail branches below serve the document, so a
+        // DNS-only install never builds it.
+        let document = if full {
+            self.policy_document(spec, date, policy_fault)
+        } else {
+            None
+        };
 
         match &spec.policy {
             PolicyHosting::SelfManaged => {

@@ -15,15 +15,26 @@
 //! Classification is a two-pass process: [`EntityClassifier::observe`]
 //! aggregates one snapshot's scans, then [`EntityClassifier::classify`]
 //! answers per domain. [`Snapshot::assemble`](crate::scan::Snapshot::assemble)
-//! runs both passes once per snapshot with a classifier that lives only
-//! inside the build, and keeps each domain's [`EntityClasses`] in
-//! `Snapshot::classes`, parallel to its scans. Figures 5, 6 and 10 read
-//! that column; they classify nothing themselves.
+//! runs both passes over a whole snapshot and keeps each domain's
+//! [`EntityClasses`] in `Snapshot::classes`, parallel to its scans.
+//! Figures 5, 6 and 10 read that column; they classify nothing
+//! themselves.
+//!
+//! The monthly campaign ([`crate::supervisor`]) keeps one classifier
+//! across its dates instead: [`EntityClassifier::forget`] takes a
+//! changed domain's old scan back out and `observe` folds the new one
+//! in, so the counts always equal a from-scratch build over the live
+//! scans. A domain whose scan did not change keeps its classes unless
+//! the *verdict* of an eSLD it reads moved — what `classify` reads from
+//! the counts under that eSLD, which a [`VerdictLog`] records before the
+//! first forget or observe touches it.
 
 use crate::taxonomy::DomainScan;
 use netbase::DomainName;
 use serde::Serialize;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 
@@ -74,8 +85,8 @@ struct MxGroup {
     /// Of those, how many host their policy directly on each IP.
     policy_ips: HashMap<Ipv4Addr, usize>,
     /// The single-administrator verdict over the counts above, computed
-    /// on first use; [`EntityClassifier::observe`] clears it whenever it
-    /// changes them.
+    /// on first use; [`EntityClassifier::observe`] and
+    /// [`EntityClassifier::forget`] clear it whenever they change them.
     single_admin: OnceLock<bool>,
 }
 
@@ -109,6 +120,27 @@ fn update<V: Default>(map: &mut HashMap<Box<str>, V>, esld: &str, f: impl FnOnce
     }
 }
 
+/// Applies `f` to `key`'s entry and drops the entry once `f` reports it
+/// empty: the inverse of [`update`], so no zero count outlives a forget.
+fn downdate<K, Q, V>(map: &mut HashMap<K, V>, key: &Q, f: impl FnOnce(&mut V) -> bool)
+where
+    K: Borrow<Q> + Eq + Hash,
+    Q: Eq + Hash + ?Sized,
+{
+    let entry = map
+        .get_mut(key)
+        .expect("only an observed scan is forgotten");
+    if f(entry) {
+        map.remove(key);
+    }
+}
+
+/// Counts one domain out; `true` once none is left.
+fn count_out(n: &mut usize) -> bool {
+    *n -= 1;
+    *n == 0
+}
+
 /// Each distinct eSLD among `hosts`, in first-seen order. Host lists are
 /// a handful of names long, so looking back beats building a set.
 fn distinct_eslds(hosts: &[DomainName]) -> impl Iterator<Item = &str> {
@@ -117,6 +149,16 @@ fn distinct_eslds(hosts: &[DomainName]) -> impl Iterator<Item = &str> {
         let repeat = hosts[..i].iter().any(|h| h.esld_str() == Some(esld));
         (!repeat).then_some(esld)
     })
+}
+
+/// The verdicts eSLDs carried before a run of forgets and observes first
+/// touched them (see [`EntityClassifier::note_verdicts`]).
+#[derive(Debug, Default)]
+pub(crate) struct VerdictLog {
+    /// By MX eSLD.
+    mx: HashMap<Box<str>, EntityClass>,
+    /// By CNAME-target eSLD.
+    policy: HashMap<Box<str>, EntityClass>,
 }
 
 /// Aggregated observations from one snapshot, then per-domain answers.
@@ -176,6 +218,68 @@ impl EntityClassifier {
         }
     }
 
+    /// Takes one domain's observations back out: the exact inverse of
+    /// [`EntityClassifier::observe`] with the same scan and policy IP. It
+    /// drops every count it brings to zero and clears the MX groups'
+    /// cached single-administrator verdicts, so forgetting every observed
+    /// scan leaves an empty classifier.
+    ///
+    /// # Panics
+    ///
+    /// If `scan` was not observed: its eSLDs have no counts to take.
+    pub fn forget(&mut self, scan: &DomainScan, policy_ip: Option<Ipv4Addr>) {
+        let direct_policy_ip = scan.policy_cname.is_empty().then_some(policy_ip).flatten();
+        for esld in distinct_eslds(&scan.mx_records) {
+            downdate(&mut self.mx_groups, esld, |group| {
+                if let Some(ip) = direct_policy_ip {
+                    downdate(&mut group.policy_ips, &ip, count_out);
+                }
+                group.single_admin.take();
+                count_out(&mut group.domains)
+            });
+        }
+        if let Some(esld) = scan.policy_cname.first().and_then(DomainName::esld_str) {
+            downdate(&mut self.cname_esld_domains, esld, count_out);
+        }
+        for esld in distinct_eslds(&scan.ns_records) {
+            downdate(&mut self.ns_esld_domains, esld, count_out);
+        }
+    }
+
+    /// Records in `log`, for each eSLD `scan` counts toward that it holds
+    /// no verdict for yet, the verdict the eSLD carries now. Called before
+    /// `scan` is forgotten or observed, it keeps what the log's eSLDs
+    /// carried before the first change.
+    pub(crate) fn note_verdicts(&self, scan: &DomainScan, log: &mut VerdictLog) {
+        // Every MX eSLD counts, not just the first: another domain's
+        // first MX host may sit under any of them.
+        for esld in distinct_eslds(&scan.mx_records) {
+            if !log.mx.contains_key(esld) {
+                log.mx.insert(esld.into(), self.mx_verdict(esld));
+            }
+        }
+        if let Some(esld) = scan.policy_cname.first().and_then(DomainName::esld_str) {
+            if !log.policy.contains_key(esld) {
+                log.policy.insert(esld.into(), self.policy_verdict(esld));
+            }
+        }
+    }
+
+    /// Whether any eSLD in `log` carries another verdict now than the one
+    /// logged, emptying the log. When none does, every domain whose scan
+    /// was neither forgotten nor observed since the log began keeps its
+    /// classes.
+    pub(crate) fn verdicts_moved(&self, log: &mut VerdictLog) -> bool {
+        let moved = log.mx.iter().any(|(esld, &v)| self.mx_verdict(esld) != v)
+            || log
+                .policy
+                .iter()
+                .any(|(esld, &v)| self.policy_verdict(esld) != v);
+        log.mx.clear();
+        log.policy.clear();
+        moved
+    }
+
     /// How many domains use MX hosts under `esld`.
     pub fn mx_group_size(&self, esld: &DomainName) -> usize {
         self.mx_groups.get(esld.as_str()).map_or(0, |g| g.domains)
@@ -198,8 +302,17 @@ impl EntityClassifier {
         if first.same_esld(domain) {
             return EntityClass::SelfManaged;
         }
-        match first.esld_str().and_then(|esld| self.mx_groups.get(esld)) {
-            // Heuristic 1, with the single-administrator exception.
+        first
+            .esld_str()
+            .map_or(EntityClass::Unclassified, |esld| self.mx_verdict(esld))
+    }
+
+    /// The MX group verdict: the class of every domain whose first MX
+    /// host falls under `esld`, outside the domain's own eSLD. Heuristic
+    /// 1 with the single-administrator exception, so it reads the group's
+    /// size and, from 50 domains on, its single-admin flag.
+    fn mx_verdict(&self, esld: &str) -> EntityClass {
+        match self.mx_groups.get(esld) {
             Some(group) if group.domains >= THIRD_PARTY_MIN_DOMAINS => {
                 if group.is_single_admin() {
                     EntityClass::SelfManaged
@@ -225,9 +338,15 @@ impl EntityClassifier {
         if target.same_esld(domain) {
             return EntityClass::SelfManaged;
         }
-        let Some(esld) = target.esld_str() else {
-            return EntityClass::Unclassified;
-        };
+        target
+            .esld_str()
+            .map_or(EntityClass::Unclassified, |esld| self.policy_verdict(esld))
+    }
+
+    /// The CNAME-target verdict: the class of every domain whose policy
+    /// host aliases a target under `esld`, outside the domain's own
+    /// eSLD. It reads the target's size bucket (≤ 5, 6–49, ≥ 50 domains).
+    fn policy_verdict(&self, esld: &str) -> EntityClass {
         let size = self.cname_esld_domains.get(esld).copied().unwrap_or(0);
         if size >= THIRD_PARTY_MIN_DOMAINS {
             EntityClass::ThirdParty
@@ -365,6 +484,9 @@ mod tests {
         let s = scan("x6.com", &["mx.l.mxascen.com"], &[]);
         c.observe(&s, Some(ip(106)));
         assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::ThirdParty);
+        // Forgetting it again brings the share back up to 60 of 66.
+        c.forget(&s, Some(ip(106)));
+        assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
     }
 
     #[test]
@@ -491,5 +613,173 @@ mod tests {
     fn no_mx_records_is_unclassified() {
         let c = EntityClassifier::new();
         assert_eq!(c.classify_mx(&n("x.com"), &[]), EntityClass::Unclassified);
+    }
+
+    /// Domains in the threshold walk: the first `FLEET` share an MX group,
+    /// the rest delegate their policy to one CNAME-target eSLD.
+    const FLEET: usize = 64;
+    const WALKERS: usize = 128;
+
+    /// Walker `i`'s scan and policy IP in `variant` (0..20). Fleet domains
+    /// list `mx1.fleet.com` first and a backup MX under one of three other
+    /// eSLDs, and host their policy directly: 18 variants of 20 on one of
+    /// two shared IPs, which puts the group's top-two share near 0.9. The
+    /// others run their own MX and alias their policy host to a target
+    /// under `polhost.net` in 18 variants of 20, an internal alias or no
+    /// alias in the other two.
+    fn walker(i: usize, variant: u8) -> (DomainScan, Option<Ipv4Addr>) {
+        if i < FLEET {
+            let backup = format!("mx.backup{}.net", i % 3);
+            let mut s = scan(&format!("m{i}.com"), &["mx1.fleet.com", &backup], &[]);
+            s.ns_records = vec![n(&format!("ns1.dnshost{}.net", i % 2))];
+            let policy_ip = match variant {
+                0..=8 => Some(ip(1)),
+                9..=17 => Some(ip(2)),
+                18 => Some(Ipv4Addr::new(10, 1, 0, i as u8)),
+                _ => None,
+            };
+            (s, policy_ip)
+        } else {
+            let d = format!("c{i}.org");
+            let target = match variant {
+                0..=17 => vec![format!("c{i}-org.polhost.net")],
+                18 => vec![format!("web.{d}")],
+                _ => vec![],
+            };
+            let target: Vec<&str> = target.iter().map(String::as_str).collect();
+            (scan(&d, &[&format!("mx.{d}")], &target), Some(ip(3)))
+        }
+    }
+
+    /// What a from-scratch build over the live observations says.
+    fn rebuilt(live: &[Option<(DomainScan, Option<Ipv4Addr>)>]) -> EntityClassifier {
+        let mut c = EntityClassifier::new();
+        for (s, policy_ip) in live.iter().flatten() {
+            c.observe(s, *policy_ip);
+        }
+        c
+    }
+
+    #[test]
+    fn forget_mirrors_observe_across_every_threshold() {
+        use proptest::prelude::*;
+        use proptest::test_runner::new_rng;
+        use std::collections::HashSet;
+
+        // (walker, action, variant) per step. The first half mostly
+        // observes (or re-observes a live walker in a new variant), the
+        // second half mostly forgets, so both groups climb past their
+        // thresholds and fall back. Every 40 steps a "date" ends, and
+        // dates alternate between the two groups, so a date that moves
+        // one group's verdict leaves the other's alone.
+        let steps = prop::collection::vec((0..WALKERS, 0u8..20, 0u8..20), 800..=800);
+        let fleet = n("fleet.com");
+        let sizes = |c: &EntityClassifier| {
+            let polhost = c.cname_esld_domains.get("polhost.net");
+            (c.mx_group_size(&fleet), polhost.copied().unwrap_or(0))
+        };
+        let mut crossings = HashSet::new();
+        let mut batches_kept = 0;
+        for seed in 0..6 {
+            let mut c = EntityClassifier::new();
+            let mut live: Vec<Option<(DomainScan, Option<Ipv4Addr>)>> = vec![None; WALKERS];
+            let mut log = VerdictLog::default();
+            let mut before: Vec<Option<EntityClasses>> = vec![None; WALKERS];
+            let mut touched = [false; WALKERS];
+            let plan = steps.generate(&mut new_rng(seed));
+            let half = plan.len() / 2;
+            for (k, &(i, action, variant)) in plan.iter().enumerate() {
+                let i = if k / 40 % 2 == 0 {
+                    i % FLEET
+                } else {
+                    FLEET + i % (WALKERS - FLEET)
+                };
+                let observes = if k < half { action < 17 } else { action < 3 };
+                let (mx_was, cname_was) = sizes(&c);
+                let fleet_verdict = c.mx_verdict("fleet.com");
+                if let Some((s, policy_ip)) = live[i].take() {
+                    c.note_verdicts(&s, &mut log);
+                    c.forget(&s, policy_ip);
+                }
+                if observes {
+                    let (s, policy_ip) = walker(i, variant);
+                    c.note_verdicts(&s, &mut log);
+                    c.observe(&s, policy_ip);
+                    live[i] = Some((s, policy_ip));
+                }
+                touched[i] = true;
+
+                let oracle = rebuilt(&live);
+                for (s, _) in live.iter().flatten() {
+                    assert_eq!(c.classify(s), oracle.classify(s), "seed {seed} step {k}");
+                }
+                let (mx_is, cname_is) = sizes(&c);
+                let crossed = |was: usize, is: usize, at: usize| (was < at) != (is < at);
+                for (crossing, was, is, at) in [
+                    ("MX group at 50", mx_was, mx_is, THIRD_PARTY_MIN_DOMAINS),
+                    (
+                        "CNAME target at 50",
+                        cname_was,
+                        cname_is,
+                        THIRD_PARTY_MIN_DOMAINS,
+                    ),
+                    (
+                        "CNAME target at 6",
+                        cname_was,
+                        cname_is,
+                        SELF_MANAGED_MAX_DOMAINS + 1,
+                    ),
+                ] {
+                    if crossed(was, is, at) {
+                        crossings.insert((crossing, was < is));
+                    }
+                }
+                // Both verdicts from 50 domains on: the share crossed 0.9.
+                let verdict = c.mx_verdict("fleet.com");
+                if fleet_verdict != verdict
+                    && ![fleet_verdict, verdict].contains(&EntityClass::Unclassified)
+                {
+                    crossings.insert(("MX share at 0.9", verdict == EntityClass::SelfManaged));
+                }
+
+                // At the end of a date, when no logged verdict moved, each
+                // walker live throughout and untouched keeps the classes
+                // it had when the date began.
+                if k % 40 == 39 {
+                    if !c.verdicts_moved(&mut log) {
+                        batches_kept += 1;
+                        for (j, s) in live.iter().enumerate() {
+                            if let (Some((s, _)), Some(was), false) = (s, before[j], touched[j]) {
+                                assert_eq!(c.classify(s), was, "seed {seed} step {k} walker {j}");
+                            }
+                        }
+                    }
+                    for (j, s) in live.iter().enumerate() {
+                        before[j] = s.as_ref().map(|(s, _)| c.classify(s));
+                    }
+                    touched = [false; WALKERS];
+                }
+            }
+            for (s, policy_ip) in live.iter().flatten() {
+                c.forget(s, *policy_ip);
+            }
+            assert!(c.mx_groups.is_empty(), "seed {seed}: {:?}", c.mx_groups);
+            assert!(c.cname_esld_domains.is_empty() && c.ns_esld_domains.is_empty());
+        }
+        // The walk crossed each threshold both ways.
+        for crossing in [
+            "MX group at 50",
+            "MX share at 0.9",
+            "CNAME target at 50",
+            "CNAME target at 6",
+        ] {
+            for upward in [true, false] {
+                assert!(
+                    crossings.contains(&(crossing, upward)),
+                    "{crossing} {upward}: {crossings:?}"
+                );
+            }
+        }
+        assert!(batches_kept > 0);
     }
 }

@@ -86,7 +86,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Assembles a snapshot from scan results and classifies every domain
-    /// once (a pure function of the scans and policy IPs).
+    /// from scratch with a classifier built over them. The classes are a
+    /// pure function of the scans and policy IPs: the monthly campaign,
+    /// which carries its classifier across dates and re-classifies only
+    /// what changed, must reproduce them, and its tests check it against
+    /// this.
     pub fn assemble(
         date: SimDate,
         scans: Vec<Arc<DomainScan>>,
@@ -94,6 +98,17 @@ impl Snapshot {
     ) -> Snapshot {
         let classifier = EntityClassifier::from_scans(&scans, &policy_ips);
         let classes = scans.iter().map(|scan| classifier.classify(scan)).collect();
+        Snapshot::classified(date, scans, policy_ips, classes)
+    }
+
+    /// A snapshot whose classes, parallel to `scans`, the caller computed.
+    pub(crate) fn classified(
+        date: SimDate,
+        scans: Vec<Arc<DomainScan>>,
+        policy_ips: HashMap<DomainName, Ipv4Addr>,
+        classes: Vec<EntityClasses>,
+    ) -> Snapshot {
+        debug_assert_eq!(scans.len(), classes.len());
         Snapshot {
             date,
             scans,

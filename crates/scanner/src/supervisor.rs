@@ -16,7 +16,13 @@
 //!   have cached at that date — so kill/resume stays byte-identical,
 //!   degradation accounting included. With transient faults configured
 //!   the cache stands down entirely (observations are instant-keyed)
-//!   and every domain scans fresh;
+//!   and every domain scans fresh. One entity classifier is carried
+//!   across live dates too: a date forgets and re-observes only the
+//!   scans that changed and re-classifies only those, or every domain
+//!   when the verdict of an eSLD they touch moved. A date without that
+//!   state (the first live one, a forced or resumed one, the one after a
+//!   resumed one) classifies from scratch, as [`Snapshot::assemble`]
+//!   does;
 //! - **checkpointing**: with a [`SupervisorConfig::checkpoint_path`],
 //!   completed snapshots and the in-progress snapshot's prefix are
 //!   serialized to disk every [`SupervisorConfig::checkpoint_every`]
@@ -38,6 +44,7 @@
 //!   before that date's flight-recorder window rolls, and one
 //!   `scan.full` progress tick per date.
 
+use crate::classify::{EntityClasses, EntityClassifier, VerdictLog};
 use crate::incremental::{cache_forced, CacheStats, ScanCache};
 use crate::longitudinal::Study;
 use crate::scan::{ScanConfig, Snapshot};
@@ -269,16 +276,146 @@ impl SupervisedOutcome {
     }
 }
 
+/// One domain as the campaign's carried classifier last observed it.
+#[derive(Clone)]
+struct Observed {
+    scan: Arc<DomainScan>,
+    policy_ip: Option<Ipv4Addr>,
+    /// `None` until the observing date's assembly classifies it.
+    classes: Option<EntityClasses>,
+}
+
+/// The entity classifier the campaign carries from one live date to the
+/// next. §4.3.1's heuristics count over a whole snapshot, but from one
+/// monthly date to the next only the domains whose scans changed move
+/// those counts, so a primed date forgets and re-observes just those and
+/// re-classifies them alone — unless an eSLD they touched changed its
+/// verdict, when every domain is re-classified. The classes equal
+/// [`Snapshot::assemble`]'s at every date.
+#[derive(Default)]
+struct CarriedClasses {
+    /// Counts exactly the scans in `last`, each with its policy IP.
+    classifier: EntityClassifier,
+    /// By population index: what the last classified date observed.
+    last: Vec<Option<Observed>>,
+    /// The verdicts this date's forgets and observes started from.
+    log: VerdictLog,
+    /// Whether every entry of `last` carries the classes `classifier`
+    /// gives it, so that the next date may start from them.
+    primed: bool,
+}
+
+impl CarriedClasses {
+    fn new(population: usize) -> CarriedClasses {
+        CarriedClasses {
+            last: vec![None; population],
+            ..CarriedClasses::default()
+        }
+    }
+
+    /// Starts a date. It is classified by delta when the state is primed
+    /// and `may_delta` holds; until the date settles the state is not
+    /// primed, so a date the budget cuts short leaves the next one to
+    /// rebuild.
+    fn start(&mut self, may_delta: bool) -> bool {
+        std::mem::take(&mut self.primed) && may_delta
+    }
+
+    /// Folds one of a delta date's scans in: the same `Arc` with the same
+    /// policy IP as last observed costs nothing, while a changed or new
+    /// scan is re-observed, after its predecessor is forgotten.
+    fn absorb(&mut self, pop: usize, scan: &Arc<DomainScan>, ip: Option<Ipv4Addr>) {
+        let CarriedClasses {
+            classifier,
+            last,
+            log,
+            ..
+        } = self;
+        if let Some(seen) = &last[pop] {
+            if Arc::ptr_eq(&seen.scan, scan) && seen.policy_ip == ip {
+                return;
+            }
+            classifier.note_verdicts(&seen.scan, log);
+            classifier.forget(&seen.scan, seen.policy_ip);
+        }
+        classifier.note_verdicts(scan, log);
+        classifier.observe(scan, ip);
+        last[pop] = Some(Observed {
+            scan: Arc::clone(scan),
+            policy_ip: ip,
+            classes: None,
+        });
+    }
+
+    /// The date's classes, parallel to `scans`, whose population indices
+    /// are `pops` in ascending order; primes the state for the next date.
+    /// A delta date forgets what it did not observe (a domain abandoned
+    /// after a panic) and classifies its changed scans, or all of them
+    /// when a verdict moved; any other date rebuilds the classifier from
+    /// scratch.
+    fn settle(
+        &mut self,
+        delta: bool,
+        pops: &[usize],
+        scans: &[Arc<DomainScan>],
+        policy_ips: &HashMap<DomainName, Ipv4Addr>,
+    ) -> Vec<EntityClasses> {
+        let CarriedClasses {
+            classifier,
+            last,
+            log,
+            primed,
+        } = self;
+        let mut all = true;
+        if delta {
+            let mut observed = pops.iter().peekable();
+            for (pop, slot) in last.iter_mut().enumerate() {
+                if observed.next_if_eq(&&pop).is_some() {
+                    continue;
+                }
+                if let Some(gone) = slot.take() {
+                    classifier.note_verdicts(&gone.scan, log);
+                    classifier.forget(&gone.scan, gone.policy_ip);
+                }
+            }
+            all = classifier.verdicts_moved(log);
+        } else {
+            *classifier = EntityClassifier::from_scans(scans, policy_ips);
+            *log = VerdictLog::default();
+            last.fill(None);
+            for (&pop, scan) in pops.iter().zip(scans) {
+                last[pop] = Some(Observed {
+                    scan: Arc::clone(scan),
+                    policy_ip: policy_ips.get(&scan.domain).copied(),
+                    classes: None,
+                });
+            }
+        }
+        *primed = true;
+        pops.iter()
+            .zip(scans)
+            .map(|(&pop, scan)| {
+                let seen = last[pop].as_mut().expect("observed at this date");
+                match seen.classes {
+                    Some(classes) if !all => classes,
+                    _ => *seen.classes.insert(classifier.classify(scan)),
+                }
+            })
+            .collect()
+    }
+}
+
 /// One invocation's state across the calendar: the persistent
-/// delta-built world, the rescan cache, the checkpoint loaded at start
-/// (whose report accumulates this invocation's accounting) and the
-/// remaining domain budget.
+/// delta-built world, the rescan cache, the carried entity classifier,
+/// the checkpoint loaded at start (whose report accumulates this
+/// invocation's accounting) and the remaining domain budget.
 pub(crate) struct Campaign<'a> {
     eco: &'a Ecosystem,
     cfg: &'a SupervisorConfig,
     threads: usize,
     world: IncrementalWorld,
     cache: ScanCache,
+    classes: CarriedClasses,
     ckpt: Checkpoint,
     /// Where checkpoints go; cleared after the first failed write.
     path: Option<PathBuf>,
@@ -295,6 +432,7 @@ impl<'a> Campaign<'a> {
             threads: cfg.effective_threads(),
             world: IncrementalWorld::new(SnapshotDetail::Full),
             cache: ScanCache::new(eco, cfg.scan),
+            classes: CarriedClasses::new(eco.population.domains.len()),
             ckpt: path
                 .as_deref()
                 .map(|p| Checkpoint::load(p, cfg.digest(eco)))
@@ -369,6 +507,12 @@ impl<'a> Campaign<'a> {
             }
             _ => (Vec::with_capacity(jobs.len()), HashMap::new(), 0),
         };
+        // A resumed prefix carries no population indices, and a forced
+        // date shares no scan with the last one: both classify from
+        // scratch.
+        let resumed = index > 0;
+        let delta = self.classes.start(!forced && !resumed);
+        let mut pops = Vec::with_capacity(jobs.len() - index);
 
         // The campaign is unthrottled: every domain scans at the
         // snapshot's midnight.
@@ -425,9 +569,13 @@ impl<'a> Campaign<'a> {
                 report.absorb(&scan);
                 report.cache.count(kind);
                 self.cache.insert(pop, fp, &scan, ip, kind);
+                if delta {
+                    self.classes.absorb(pop, &scan, ip);
+                }
                 if let Some(ip) = ip {
                     policy_ips.insert(scan.domain.clone(), ip);
                 }
+                pops.push(pop);
                 scans.push(scan);
             }
             if let Some(b) = self.budget.as_mut() {
@@ -448,7 +596,11 @@ impl<'a> Campaign<'a> {
             });
             store_or_degrade(&mut self.ckpt, &mut self.path);
         }
-        Some(Snapshot::assemble(date, scans, policy_ips))
+        if resumed {
+            return Some(Snapshot::assemble(date, scans, policy_ips));
+        }
+        let classes = self.classes.settle(delta, &pops, &scans, &policy_ips);
+        Some(Snapshot::classified(date, scans, policy_ips, classes))
     }
 
     /// Persists the live date's scanned prefix, while a checkpoint path
@@ -1198,6 +1350,138 @@ mod tests {
         for (threads, snap, report) in &fingerprints[1..] {
             assert_eq!(snap, want_snap, "snapshots diverge at {threads} threads");
             assert_eq!(report, want_report, "report diverges at {threads} threads");
+        }
+    }
+
+    /// Asserts that every snapshot's classes are those
+    /// [`Snapshot::assemble`] computes from its scans and policy IPs.
+    fn assert_scratch_classes(what: &str, snapshots: &[Snapshot]) {
+        assert!(!snapshots.is_empty(), "{what}: no snapshots");
+        for snap in snapshots {
+            let scratch =
+                Snapshot::assemble(snap.date, snap.scans.clone(), snap.policy_ips.clone());
+            assert!(
+                snap.classes == scratch.classes,
+                "{what}: the classes at {} differ from a from-scratch build",
+                snap.date
+            );
+        }
+    }
+
+    #[test]
+    fn carried_classes_match_a_scratch_build_under_every_config() {
+        let study = study();
+        let complete = |what: &str, cfg: &SupervisorConfig| {
+            let SupervisedOutcome::Complete { snapshots, .. } = study.run_full_supervised(cfg)
+            else {
+                panic!("{what}: no budget set: must complete")
+            };
+            assert_scratch_classes(what, &snapshots);
+            snapshots
+        };
+        let plain = complete(
+            "1 thread",
+            &SupervisorConfig {
+                threads: 1,
+                ..SupervisorConfig::default()
+            },
+        );
+        complete(
+            "8 threads",
+            &SupervisorConfig {
+                threads: 8,
+                ..SupervisorConfig::default()
+            },
+        );
+        complete(
+            "checkpoint_every 16",
+            &SupervisorConfig {
+                checkpoint_every: 16,
+                ..SupervisorConfig::default()
+            },
+        );
+        let date = *study.eco.config.full_scan_dates().last().unwrap();
+        let victim = study.eco.domains_at(date).next().unwrap().name.clone();
+        complete(
+            "chaos panic",
+            &SupervisorConfig {
+                chaos_panic_domains: vec![victim],
+                ..SupervisorConfig::default()
+            },
+        );
+        complete(
+            "transient faults",
+            &SupervisorConfig {
+                scan: ScanConfig::resilient(1, 5),
+                transient: Some(TransientFaultConfig::uniform(7, 0.05)),
+                ..SupervisorConfig::default()
+            },
+        );
+
+        // Suspended inside a snapshot, then resumed: replayed dates, the
+        // resumed one and the live ones after it.
+        let dir = std::env::temp_dir().join(format!(
+            "mtasts-supervisor-{}-classes-resume",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        let _ = std::fs::remove_file(&path);
+        let base = SupervisorConfig {
+            checkpoint_path: Some(path),
+            ..SupervisorConfig::default()
+        };
+        let killed = study.run_full_supervised(&SupervisorConfig {
+            domain_budget: Some(plain.iter().map(Snapshot::len).sum::<usize>() / 3),
+            ..base.clone()
+        });
+        assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
+        complete("suspended and resumed", &base);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_domain_missing_from_a_delta_date_is_forgotten() {
+        // A domain whose scan panics at one date and not at the next drops
+        // out of a snapshot and comes back. Here a rotating third of each
+        // snapshot goes missing, so at every delta date some domains are
+        // forgotten unobserved and others return.
+        let study = study();
+        let eco = &study.eco;
+        let pop_of: HashMap<&DomainName, usize> = eco
+            .population
+            .domains
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (&d.name, i))
+            .collect();
+        let mut carried = CarriedClasses::new(eco.population.domains.len());
+        for (k, snap) in study.run_full_with_threads(1).iter().enumerate() {
+            let scans: Vec<Arc<DomainScan>> = snap
+                .scans
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (i + k) % 3 != 0)
+                .map(|(_, scan)| Arc::clone(scan))
+                .collect();
+            let ips: HashMap<DomainName, Ipv4Addr> = scans
+                .iter()
+                .filter_map(|scan| Some((scan.domain.clone(), *snap.policy_ips.get(&scan.domain)?)))
+                .collect();
+            let pops: Vec<usize> = scans.iter().map(|scan| pop_of[&scan.domain]).collect();
+            let delta = carried.start(true);
+            assert_eq!(delta, k > 0);
+            if delta {
+                for (&pop, scan) in pops.iter().zip(&scans) {
+                    carried.absorb(pop, scan, ips.get(&scan.domain).copied());
+                }
+            }
+            let classes = carried.settle(delta, &pops, &scans, &ips);
+            assert!(
+                classes == Snapshot::assemble(snap.date, scans, ips).classes,
+                "{}",
+                snap.date
+            );
         }
     }
 

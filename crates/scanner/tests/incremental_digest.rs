@@ -42,9 +42,12 @@ fn plain(threads: usize) -> SupervisorConfig {
     }
 }
 
-/// Scans + sorted policy IPs are the full snapshot state (the classifier
-/// is derived from the scans), so this digest is the byte-identity
-/// witness.
+/// Scans + sorted policy IPs are the full snapshot state, so this digest
+/// is the byte-identity witness. The entity classes are a function of
+/// them, though the campaign carries its classifier across dates: the
+/// supervisor's unit tests hold each date's classes to a from-scratch
+/// `Snapshot::assemble`, and `classified_figures` pins the figures that
+/// read them.
 fn fingerprint(snapshots: &[Snapshot]) -> String {
     let digest: Vec<_> = snapshots
         .iter()

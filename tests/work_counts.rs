@@ -51,10 +51,10 @@ const PINS: &[(&str, u64)] = &[
     // Allocations and bytes requested, per phase.
     ("generate allocs", 111_299),
     ("generate bytes", 6_101_556),
-    ("weekly allocs", 841_397),
-    ("weekly bytes", 71_152_700),
-    ("full allocs", 1_591_821),
-    ("full bytes", 151_901_443),
+    ("weekly allocs", 715_126),
+    ("weekly bytes", 66_947_686),
+    ("full allocs", 1_553_841),
+    ("full bytes", 146_126_535),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
     ("delivery allocs", 12_844),
