@@ -81,12 +81,6 @@ impl Zone {
         self.soa = soa;
     }
 
-    /// Bumps the SOA serial (zone-change bookkeeping for longitudinal
-    /// snapshots).
-    pub fn bump_serial(&mut self) {
-        self.soa.serial = self.soa.serial.wrapping_add(1);
-    }
-
     /// Adds a record.
     ///
     /// # Panics

@@ -48,14 +48,6 @@ impl Router {
             .insert((host, path.to_string()), response);
     }
 
-    /// Removes a document; returns whether it existed.
-    pub fn unroute(&self, host: &DomainName, path: &str) -> bool {
-        self.routes
-            .write()
-            .remove(&(host.clone(), path.to_string()))
-            .is_some()
-    }
-
     /// Resolves a request to a response.
     pub fn respond(&self, request: &Request) -> Response {
         let Some(host) = request.host().and_then(|h| h.parse::<DomainName>().ok()) else {

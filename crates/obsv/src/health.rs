@@ -27,7 +27,7 @@
 //! **execution** section (wall time, peak RSS, threads, stage profile,
 //! flight-recorder windows) describes *this particular* execution and
 //! legitimately differs between a resumed and an uninterrupted run —
-//! a resumed run replays completed dates from the checkpoint instead
+//! a resumed run restores completed dates from the checkpoint instead
 //! of rescanning them, so its wall clock and window deltas must
 //! differ while its identity must not.
 //!
@@ -335,11 +335,6 @@ pub fn stall_count() -> u64 {
         .as_ref()
         .map(|s| s.stalls)
         .unwrap_or(0)
-}
-
-/// Clears progress state (test harnesses, bench child steps).
-pub fn reset_progress() {
-    *PROGRESS.lock().unwrap_or_else(|p| p.into_inner()) = None;
 }
 
 // ---------------------------------------------------------------------

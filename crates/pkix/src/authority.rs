@@ -35,12 +35,6 @@ impl KeyPair {
             key_id: NEXT_KEY_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
-
-    /// Creates a key pair with a fixed id (deterministic ecosystems derive
-    /// ids from their seeded RNG instead of the global allocator).
-    pub fn with_id(key_id: u64) -> KeyPair {
-        KeyPair { key_id }
-    }
 }
 
 /// A certificate authority: a key pair plus its own certificate.
@@ -190,11 +184,6 @@ impl TrustStore {
     /// Adds a root CA.
     pub fn add_root(&mut self, root: &CertAuthority) {
         self.roots.insert(root.key.key_id);
-    }
-
-    /// Adds a root by key id.
-    pub fn add_root_key(&mut self, key_id: u64) {
-        self.roots.insert(key_id);
     }
 
     /// Whether `key_id` is a trusted root key.

@@ -56,10 +56,9 @@ use crate::scan::{
 };
 use crate::taxonomy::{DomainScan, ScanAttempts};
 use ecosystem::{DomainFingerprint, Ecosystem};
-use netbase::{DomainName, SimDate, SimInstant};
+use netbase::{DomainName, SimInstant};
 use serde::{Deserialize, Serialize};
 use simnet::World;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -83,11 +82,6 @@ impl CacheStats {
     /// Total domains that went through the cache.
     pub fn total(&self) -> u64 {
         self.full_hits + self.partial_hits + self.misses + self.forced
-    }
-
-    /// Scans answered without a fresh HTTPS policy fetch.
-    pub fn fetches_skipped(&self) -> u64 {
-        self.full_hits + self.partial_hits
     }
 
     pub(crate) fn count(&mut self, kind: HitKind) {
@@ -179,7 +173,6 @@ struct CacheEntry {
 pub(crate) struct ScanCache {
     config: ScanConfig,
     entries: Vec<Option<CacheEntry>>,
-    index_of: HashMap<DomainName, usize>,
 }
 
 impl ScanCache {
@@ -187,40 +180,6 @@ impl ScanCache {
         ScanCache {
             config,
             entries: vec![None; eco.population.domains.len()],
-            index_of: eco
-                .population
-                .domains
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (d.name.clone(), i))
-                .collect(),
-        }
-    }
-
-    /// Seeds entries from already-materialized scans (a supervisor
-    /// checkpoint): each scan is exactly the entry a live incremental
-    /// run would have cached at `date`, so resuming from a checkpoint
-    /// reconstructs the same cache state.
-    pub(crate) fn seed(
-        &mut self,
-        eco: &Ecosystem,
-        date: SimDate,
-        scans: &[Arc<DomainScan>],
-        policy_ips: &HashMap<DomainName, Ipv4Addr>,
-    ) {
-        let ctx = eco.fingerprint_context(date);
-        for scan in scans {
-            let Some(&i) = self.index_of.get(&scan.domain) else {
-                continue;
-            };
-            let Some(fp) = eco.fingerprint_at(&eco.population.domains[i], &ctx) else {
-                continue;
-            };
-            self.entries[i] = Some(CacheEntry {
-                fp,
-                scan: Arc::clone(scan),
-                policy_ip: policy_ips.get(&scan.domain).copied(),
-            });
         }
     }
 
@@ -305,19 +264,20 @@ impl ScanCache {
         }
     }
 
-    /// Records a result. Forced scans are never inserted: their
-    /// observations are instant-keyed (faults, attacks) and must not
-    /// outlive the instant that produced them. A full hit re-inserts the
-    /// slot's own fingerprint, `Arc` and policy IP, which changes nothing.
+    /// Records a result, or a checkpointed one. A forced date's scans
+    /// are never inserted: their observations are instant-keyed (faults,
+    /// attacks) and must not outlive the instant that produced them. A
+    /// full hit re-inserts the slot's own fingerprint, `Arc` and policy
+    /// IP, which changes nothing.
     pub(crate) fn insert(
         &mut self,
         index: usize,
         fp: DomainFingerprint,
         scan: &Arc<DomainScan>,
         policy_ip: Option<Ipv4Addr>,
-        kind: HitKind,
+        forced: bool,
     ) {
-        if kind == HitKind::Forced {
+        if forced {
             return;
         }
         self.entries[index] = Some(CacheEntry {
@@ -341,6 +301,7 @@ mod tests {
     use crate::scan::Snapshot;
     use crate::supervisor::{Campaign, SupervisedOutcome, SupervisorConfig};
     use ecosystem::{EcosystemConfig, SnapshotDetail};
+    use netbase::SimDate;
 
     fn fp(record: u64, policy: u64, mx: u64) -> DomainFingerprint {
         DomainFingerprint { record, policy, mx }
@@ -407,7 +368,7 @@ mod tests {
 
         let (scan, ip, kind) = cache.scan(&world, index, &spec.name, date.at_midnight(), &fp, true);
         assert_eq!(kind, HitKind::Forced);
-        cache.insert(index, fp, &scan, ip, kind);
+        cache.insert(index, fp, &scan, ip, true);
         assert!(
             cache.entries[index].is_none(),
             "a forced scan must not be cached"
@@ -417,7 +378,7 @@ mod tests {
         let (scan, ip, kind) =
             cache.scan(&world, index, &spec.name, date.at_midnight(), &fp, false);
         assert_eq!(kind, HitKind::Miss);
-        cache.insert(index, fp, &scan, ip, kind);
+        cache.insert(index, fp, &scan, ip, false);
 
         // A full hit at a later date is the miss's scan itself, and
         // re-inserting it leaves the slot holding that same scan.
@@ -427,7 +388,7 @@ mod tests {
         assert_eq!(kind, HitKind::Full);
         assert!(Arc::ptr_eq(&hit, &scan));
         assert_eq!(hit_ip, ip);
-        cache.insert(index, fp, &hit, hit_ip, kind);
+        cache.insert(index, fp, &hit, hit_ip, false);
         let slot = cache.entries[index].as_ref().unwrap();
         assert!(Arc::ptr_eq(&slot.scan, &scan));
     }

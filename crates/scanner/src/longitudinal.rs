@@ -9,6 +9,11 @@
 //! oracles for the digest suites. The weekly loop lives here; the
 //! monthly loop is [`Study::run_full_supervised`], which
 //! [`Study::run_full`] runs under a default [`SupervisorConfig`].
+//!
+//! Each loop takes one delta step per date and starts from empty state.
+//! The first advance of a persistent world rewrites every adopter, so
+//! the first date is just the step at which every adopter is new:
+//! neither loop primes its caches or counters in a branch of its own.
 
 use crate::incremental::{CacheStats, HitKind};
 use crate::scan::{scan_snapshot_with_threads, ScanConfig, Snapshot};
@@ -283,7 +288,6 @@ impl Study {
         type Key = Option<(u64, u64)>;
         let mut keys: Vec<Key> = vec![None; n];
         let mut obs: Vec<WeeklyObservation> = vec![None; n];
-        let mut primed = false;
         // Running per-TLD counters mirroring `obs` (zeroed entries
         // removed — see `counter_sub`).
         let mut mtasts: HashMap<TldId, u64> = HashMap::new();
@@ -294,26 +298,12 @@ impl Study {
             engine.advance_to(&self.eco, date);
             let world = engine.world();
             let now = date.at_midnight();
-            if !primed {
-                // First date: every domain misses once (adopted or not),
-                // priming the cache and the running counters.
-                let observations =
-                    map_sharded(threads, domains, |_, spec| weekly_observe(world, spec, now));
-                for (i, key) in keys.iter_mut().enumerate() {
-                    *key = engine.installed_fingerprint(i).map(|fp| (fp.record, fp.mx));
-                }
-                stats.count_many(HitKind::Miss, n as u64);
-                let point = fold_weekly(date, domains, &observations, &mut history);
-                mtasts = point.mtasts_per_tld.clone();
-                tlsrpt = point.tlsrpt_among_mtasts_per_tld.clone();
-                obs = observations;
-                primed = true;
-                return point;
-            }
-            // Steady state: only indices the engine rewrote on this
-            // advance (ascending, each once) can have a different
-            // (record, mx) key, and only a different key can change the
-            // observation.
+            // Only indices the engine rewrote on this advance (ascending,
+            // each once) can have a different (record, mx) key, and only a
+            // different key can change the observation. The first advance
+            // rewrites every adopter, so the first date takes this step
+            // too, from all-`None` keys and observations: a domain not yet
+            // adopted has no observation to take.
             let changed: Vec<u32> = engine
                 .last_dirty()
                 .iter()

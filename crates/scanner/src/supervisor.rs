@@ -11,25 +11,24 @@
 //!
 //! - **incrementality**: the campaign runs over one persistent
 //!   delta-built world plus the [`crate::incremental`] rescan cache, so
-//!   unchanged domains reuse their prior scans. Checkpointed scans seed
-//!   the cache on resume — each is exactly the entry a live run would
-//!   have cached at that date — so kill/resume stays byte-identical,
-//!   degradation accounting included. With transient faults configured
-//!   the cache stands down entirely (observations are instant-keyed)
-//!   and every domain scans fresh. One entity classifier is carried
-//!   across live dates too: a date forgets and re-observes only the
-//!   scans that changed and re-classifies only those, or every domain
-//!   when the verdict of an eSLD they touch moved. A date without that
-//!   state (the first live one, a forced or resumed one, the one after a
-//!   resumed one) classifies from scratch, as [`Snapshot::assemble`]
-//!   does;
+//!   unchanged domains reuse their prior scans. With transient faults
+//!   configured the cache stands down entirely (observations are
+//!   instant-keyed) and every domain scans fresh. One entity classifier
+//!   is carried across dates too, starting empty: a date forgets and
+//!   re-observes only the scans that changed and re-classifies only
+//!   those, or every domain when the verdict of an eSLD they touch
+//!   moved. Every date takes this one step, the first and a forced one
+//!   (all of whose scans changed) included, so the classes equal
+//!   [`Snapshot::assemble`]'s at every date;
 //! - **checkpointing**: with a [`SupervisorConfig::checkpoint_path`],
-//!   completed snapshots and the in-progress snapshot's prefix are
-//!   serialized to disk every [`SupervisorConfig::checkpoint_every`]
-//!   domains, and a fresh run resumes from what the file holds unless
-//!   another campaign (seed, scale, scan discipline) wrote it. Without a
-//!   path no checkpoint form is built: each snapshot is assembled
-//!   straight from its date's scans;
+//!   each date's scans and their population slots are serialized to
+//!   disk every [`SupervisorConfig::checkpoint_every`] domains and when
+//!   the date completes, and a fresh run resumes from what the file
+//!   holds unless another campaign (seed, scale, scan discipline) wrote
+//!   it. Resuming walks the same dates: a saved scan goes into the cache
+//!   slot and classifier slot that scanning it filled, so kill/resume
+//!   stays byte-identical, degradation accounting included. Without a
+//!   path no checkpoint form is built;
 //! - **determinism**: a scan is a pure function of
 //!   `(world, domain, instant, config)` and every world is rebuilt from
 //!   the ecosystem seed, so a killed-and-resumed run is *byte-identical*
@@ -56,6 +55,7 @@ use obsv::health::{fnv64, seal, unseal, write_atomic};
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;
 use std::collections::HashMap;
+use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -125,10 +125,9 @@ pub struct DegradationReport {
     pub checkpoint_failures: u64,
     /// The I/O errors behind those failures, in encounter order.
     pub checkpoint_errors: Vec<String>,
-    /// Rescan-cache accounting (`default` keeps pre-cache checkpoints
-    /// loadable). Deterministic across thread counts and kill/resume
-    /// cycles, so it participates in the report-equality assertions.
-    #[serde(default)]
+    /// Rescan-cache accounting. Deterministic across thread counts and
+    /// kill/resume cycles, so it participates in the report-equality
+    /// assertions.
     pub cache: CacheStats,
 }
 
@@ -141,37 +140,76 @@ impl DegradationReport {
 
     /// The cache-accounting invariant a kill/resume cycle must preserve:
     /// every scanned domain was counted by the cache exactly once, so
-    /// the totals agree. Checkpoint replay and partial-prefix resume
-    /// seed cache *entries* via [`ScanCache::seed`], which never touches
-    /// stats — the report loaded from the checkpoint is the single
-    /// accumulator, already holding those domains' counts from the
-    /// invocation that scanned them. Re-counting seeded entries (the
-    /// blind-sum failure mode) would break this equality.
+    /// the totals agree. Restoring a checkpoint's scans fills cache
+    /// *entries* and never touches stats: the report loaded from the
+    /// checkpoint is the single accumulator, already holding those
+    /// domains' counts from the invocation that scanned them.
+    /// Re-counting restored entries (the blind-sum failure mode) would
+    /// break this equality.
     pub fn cache_accounting_consistent(&self) -> bool {
         self.cache.total() == self.domains_scanned
     }
 }
 
-/// One finished snapshot in checkpoint form. The entity classes are *not*
-/// persisted — they are a pure function of the scans and policy IPs, and
-/// are recomputed on load.
+/// One date's scans in checkpoint form: a completed snapshot, or the
+/// scanned prefix of the date in progress. The entity classes are *not*
+/// persisted: they are a pure function of the scans and policy IPs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct CompletedSnapshot {
+struct SavedSnapshot {
     date: SimDate,
+    /// Index of the next unscanned domain in the date's adopter list, so
+    /// the adopter count once the date is complete.
+    next_index: usize,
+    /// Each scan's population slot, ascending.
+    slots: Vec<usize>,
     scans: Vec<Arc<DomainScan>>,
     /// `(domain, ip)` pairs, sorted by [`freeze_ips`]. Both sides
     /// validate on load, so a bad name or address rejects the file.
     policy_ips: Vec<(DomainName, Ipv4Addr)>,
 }
 
-/// The in-progress snapshot's scanned prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PartialSnapshot {
-    date: SimDate,
-    /// Index of the next unscanned domain in the snapshot's domain list.
-    next_index: usize,
-    scans: Vec<Arc<DomainScan>>,
-    policy_ips: Vec<(DomainName, Ipv4Addr)>,
+impl SavedSnapshot {
+    /// The date's first `next_index` adopters in checkpoint form: `scans`
+    /// at population slots `pops`, with their policy IPs.
+    fn new(
+        date: SimDate,
+        next_index: usize,
+        pops: &[usize],
+        scans: &[Arc<DomainScan>],
+        policy_ips: &HashMap<DomainName, Ipv4Addr>,
+    ) -> SavedSnapshot {
+        SavedSnapshot {
+            date,
+            next_index,
+            slots: pops.to_vec(),
+            scans: scans.to_vec(),
+            policy_ips: freeze_ips(policy_ips),
+        }
+    }
+
+    /// Whether the saved scans are distinct adopters of the date in
+    /// population order, each under its slot's name, all among the first
+    /// `next_index` adopters: what scanning the date could have saved.
+    fn fits(&self, eco: &Ecosystem) -> bool {
+        let adopters = adopters_at(eco, self.date);
+        let Some(scanned) = adopters.get(..self.next_index) else {
+            return false;
+        };
+        let mut scanned = scanned.iter();
+        self.slots.len() == self.scans.len()
+            && self.slots.iter().zip(&self.scans).all(|(&slot, scan)| {
+                scanned.any(|&i| i as usize == slot)
+                    && eco.population.domains[slot].name == scan.domain
+            })
+    }
+}
+
+/// The population indices adopted by `date`, ascending: a date's scan
+/// order.
+fn adopters_at(eco: &Ecosystem, date: SimDate) -> Vec<u32> {
+    let mut adopters = eco.population.index.adopters_through(date).to_vec();
+    adopters.sort_unstable();
+    adopters
 }
 
 /// The on-disk checkpoint.
@@ -179,8 +217,9 @@ struct PartialSnapshot {
 struct Checkpoint {
     /// [`SupervisorConfig::digest`] of the campaign that wrote it.
     config_digest: u64,
-    completed: Vec<CompletedSnapshot>,
-    partial: Option<PartialSnapshot>,
+    /// The campaign's dates so far, in calendar order; the last one may
+    /// be in progress.
+    snapshots: Vec<SavedSnapshot>,
     report: DegradationReport,
 }
 
@@ -201,12 +240,23 @@ impl Checkpoint {
     /// header. A missing file starts fresh; so does any corruption — a
     /// truncated or bit-rotted checkpoint (a crash mid-write, a full
     /// disk) must cost the saved progress, never the whole campaign —
-    /// and so does a file another campaign wrote (another digest).
-    fn load(path: &Path, config_digest: u64) -> Checkpoint {
+    /// and so does a file another campaign wrote (another digest), or one
+    /// whose saved dates are not the calendar's first ones, in order,
+    /// each holding what scanning it could have saved.
+    fn load(path: &Path, config_digest: u64, eco: &Ecosystem) -> Checkpoint {
+        let dates = eco.config.full_scan_dates();
         std::fs::read_to_string(path)
             .ok()
             .and_then(|text| Checkpoint::parse(&text))
-            .filter(|ckpt| ckpt.config_digest == config_digest)
+            .filter(|ckpt| {
+                ckpt.config_digest == config_digest
+                    && ckpt.snapshots.len() <= dates.len()
+                    && ckpt
+                        .snapshots
+                        .iter()
+                        .zip(&dates)
+                        .all(|(saved, &date)| saved.date == date && saved.fits(eco))
+            })
             .unwrap_or(Checkpoint {
                 config_digest,
                 ..Checkpoint::default()
@@ -285,10 +335,10 @@ struct Observed {
     classes: Option<EntityClasses>,
 }
 
-/// The entity classifier the campaign carries from one live date to the
-/// next. §4.3.1's heuristics count over a whole snapshot, but from one
-/// monthly date to the next only the domains whose scans changed move
-/// those counts, so a primed date forgets and re-observes just those and
+/// The entity classifier the campaign carries from one date to the next,
+/// starting empty. §4.3.1's heuristics count over a whole snapshot, but
+/// from one monthly date to the next only the domains whose scans changed
+/// move those counts, so a date forgets and re-observes just those and
 /// re-classifies them alone — unless an eSLD they touched changed its
 /// verdict, when every domain is re-classified. The classes equal
 /// [`Snapshot::assemble`]'s at every date.
@@ -296,13 +346,10 @@ struct Observed {
 struct CarriedClasses {
     /// Counts exactly the scans in `last`, each with its policy IP.
     classifier: EntityClassifier,
-    /// By population index: what the last classified date observed.
+    /// By population index: what the dates so far last observed.
     last: Vec<Option<Observed>>,
     /// The verdicts this date's forgets and observes started from.
     log: VerdictLog,
-    /// Whether every entry of `last` carries the classes `classifier`
-    /// gives it, so that the next date may start from them.
-    primed: bool,
 }
 
 impl CarriedClasses {
@@ -313,15 +360,7 @@ impl CarriedClasses {
         }
     }
 
-    /// Starts a date. It is classified by delta when the state is primed
-    /// and `may_delta` holds; until the date settles the state is not
-    /// primed, so a date the budget cuts short leaves the next one to
-    /// rebuild.
-    fn start(&mut self, may_delta: bool) -> bool {
-        std::mem::take(&mut self.primed) && may_delta
-    }
-
-    /// Folds one of a delta date's scans in: the same `Arc` with the same
+    /// Folds one of the date's scans in: the same `Arc` with the same
     /// policy IP as last observed costs nothing, while a changed or new
     /// scan is re-observed, after its predecessor is forgotten.
     fn absorb(&mut self, pop: usize, scan: &Arc<DomainScan>, ip: Option<Ipv4Addr>) {
@@ -329,7 +368,6 @@ impl CarriedClasses {
             classifier,
             last,
             log,
-            ..
         } = self;
         if let Some(seen) = &last[pop] {
             if Arc::ptr_eq(&seen.scan, scan) && seen.policy_ip == ip {
@@ -348,50 +386,27 @@ impl CarriedClasses {
     }
 
     /// The date's classes, parallel to `scans`, whose population indices
-    /// are `pops` in ascending order; primes the state for the next date.
-    /// A delta date forgets what it did not observe (a domain abandoned
-    /// after a panic) and classifies its changed scans, or all of them
-    /// when a verdict moved; any other date rebuilds the classifier from
-    /// scratch.
-    fn settle(
-        &mut self,
-        delta: bool,
-        pops: &[usize],
-        scans: &[Arc<DomainScan>],
-        policy_ips: &HashMap<DomainName, Ipv4Addr>,
-    ) -> Vec<EntityClasses> {
+    /// are `pops` in ascending order, once each was absorbed. Forgets
+    /// what the date did not observe (a domain abandoned after a panic),
+    /// then classifies the changed scans, or all of them when a verdict
+    /// moved.
+    fn settle(&mut self, pops: &[usize], scans: &[Arc<DomainScan>]) -> Vec<EntityClasses> {
         let CarriedClasses {
             classifier,
             last,
             log,
-            primed,
         } = self;
-        let mut all = true;
-        if delta {
-            let mut observed = pops.iter().peekable();
-            for (pop, slot) in last.iter_mut().enumerate() {
-                if observed.next_if_eq(&&pop).is_some() {
-                    continue;
-                }
-                if let Some(gone) = slot.take() {
-                    classifier.note_verdicts(&gone.scan, log);
-                    classifier.forget(&gone.scan, gone.policy_ip);
-                }
+        let mut observed = pops.iter().peekable();
+        for (pop, slot) in last.iter_mut().enumerate() {
+            if observed.next_if_eq(&&pop).is_some() {
+                continue;
             }
-            all = classifier.verdicts_moved(log);
-        } else {
-            *classifier = EntityClassifier::from_scans(scans, policy_ips);
-            *log = VerdictLog::default();
-            last.fill(None);
-            for (&pop, scan) in pops.iter().zip(scans) {
-                last[pop] = Some(Observed {
-                    scan: Arc::clone(scan),
-                    policy_ip: policy_ips.get(&scan.domain).copied(),
-                    classes: None,
-                });
+            if let Some(gone) = slot.take() {
+                classifier.note_verdicts(&gone.scan, log);
+                classifier.forget(&gone.scan, gone.policy_ip);
             }
         }
-        *primed = true;
+        let all = classifier.verdicts_moved(log);
         pops.iter()
             .zip(scans)
             .map(|(&pop, scan)| {
@@ -407,7 +422,8 @@ impl CarriedClasses {
 
 /// One invocation's state across the calendar: the persistent
 /// delta-built world, the rescan cache, the carried entity classifier,
-/// the checkpoint loaded at start (whose report accumulates this
+/// the loaded checkpoint's dates still to restore, the checkpoint this
+/// invocation writes (whose report, loaded at start, accumulates this
 /// invocation's accounting) and the remaining domain budget.
 pub(crate) struct Campaign<'a> {
     eco: &'a Ecosystem,
@@ -416,6 +432,8 @@ pub(crate) struct Campaign<'a> {
     world: IncrementalWorld,
     cache: ScanCache,
     classes: CarriedClasses,
+    /// The loaded checkpoint's dates not restored yet.
+    saved: Peekable<std::vec::IntoIter<SavedSnapshot>>,
     ckpt: Checkpoint,
     /// Where checkpoints go; cleared after the first failed write.
     path: Option<PathBuf>,
@@ -426,6 +444,10 @@ impl<'a> Campaign<'a> {
     /// A campaign under `cfg`, resuming from its checkpoint file if any.
     pub(crate) fn new(eco: &'a Ecosystem, cfg: &'a SupervisorConfig) -> Campaign<'a> {
         let path = cfg.checkpoint_path.clone();
+        let mut ckpt = path
+            .as_deref()
+            .map(|p| Checkpoint::load(p, cfg.digest(eco), eco))
+            .unwrap_or_default();
         Campaign {
             eco,
             cfg,
@@ -433,10 +455,8 @@ impl<'a> Campaign<'a> {
             world: IncrementalWorld::new(SnapshotDetail::Full),
             cache: ScanCache::new(eco, cfg.scan),
             classes: CarriedClasses::new(eco.population.domains.len()),
-            ckpt: path
-                .as_deref()
-                .map(|p| Checkpoint::load(p, cfg.digest(eco)))
-                .unwrap_or_default(),
+            saved: std::mem::take(&mut ckpt.snapshots).into_iter().peekable(),
+            ckpt,
             path,
             budget: cfg.domain_budget,
         }
@@ -448,27 +468,11 @@ impl<'a> Campaign<'a> {
         &self.ckpt.report
     }
 
-    /// The snapshot the loaded checkpoint completed at `date`, if any.
-    /// The world is *not* advanced through a replayed date — `advance_to`
-    /// jumps straight to the next live one — but the cache is seeded from
-    /// the checkpointed scans, so the live dates resume with exactly the
-    /// state an uninterrupted run would carry. Seeding restores entries
-    /// only: the loaded report already counts these domains (see
-    /// [`DegradationReport::cache_accounting_consistent`]).
-    fn replay(&mut self, date: SimDate) -> Option<Snapshot> {
-        let done = self.ckpt.completed.iter().find(|c| c.date == date)?;
-        obsv::event!("supervisor.replay_completed_snapshot");
-        let ips: HashMap<DomainName, Ipv4Addr> = done.policy_ips.iter().cloned().collect();
-        if self.cfg.transient.is_none() {
-            self.cache.seed(self.eco, date, &done.scans, &ips);
-        }
-        Some(Snapshot::assemble(date, done.scans.clone(), ips))
-    }
-
-    /// Scans one live date: advance the world to `date`, scan every
-    /// adopter through the cache in rounds, assemble the snapshot. `None`
-    /// means the domain budget ran out inside the date; its scanned
-    /// prefix went to the checkpoint.
+    /// Scans one date: advance the world to `date`, restore what the
+    /// checkpoint saved of it, scan the remaining adopters through the
+    /// cache in rounds, and classify by delta. `None` means the domain
+    /// budget ran out inside the date; its scanned prefix went to the
+    /// checkpoint.
     pub(crate) fn scan_date(&mut self, date: SimDate) -> Option<Snapshot> {
         let _span = obsv::span!("snapshot.full");
         let eco = self.eco;
@@ -481,38 +485,41 @@ impl<'a> Campaign<'a> {
         }
         let forced = cache_forced(self.world.world());
         // The engine certifies what is deployed at `date`: walk the
-        // adopter index (sorted back to population order) and reuse the
-        // installed fingerprints — O(adopters), no population sweep and
-        // no fingerprint re-hashing.
-        let mut adopters: Vec<u32> = eco.population.index.adopters_through(date).to_vec();
-        adopters.sort_unstable();
-        let jobs: Vec<(usize, DomainFingerprint)> = adopters
-            .iter()
-            .map(|&i| {
+        // adopter index in population order and reuse the installed
+        // fingerprints — O(adopters), no population sweep and no
+        // fingerprint re-hashing.
+        let jobs: Vec<(usize, DomainFingerprint)> = adopters_at(eco, date)
+            .into_iter()
+            .map(|i| {
                 let fp = self.world.installed_fingerprint(i as usize);
                 (i as usize, fp.expect("adopted domains are installed"))
             })
             .collect();
+        let mut pops = Vec::with_capacity(jobs.len());
+        let mut scans = Vec::with_capacity(jobs.len());
+        let mut policy_ips = HashMap::new();
+        let mut index = 0;
 
-        // Resume the scanned prefix when the checkpoint holds one, with
-        // the same stat-free seeding as a replayed date.
-        let (mut scans, mut policy_ips, mut index) = match self.ckpt.partial.take() {
-            Some(p) if p.date == date => {
-                obsv::event!("supervisor.resume_partial_snapshot");
-                let ips: HashMap<DomainName, Ipv4Addr> = p.policy_ips.into_iter().collect();
-                if self.cfg.transient.is_none() {
-                    self.cache.seed(eco, date, &p.scans, &ips);
-                }
-                (p.scans, ips, p.next_index)
+        // What the checkpoint saved of this date, a completed snapshot or
+        // a scanned prefix, goes where scanning it went: into the cache
+        // and classifier slots. Restoring counts nothing, since the loaded
+        // report already counts these domains (see
+        // [`DegradationReport::cache_accounting_consistent`]).
+        if let Some(saved) = self.saved.next_if(|s| s.date == date) {
+            obsv::event!("supervisor.restore_snapshot");
+            policy_ips.extend(saved.policy_ips);
+            for (pop, scan) in saved.slots.into_iter().zip(saved.scans) {
+                let fp = self.world.installed_fingerprint(pop);
+                let fp = fp.expect("saved scans are of adopters");
+                let ip = policy_ips.get(&scan.domain).copied();
+                self.cache.insert(pop, fp, &scan, ip, forced);
+                self.classes.absorb(pop, &scan, ip);
+                pops.push(pop);
+                scans.push(scan);
             }
-            _ => (Vec::with_capacity(jobs.len()), HashMap::new(), 0),
-        };
-        // A resumed prefix carries no population indices, and a forced
-        // date shares no scan with the last one: both classify from
-        // scratch.
-        let resumed = index > 0;
-        let delta = self.classes.start(!forced && !resumed);
-        let mut pops = Vec::with_capacity(jobs.len() - index);
+            index = saved.next_index;
+        }
+        let restored_to = index;
 
         // The campaign is unthrottled: every domain scans at the
         // snapshot's midnight.
@@ -521,7 +528,7 @@ impl<'a> Campaign<'a> {
         let mut scanned_here = 0usize;
         while index < jobs.len() {
             if self.budget == Some(0) {
-                self.store_partial(date, index, &scans, &policy_ips);
+                self.store_partial(date, index, &pops, &scans, &policy_ips);
                 obsv::event!("supervisor.suspend");
                 return None;
             }
@@ -568,10 +575,8 @@ impl<'a> Campaign<'a> {
                 };
                 report.absorb(&scan);
                 report.cache.count(kind);
-                self.cache.insert(pop, fp, &scan, ip, kind);
-                if delta {
-                    self.classes.absorb(pop, &scan, ip);
-                }
+                self.cache.insert(pop, fp, &scan, ip, forced);
+                self.classes.absorb(pop, &scan, ip);
                 if let Some(ip) = ip {
                     policy_ips.insert(scan.domain.clone(), ip);
                 }
@@ -584,45 +589,39 @@ impl<'a> Campaign<'a> {
             scanned_here += round.len();
             index = round_end;
             if every > 0 && scanned_here.is_multiple_of(every) && index < jobs.len() {
-                self.store_partial(date, index, &scans, &policy_ips);
+                self.store_partial(date, index, &pops, &scans, &policy_ips);
             }
         }
 
         if self.cfg.checkpoint_path.is_some() {
-            self.ckpt.completed.push(CompletedSnapshot {
-                date,
-                scans: scans.clone(),
-                policy_ips: freeze_ips(&policy_ips),
-            });
-            store_or_degrade(&mut self.ckpt, &mut self.path);
+            let done = SavedSnapshot::new(date, index, &pops, &scans, &policy_ips);
+            self.ckpt.snapshots.push(done);
+            // A date the file already held complete leaves it as it is.
+            if restored_to < jobs.len() {
+                store_or_degrade(&mut self.ckpt, &mut self.path);
+            }
         }
-        if resumed {
-            return Some(Snapshot::assemble(date, scans, policy_ips));
-        }
-        let classes = self.classes.settle(delta, &pops, &scans, &policy_ips);
+        let classes = self.classes.settle(&pops, &scans);
         Some(Snapshot::classified(date, scans, policy_ips, classes))
     }
 
-    /// Persists the live date's scanned prefix, while a checkpoint path
-    /// is still set.
+    /// Persists the date's scanned prefix, while a checkpoint path is
+    /// still set.
     fn store_partial(
         &mut self,
         date: SimDate,
         next_index: usize,
+        pops: &[usize],
         scans: &[Arc<DomainScan>],
         policy_ips: &HashMap<DomainName, Ipv4Addr>,
     ) {
         if self.path.is_none() {
             return;
         }
-        self.ckpt.partial = Some(PartialSnapshot {
-            date,
-            next_index,
-            scans: scans.to_vec(),
-            policy_ips: freeze_ips(policy_ips),
-        });
+        let prefix = SavedSnapshot::new(date, next_index, pops, scans, policy_ips);
+        self.ckpt.snapshots.push(prefix);
         store_or_degrade(&mut self.ckpt, &mut self.path);
-        self.ckpt.partial = None;
+        self.ckpt.snapshots.pop();
     }
 }
 
@@ -638,15 +637,15 @@ impl Study {
         let dates = self.eco.config.full_scan_dates();
         let date_count = dates.len() as u64;
         for (date_ord, date) in dates.into_iter().enumerate() {
-            let Some(snapshot) = campaign.replay(date).or_else(|| campaign.scan_date(date)) else {
+            let Some(snapshot) = campaign.scan_date(date) else {
                 return SupervisedOutcome::Suspended {
                     report: campaign.ckpt.report,
                 };
             };
             snapshots.push(snapshot);
-            // Close this date's flight-recorder window (a replayed date's
-            // window holds only the replay events, which is the truthful
-            // record of what this execution did here). Runs on the calling
+            // Close this date's flight-recorder window (a restored date's
+            // window holds its world advance and the restore event, the
+            // truthful record of what this execution did there). Runs on the calling
             // thread after the date's span closed and its workers were
             // absorbed, and draws from no RNG — the identity suites pin
             // that it cannot perturb outputs.
@@ -674,7 +673,7 @@ impl Study {
                 config_digest: cfg.digest(&self.eco),
                 ..Default::default()
             };
-            let output = serde_json::to_string(&ckpt.completed).expect("snapshots serialize");
+            let output = serde_json::to_string(&ckpt.snapshots).expect("snapshots serialize");
             manifest.output_digest = fnv64(output.as_bytes());
             flatten_totals("report", &ckpt.report.to_value(), &mut manifest.totals);
             manifest.capture_execution();
@@ -898,9 +897,9 @@ mod tests {
         // Regression guard for the cache-stat merge semantics: with the
         // rescan cache ENGAGED (no transient faults, so nothing forces
         // it off), a killed-and-resumed campaign must report exactly the
-        // cache totals of an uninterrupted one. Checkpoint replay and
-        // partial-prefix resume seed cache entries; if either path ever
-        // re-counted the seeded entries into the live stats, the resumed
+        // cache totals of an uninterrupted one. Restoring a checkpoint
+        // fills cache entries; if it ever re-counted the restored entries
+        // into the live stats, the resumed
         // report's hits would exceed the reference and the per-report
         // total/domains_scanned invariant would break.
         let study = study();
@@ -965,16 +964,18 @@ mod tests {
             std::env::temp_dir().join(format!("mtasts-supervisor-{}-corrupt", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
+        let study = study();
+        let eco = &study.eco;
 
         let mut ckpt = Checkpoint::default();
         ckpt.report.domains_scanned = 123;
         ckpt.store(&path).unwrap();
 
         // Intact: round-trips.
-        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 123);
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 123);
         // Intact but written by another campaign: starts fresh, stamped
         // with the loading campaign's digest.
-        let other = Checkpoint::load(&path, 1);
+        let other = Checkpoint::load(&path, 1, eco);
         assert_eq!((other.report.domains_scanned, other.config_digest), (0, 1));
         // Intact but from before checkpoints carried a digest: starts
         // fresh too.
@@ -982,7 +983,13 @@ mod tests {
         let undigested = payload.replace("\"config_digest\":0,", "");
         assert_ne!(undigested, payload);
         std::fs::write(&path, vouched(&undigested)).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
+        // Intact but in the shape from before saved snapshots carried
+        // their population slots (completed and partial lists): fresh.
+        let old_shape = payload.replace("\"snapshots\":[]", "\"completed\":[],\"partial\":null");
+        assert_ne!(old_shape, payload);
+        std::fs::write(&path, vouched(&old_shape)).unwrap();
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
         ckpt.store(&path).unwrap();
 
         let stored = std::fs::read_to_string(&path).unwrap();
@@ -992,7 +999,7 @@ mod tests {
         for cut in 0..stored.len() {
             std::fs::write(&path, &stored[..cut]).unwrap();
             assert_eq!(
-                Checkpoint::load(&path, 0).report.domains_scanned,
+                Checkpoint::load(&path, 0, eco).report.domains_scanned,
                 0,
                 "truncation at {cut} must start fresh"
             );
@@ -1003,65 +1010,89 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
 
         // Valid JSON without the header is still rejected.
-        std::fs::write(&path, "{\"completed\":[],\"partial\":null}").unwrap();
-        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
+        std::fs::write(&path, "{\"snapshots\":[]}").unwrap();
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
 
         // And a missing file starts fresh.
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0).report.domains_scanned, 0);
+        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
 
         // A correct header over a policy-IP pair that does not parse (a
         // writer bug, a hand edit): the decoder rejects the file, and a
         // resume over it restarts clean instead of panicking mid-replay.
-        let study = study();
-        let first = study.eco.config.full_scan_dates()[0];
-        ckpt.completed.push(CompletedSnapshot {
+        let cfg = SupervisorConfig {
+            checkpoint_path: Some(path.clone()),
+            ..SupervisorConfig::default()
+        };
+        let first = eco.config.full_scan_dates()[0];
+        ckpt.snapshots.push(SavedSnapshot {
             date: first,
+            next_index: 0,
+            slots: Vec::new(),
             scans: Vec::new(),
             policy_ips: vec![("example.com".parse().unwrap(), Ipv4Addr::new(192, 0, 2, 1))],
         });
         let valid = serde_json::to_string(&ckpt).unwrap();
         for (good, bad) in [("192.0.2.1", "not-an-ip"), ("example.com", "bad..name")] {
-            let payload = valid.replace(good, bad);
-            let header = format!(
-                "{CKPT_MAGIC} {} {:016x}",
-                payload.len(),
-                fnv64(payload.as_bytes())
-            );
-            std::fs::write(&path, format!("{header}\n{payload}")).unwrap();
+            std::fs::write(&path, vouched(&valid.replace(good, bad))).unwrap();
             assert_eq!(
-                Checkpoint::load(&path, 0).report.domains_scanned,
+                Checkpoint::load(&path, 0, eco).report.domains_scanned,
                 0,
                 "{bad}"
             );
-            let outcome = study.run_full_supervised(&SupervisorConfig {
-                checkpoint_path: Some(path.clone()),
-                ..SupervisorConfig::default()
-            });
-            let SupervisedOutcome::Complete { snapshots, report } = outcome else {
+            let SupervisedOutcome::Complete { snapshots, report } = study.run_full_supervised(&cfg)
+            else {
                 panic!("no budget set: must complete")
             };
             let scanned: usize = snapshots.iter().map(Snapshot::len).sum();
             assert_eq!(report.domains_scanned, scanned as u64, "{bad}");
         }
+
+        // This campaign's own complete checkpoint, with one scan of a
+        // domain that adopts later slipped into the first snapshot at its
+        // population slot: no date could have saved it, so the run starts
+        // fresh instead of replaying it.
+        let mut saved = Checkpoint::load(&path, cfg.digest(eco), eco);
+        let fresh = study.run_full();
+        assert_eq!(saved.snapshots.len(), fresh.len());
+        let first = &mut saved.snapshots[0];
+        let foreign = fresh
+            .last()
+            .unwrap()
+            .scans
+            .iter()
+            .find(|scan| first.scans.iter().all(|s| s.domain != scan.domain))
+            .expect("a domain adopts after the first date");
+        let slot = eco
+            .population
+            .domains
+            .iter()
+            .position(|d| d.name == foreign.domain)
+            .unwrap();
+        let at = first.slots.partition_point(|&s| s < slot);
+        first.slots.insert(at, slot);
+        first.scans.insert(at, Arc::clone(foreign));
+        std::fs::write(&path, vouched(&serde_json::to_string(&saved).unwrap())).unwrap();
+        let SupervisedOutcome::Complete { snapshots, .. } = study.run_full_supervised(&cfg) else {
+            panic!("no budget set: must complete")
+        };
+        assert_eq!(
+            snapshot_fingerprint(&fresh),
+            snapshot_fingerprint(&snapshots)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `payload` behind a header that vouches for it, as a buggy writer
     /// or a hand edit would leave it.
     fn vouched(payload: &str) -> String {
-        format!(
-            "{CKPT_MAGIC} {} {:016x}\n{payload}",
-            payload.len(),
-            fnv64(payload.as_bytes())
-        )
+        seal(CKPT_MAGIC, payload)
     }
 
-    /// A checkpoint to mutate: the partial snapshot a budgeted run left,
-    /// plus a completed snapshot made of its first scans.
+    /// A checkpoint to mutate: the scanned prefix a budgeted run left.
     fn sample_checkpoint() -> &'static [u8] {
         static TEXT: OnceLock<String> = OnceLock::new();
         TEXT.get_or_init(|| {
@@ -1070,24 +1101,17 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("ckpt.json");
             let _ = std::fs::remove_file(&path);
-            let study = study();
             let cfg = SupervisorConfig {
                 checkpoint_path: Some(path.clone()),
                 checkpoint_every: 8,
                 domain_budget: Some(24),
                 ..SupervisorConfig::default()
             };
-            let outcome = study.run_full_supervised(&cfg);
+            let outcome = study().run_full_supervised(&cfg);
             assert!(matches!(outcome, SupervisedOutcome::Suspended { .. }));
-            let mut ckpt = Checkpoint::load(&path, cfg.digest(&study.eco));
-            let partial = ckpt.partial.clone().expect("suspended mid-snapshot");
-            ckpt.completed.push(CompletedSnapshot {
-                date: partial.date,
-                scans: partial.scans[..8].to_vec(),
-                policy_ips: partial.policy_ips,
-            });
+            let text = std::fs::read_to_string(&path).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
-            vouched(&serde_json::to_string(&ckpt).unwrap())
+            text
         })
         .as_bytes()
     }
@@ -1103,8 +1127,12 @@ mod tests {
     fn every_truncation_of_a_real_checkpoint_is_rejected() {
         let text = sample_checkpoint();
         let whole = Checkpoint::parse(std::str::from_utf8(text).unwrap()).expect("sample parses");
-        assert_eq!(whole.completed.len(), 1);
-        assert_eq!(whole.partial.map(|p| p.scans.len()), Some(24));
+        let prefix: Vec<_> = whole
+            .snapshots
+            .iter()
+            .map(|s| (s.next_index, s.scans.len()))
+            .collect();
+        assert_eq!(prefix, [(24, 24)]);
         for cut in 0..text.len() {
             let prefix = String::from_utf8_lossy(&text[..cut]);
             assert!(Checkpoint::parse(&prefix).is_none(), "cut at {cut}");
@@ -1219,8 +1247,8 @@ mod tests {
             ..base.clone()
         });
         assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
-        let left = Checkpoint::load(&path, base.digest(&first.eco));
-        assert!(!left.completed.is_empty() && left.partial.is_some());
+        let left = Checkpoint::load(&path, base.digest(&first.eco), &first.eco);
+        assert!(left.snapshots.len() > 1);
 
         // Another seed resumes on the same path: it must scan afresh.
         let other = Study::new(Ecosystem::generate(EcosystemConfig::paper(7, 0.01)));
@@ -1310,9 +1338,9 @@ mod tests {
         });
 
         // The final file is one writer's complete checkpoint — never a
-        // torn mix (load() would fall back to default and lose the
-        // count entirely).
-        let loaded = Checkpoint::load(&path, 0);
+        // torn mix, which would not parse.
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let loaded = Checkpoint::parse(&stored).expect("one writer's whole checkpoint");
         assert!(
             (0..4).any(|w| {
                 let d = loaded.report.domains_scanned;
@@ -1409,34 +1437,44 @@ mod tests {
                 ..SupervisorConfig::default()
             },
         );
-        complete(
-            "transient faults",
-            &SupervisorConfig {
-                scan: ScanConfig::resilient(1, 5),
-                transient: Some(TransientFaultConfig::uniform(7, 0.05)),
-                ..SupervisorConfig::default()
-            },
-        );
+        let faults = SupervisorConfig {
+            scan: ScanConfig::resilient(1, 5),
+            transient: Some(TransientFaultConfig::uniform(7, 0.05)),
+            ..SupervisorConfig::default()
+        };
+        let faulted = complete("transient faults", &faults);
 
-        // Suspended inside a snapshot, then resumed: replayed dates, the
-        // resumed one and the live ones after it.
+        // Suspended and resumed, plain and under transient faults: inside
+        // the first date, exactly where the first date ends (the second
+        // one is saved with nothing scanned), and inside a later date. The
+        // resumed run restores the saved dates and scans on.
         let dir = std::env::temp_dir().join(format!(
             "mtasts-supervisor-{}-classes-resume",
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
-        let _ = std::fs::remove_file(&path);
-        let base = SupervisorConfig {
-            checkpoint_path: Some(path),
-            ..SupervisorConfig::default()
-        };
-        let killed = study.run_full_supervised(&SupervisorConfig {
-            domain_budget: Some(plain.iter().map(Snapshot::len).sum::<usize>() / 3),
-            ..base.clone()
-        });
-        assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
-        complete("suspended and resumed", &base);
+        let first = plain[0].len();
+        let total: usize = plain.iter().map(Snapshot::len).sum();
+        for (what, cfg, want) in [
+            ("plain", SupervisorConfig::default(), &plain),
+            ("transient faults", faults, &faulted),
+        ] {
+            let base = SupervisorConfig {
+                checkpoint_path: Some(path.clone()),
+                ..cfg
+            };
+            for budget in [first / 2, first, total / 3] {
+                let _ = std::fs::remove_file(&path);
+                let killed = study.run_full_supervised(&SupervisorConfig {
+                    domain_budget: Some(budget),
+                    ..base.clone()
+                });
+                assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
+                let got = complete(&format!("{what}, resumed after {budget}"), &base);
+                assert_eq!(snapshot_fingerprint(want), snapshot_fingerprint(&got));
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1469,14 +1507,10 @@ mod tests {
                 .filter_map(|scan| Some((scan.domain.clone(), *snap.policy_ips.get(&scan.domain)?)))
                 .collect();
             let pops: Vec<usize> = scans.iter().map(|scan| pop_of[&scan.domain]).collect();
-            let delta = carried.start(true);
-            assert_eq!(delta, k > 0);
-            if delta {
-                for (&pop, scan) in pops.iter().zip(&scans) {
-                    carried.absorb(pop, scan, ips.get(&scan.domain).copied());
-                }
+            for (&pop, scan) in pops.iter().zip(&scans) {
+                carried.absorb(pop, scan, ips.get(&scan.domain).copied());
             }
-            let classes = carried.settle(delta, &pops, &scans, &ips);
+            let classes = carried.settle(&pops, &scans);
             assert!(
                 classes == Snapshot::assemble(snap.date, scans, ips).classes,
                 "{}",

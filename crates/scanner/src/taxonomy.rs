@@ -59,11 +59,6 @@ pub struct MxVerdict {
 }
 
 impl MxVerdict {
-    /// Whether this MX is PKIX-valid (reachable, TLS, valid chain).
-    pub fn is_valid(&self) -> bool {
-        matches!(self.cert, Some(Ok(())))
-    }
-
     /// Whether this MX *supports TLS* but fails validation — the
     /// population Figure 6 draws from (the paper excludes MXes without
     /// any TLS from certificate analysis).
@@ -208,11 +203,6 @@ impl DomainScan {
     /// The policy's mode, when retrievable.
     pub fn mode(&self) -> Option<Mode> {
         self.policy.as_ref().ok().map(|p| p.mode)
-    }
-
-    /// Whether the record is syntactically valid.
-    pub fn record_ok(&self) -> bool {
-        self.record.is_ok()
     }
 
     /// TLS-capable MX count and invalid count (Figure 6/7 denominators).

@@ -321,12 +321,6 @@ impl AttackSchedule {
         }
     }
 
-    /// Overrides the attacker-operated host.
-    pub fn with_attacker_host(mut self, host: DomainName) -> Self {
-        self.attacker_host = host;
-        self
-    }
-
     /// Adds an attack window against `victim` (`None` = every domain).
     pub fn with_window(
         mut self,

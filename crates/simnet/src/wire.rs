@@ -141,12 +141,6 @@ impl WireWorld {
         })
     }
 
-    /// The localhost socket address serving the MX endpoint at simulated
-    /// `ip`, if that endpoint was deployed (non-`Up` endpoints are not).
-    pub fn mx_addr(&self, ip: Ipv4Addr) -> Option<SocketAddr> {
-        self.mx_addrs.get(&ip).copied()
-    }
-
     /// A copy of the whole simulated-IP → socket map for MX endpoints.
     /// Plain data (`Send`), so outbound-delivery transports can carry it
     /// onto blocking worker threads without borrowing the server handles.

@@ -124,11 +124,6 @@ impl ServerIdentity {
         self.chains.insert(name, chain);
     }
 
-    /// Removes the chain installed for `name`.
-    pub fn uninstall(&mut self, name: &DomainName) -> bool {
-        self.chains.remove(name).is_some()
-    }
-
     /// Sets the fallback chain served for unknown SNI.
     pub fn set_default(&mut self, chain: Vec<SimCert>) {
         self.default_chain = Some(chain);

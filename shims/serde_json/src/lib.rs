@@ -288,12 +288,16 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run holds whole UTF-8 scalars, and
+                    // each byte is validated once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -415,6 +419,21 @@ mod tests {
     fn unicode_escape_parses() {
         let s: String = from_str(r#""éA""#).unwrap();
         assert_eq!(s, "éA");
+    }
+
+    #[test]
+    fn multibyte_scalars_roundtrip_beside_escapes_and_quotes() {
+        // 2-, 3- and 4-byte scalars, each right against a quote, a
+        // backslash or an escape, and at both ends of the string.
+        let text = "\u{e9}\"\u{4e2d}\\\u{1d11e}\n\u{e9}\u{1f600}\t\"\u{4e2d}\\";
+        let json = to_string(text).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+        // Raw scalars between `\u` escapes of the same scalars.
+        let escaped: String = from_str(r#""é\u00e9中\u4e2d𝄞\"\u00e9😀""#).unwrap();
+        assert_eq!(
+            escaped,
+            "\u{e9}\u{e9}\u{4e2d}\u{4e2d}\u{1d11e}\"\u{e9}\u{1f600}"
+        );
     }
 
     #[test]

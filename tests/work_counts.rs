@@ -51,10 +51,10 @@ const PINS: &[(&str, u64)] = &[
     // Allocations and bytes requested, per phase.
     ("generate allocs", 111_299),
     ("generate bytes", 6_101_556),
-    ("weekly allocs", 715_126),
-    ("weekly bytes", 66_947_686),
-    ("full allocs", 1_553_841),
-    ("full bytes", 146_126_535),
+    ("weekly allocs", 699_212),
+    ("weekly bytes", 66_326_358),
+    ("full allocs", 1_555_084),
+    ("full bytes", 146_018_061),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
     ("delivery allocs", 12_844),
@@ -75,9 +75,9 @@ const PINS: &[(&str, u64)] = &[
     ("counter ecosystem_installs_total", 13_570),
     ("counter ecosystem_reinstalls_total", 2_492),
     ("counter ecosystem_unchanged_total", 601_856),
-    ("counter cache_full_hits_total", 1_126_636),
+    ("counter cache_full_hits_total", 1_131_944),
     ("counter cache_partial_hits_total", 386),
-    ("counter cache_misses_total", 20_658),
+    ("counter cache_misses_total", 15_350),
     ("counter scan_retries_total", 60),
     ("counter scan_backoff_sleeps_total", 60),
     ("counter scan_failed_attempts_total", 2_007),
