@@ -249,7 +249,7 @@ fn install_victim(
     };
 
     let mut web = WebEndpoint::up();
-    web.install_chain(
+    web.identity.install(
         policy_host.clone(),
         world
             .pki

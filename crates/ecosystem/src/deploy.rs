@@ -451,7 +451,9 @@ impl Ecosystem {
         let porkbun_ip = if full {
             let mut parking = WebEndpoint::up();
             let parking_name: DomainName = "parking.porkbun-host.com".parse().expect("static");
-            parking.default_chain = Some(world.pki.issue(&CertKind::Valid, &[parking_name], now));
+            parking
+                .identity
+                .set_default(world.pki.issue(&CertKind::Valid, &[parking_name], now));
             world.add_web_endpoint(parking)
         } else {
             world.alloc_ip()
@@ -847,10 +849,10 @@ impl Ecosystem {
         });
         world.with_web(ip, |ep| {
             if let Some(chain) = chain {
-                ep.install_chain(policy_host.clone(), chain);
+                ep.identity.install(policy_host.clone(), chain);
             }
             if let Some((status, body)) = document {
-                ep.install_document(policy_host.clone(), mtasts::WELL_KNOWN_PATH, *status, body);
+                ep.install_document(policy_host.clone(), *status, body);
             }
         });
     }
@@ -888,10 +890,10 @@ impl Ecosystem {
             let chain = world
                 .pki
                 .issue(&kind, std::slice::from_ref(policy_host), now);
-            endpoint.install_chain(policy_host.clone(), chain);
+            endpoint.identity.install(policy_host.clone(), chain);
         }
         if let Some((status, body)) = document {
-            endpoint.install_document(policy_host.clone(), mtasts::WELL_KNOWN_PATH, *status, body);
+            endpoint.install_document(policy_host.clone(), *status, body);
         }
         endpoint
     }

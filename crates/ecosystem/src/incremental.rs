@@ -349,12 +349,12 @@ fn remove_registered_a(world: &mut World, infra: &mut Infra, name: &DomainName) 
     }
 }
 
-/// Evicts one customer's certificate chain and documents from a shared
+/// Evicts one customer's certificate chain and document from a shared
 /// web endpoint (no-op when the endpoint does not exist, e.g. DNS-only).
 fn remove_customer_state(world: &mut World, ip: std::net::Ipv4Addr, policy_host: &DomainName) {
     world.with_web(ip, |ep| {
-        ep.remove_chain(policy_host);
-        ep.remove_documents_for(policy_host);
+        ep.identity.remove(policy_host);
+        ep.remove_policy(policy_host);
     });
 }
 
@@ -403,6 +403,24 @@ mod tests {
         out
     }
 
+    /// What every web endpoint holds, by IP: the hosts it serves
+    /// documents for with their status and body, and the names it holds
+    /// chains for. Serials follow issue order, so names stand for chains.
+    fn served(world: &World) -> String {
+        let mut ips = world.web_ips();
+        ips.sort();
+        let mut out = String::new();
+        for ip in ips {
+            let ep = world.web_endpoint(ip).expect("listed ip exists");
+            let mut documents: Vec<_> = ep.documents.iter().collect();
+            documents.sort();
+            let mut names: Vec<_> = ep.identity.names().collect();
+            names.sort();
+            let _ = writeln!(out, "{ip} documents={documents:?} chains={names:?}");
+        }
+        out
+    }
+
     #[test]
     fn advancing_matches_from_scratch_at_every_checkpoint() {
         let eco = eco();
@@ -422,6 +440,13 @@ mod tests {
                 observe(iw.world(), &eco, date),
                 observe(&scratch, &eco, date),
                 "divergence at {date}"
+            );
+            // An eviction leaves nothing behind on a shared endpoint, even
+            // where no adopted domain would observe it.
+            assert_eq!(
+                served(iw.world()),
+                served(&scratch),
+                "endpoint state differs at {date}"
             );
         }
     }

@@ -3,6 +3,7 @@
 use crate::digest::{keyed_digest, Digest};
 use netbase::{DomainName, SimInstant};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A simulated X.509 certificate.
@@ -73,14 +74,17 @@ impl SimCert {
 
     /// All DNS names this certificate claims: the SAN list, plus the CN when
     /// it parses as a DNS name *and* the SAN list is empty (legacy CN-only
-    /// certificates, which the study still observes in the wild).
-    pub fn dns_names(&self) -> Vec<DomainName> {
+    /// certificates, which the study still observes in the wild). The SAN
+    /// list is borrowed; only a CN-only certificate parses and allocates.
+    pub fn dns_names(&self) -> Cow<'_, [DomainName]> {
         if !self.san.is_empty() {
-            return self.san.clone();
+            return Cow::Borrowed(&self.san);
         }
-        DomainName::parse(&self.subject_cn)
-            .map(|d| vec![d])
-            .unwrap_or_default()
+        Cow::Owned(
+            DomainName::parse(&self.subject_cn)
+                .map(|d| vec![d])
+                .unwrap_or_default(),
+        )
     }
 
     /// Serializes to the compact binary form carried in toy-TLS frames.

@@ -262,7 +262,7 @@ fn install_case(world: &mut World, case: TestCase, now: SimInstant) {
         });
         let policy_host = domain.prefixed("mta-sts").expect("static");
         let mut web = WebEndpoint::up();
-        web.install_chain(
+        web.identity.install(
             policy_host.clone(),
             world
                 .pki

@@ -289,7 +289,7 @@ fn deploy_sts(world: &mut World, spec: &ScenarioSpec, i: usize, mode: Mode, max_
         .parse()
         .expect("policy host parses");
     let mut web = WebEndpoint::up();
-    web.install_chain(
+    web.identity.install(
         policy_host.clone(),
         world
             .pki

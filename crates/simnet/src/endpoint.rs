@@ -1,10 +1,11 @@
 //! Endpoints: the hosts behind the IPs.
 //!
 //! A [`WebEndpoint`] is an HTTPS server (a policy host — self-managed or a
-//! provider platform serving thousands of customers); an [`MxEndpoint`] is
-//! an inbound MTA. Both carry the reachability and TLS fault knobs the
-//! study's taxonomy requires and can be deployed 1:1 onto real sockets by
-//! [`crate::wire`].
+//! provider platform serving thousands of customers, one document per
+//! customer host and chains selected by the same [`tlssim::ServerIdentity`]
+//! the wire server serves); an [`MxEndpoint`] is an inbound MTA. Both carry
+//! the reachability and TLS fault knobs the study's taxonomy requires and
+//! can be deployed 1:1 onto real sockets by [`crate::wire`].
 
 use netbase::DomainName;
 use serde::{Deserialize, Serialize};
@@ -57,21 +58,20 @@ pub enum TlsBehavior {
 /// A policy web host.
 ///
 /// Provider platforms install one certificate chain per customer SNI (or a
-/// wildcard/default), and one document per `(host, path)` — exactly the
-/// shape of [`httpsim::Router`] + [`tlssim::ServerIdentity`], which the
-/// wire deployment reuses directly.
+/// wildcard/default) and one policy document per customer host. The chains
+/// live in a [`tlssim::ServerIdentity`], so the fast-path fetch selects
+/// exactly what the wire deployment's TLS server presents, and the wire
+/// deployment serves each document at [`mtasts::WELL_KNOWN_PATH`].
 #[derive(Debug, Clone, Default)]
 pub struct WebEndpoint {
     /// TCP reachability.
     pub reachability: Reachability,
     /// TLS behaviour.
     pub tls_behavior: TlsBehavior,
-    /// Certificate chains by installed SNI name.
-    pub chains: HashMap<DomainName, Vec<pkix::SimCert>>,
-    /// Fallback chain for unknown SNI (shared-hosting default cert).
-    pub default_chain: Option<Vec<pkix::SimCert>>,
-    /// Documents by `(host, path)`: `(status, body)`.
-    pub documents: HashMap<(DomainName, String), (u16, String)>,
+    /// Certificate chains by SNI, with the shared-hosting default.
+    pub identity: tlssim::ServerIdentity,
+    /// Policy documents by host: `(status, body)`.
+    pub documents: HashMap<DomainName, (u16, String)>,
     /// Transient-fault schedule (empty by default). Consulted by the fast
     /// path only; the wire deployment serves the static behaviour.
     pub faults: crate::faults::FaultSchedule,
@@ -83,66 +83,24 @@ impl WebEndpoint {
         WebEndpoint::default()
     }
 
-    /// Installs a certificate chain for `sni`.
-    pub fn install_chain(&mut self, sni: DomainName, chain: Vec<pkix::SimCert>) {
-        self.chains.insert(sni, chain);
-    }
-
     /// Installs a policy document served with HTTP 200.
     pub fn install_policy(&mut self, host: DomainName, body: &str) {
-        self.documents.insert(
-            (host, mtasts::WELL_KNOWN_PATH.to_string()),
-            (200, body.to_string()),
-        );
+        self.install_document(host, 200, body);
     }
 
-    /// Installs an arbitrary `(status, body)` at `(host, path)`.
-    pub fn install_document(&mut self, host: DomainName, path: &str, status: u16, body: &str) {
-        self.documents
-            .insert((host, path.to_string()), (status, body.to_string()));
+    /// Installs an arbitrary `(status, body)` for `host`.
+    pub fn install_document(&mut self, host: DomainName, status: u16, body: &str) {
+        self.documents.insert(host, (status, body.to_string()));
     }
 
     /// Removes the policy document for `host`; returns whether it existed.
     pub fn remove_policy(&mut self, host: &DomainName) -> bool {
-        self.documents
-            .remove(&(host.clone(), mtasts::WELL_KNOWN_PATH.to_string()))
-            .is_some()
+        self.documents.remove(host).is_some()
     }
 
-    /// Removes the certificate chain installed for `sni`; returns whether
-    /// it existed. Used by incremental redeployment to evict a departing
-    /// customer from a shared provider endpoint.
-    pub fn remove_chain(&mut self, sni: &DomainName) -> bool {
-        self.chains.remove(sni).is_some()
-    }
-
-    /// Removes every document served for `host` (any path); returns how
-    /// many were evicted.
-    pub fn remove_documents_for(&mut self, host: &DomainName) -> usize {
-        let before = self.documents.len();
-        self.documents.retain(|(h, _), _| h != host);
-        before - self.documents.len()
-    }
-
-    /// Selects the chain presented for `sni`: exact name, then any
-    /// wildcard-covering installed chain, then the default.
-    pub fn select_chain(&self, sni: &DomainName) -> Option<&Vec<pkix::SimCert>> {
-        if let Some(chain) = self.chains.get(sni) {
-            return Some(chain);
-        }
-        self.chains
-            .values()
-            .find(|chain| {
-                chain
-                    .first()
-                    .is_some_and(|leaf| pkix::validate::cert_covers_host(leaf, sni))
-            })
-            .or(self.default_chain.as_ref())
-    }
-
-    /// Looks up the document for `(host, path)`.
-    pub fn document(&self, host: &DomainName, path: &str) -> Option<&(u16, String)> {
-        self.documents.get(&(host.clone(), path.to_string()))
+    /// Looks up the document for `host`.
+    pub fn document(&self, host: &DomainName) -> Option<&(u16, String)> {
+        self.documents.get(host)
     }
 }
 
@@ -216,22 +174,23 @@ mod tests {
         let mut pki = SharedPki::new();
         let now = SimDate::ymd(2024, 6, 1).at_midnight();
         let mut ep = WebEndpoint::up();
-        ep.install_chain(
+        ep.identity.install(
             n("mta-sts.alpha.com"),
             pki.issue_valid(&[n("mta-sts.alpha.com")], now),
         );
-        ep.install_chain(
+        ep.identity.install(
             n("*.provider.net"),
             pki.issue_valid(&[n("*.provider.net")], now),
         );
-        ep.default_chain = Some(pki.issue_valid(&[n("shared.host.net")], now));
+        ep.identity
+            .set_default(pki.issue_valid(&[n("shared.host.net")], now));
         // Exact.
-        assert!(ep.select_chain(&n("mta-sts.alpha.com")).is_some());
+        assert!(ep.identity.select(&n("mta-sts.alpha.com")).is_some());
         // Wildcard coverage.
-        let wild = ep.select_chain(&n("a-com.provider.net")).unwrap();
+        let wild = ep.identity.select(&n("a-com.provider.net")).unwrap();
         assert_eq!(wild[0].subject_cn, "*.provider.net");
         // Default for strangers.
-        let def = ep.select_chain(&n("mta-sts.unknown.org")).unwrap();
+        let def = ep.identity.select(&n("mta-sts.unknown.org")).unwrap();
         assert_eq!(def[0].subject_cn, "shared.host.net");
     }
 
@@ -242,10 +201,7 @@ mod tests {
             n("mta-sts.alpha.com"),
             "version: STSv1\nmode: none\nmax_age: 60\n",
         );
-        assert!(ep
-            .document(&n("mta-sts.alpha.com"), mtasts::WELL_KNOWN_PATH)
-            .is_some());
-        assert!(ep.document(&n("mta-sts.alpha.com"), "/other").is_none());
+        assert!(ep.document(&n("mta-sts.alpha.com")).is_some());
         assert!(ep.remove_policy(&n("mta-sts.alpha.com")));
         assert!(!ep.remove_policy(&n("mta-sts.alpha.com")));
     }

@@ -113,9 +113,6 @@ pub struct PolicyFetchOutcome {
     /// CNAME chain observed at `mta-sts.<domain>` (delegation evidence,
     /// recorded even when the fetch subsequently fails).
     pub cname_chain: Vec<DomainName>,
-    /// The certificate chain the endpoint would present, when the TLS
-    /// layer was reached (recorded even when invalid).
-    pub presented_chain: Option<Vec<SimCert>>,
     /// The fetch result: parsed policy + raw document, or the layered
     /// error.
     pub result: Result<(Policy, String), PolicyFetchError>,
@@ -215,8 +212,8 @@ impl World {
         // Active attacker: on-path interception happens before any real
         // endpoint is consulted. Either way the attacker cannot present a
         // publicly trusted certificate for `mta-sts.<domain>`, so the
-        // strict (RFC 8461 §3.3) fetch fails at the TLS layer; the forged
-        // evidence is still recorded like any observed chain.
+        // strict (RFC 8461 §3.3) fetch fails at the TLS layer with the
+        // error its forged chain draws.
         let attacker = self.attacker();
         if attacker.active(AttackKind::CnameForge, domain, now) {
             // Forged CNAME to the attacker's host, which serves its own
@@ -231,7 +228,6 @@ impl World {
                 .expect_err("attacker chain never validates for the victim host");
             return PolicyFetchOutcome {
                 cname_chain: vec![attacker_host],
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Tls(TlsFailure::Cert(err))),
             };
         }
@@ -247,7 +243,6 @@ impl World {
                 .expect_err("attacker chain never validates for the victim host");
             return PolicyFetchOutcome {
                 cname_chain: Vec::new(),
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Tls(TlsFailure::Cert(err))),
             };
         }
@@ -273,7 +268,6 @@ impl World {
                     .unwrap_or_default();
                 return PolicyFetchOutcome {
                     cname_chain: chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Dns(e.to_string())),
                 };
             }
@@ -281,7 +275,6 @@ impl World {
         let Some(ip) = addrs.first().copied() else {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Dns("no A records".to_string())),
             };
         };
@@ -290,7 +283,6 @@ impl World {
         let Some(endpoint) = self.web_endpoint(ip) else {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Tcp(format!("connection refused to {ip}"))),
             };
         };
@@ -302,7 +294,6 @@ impl World {
         {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Tcp(format!(
                     "connection reset by peer at {ip}"
                 ))),
@@ -313,14 +304,12 @@ impl World {
             Reachability::Refused => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tcp(format!("connection refused to {ip}"))),
                 }
             }
             Reachability::Timeout => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tcp(format!("connect timeout to {ip}"))),
                 }
             }
@@ -335,7 +324,6 @@ impl World {
         {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Tls(TlsFailure::Handshake(
                     "connection reset during handshake".to_string(),
                 ))),
@@ -346,7 +334,6 @@ impl World {
             TlsBehavior::Refuse => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tls(TlsFailure::Handshake(
                         "handshake_failure alert".to_string(),
                     ))),
@@ -355,21 +342,16 @@ impl World {
             TlsBehavior::Abort => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tls(TlsFailure::Handshake(
                         "connection reset during handshake".to_string(),
                     ))),
                 }
             }
         }
-        let chain = endpoint
-            .select_chain(&policy_host)
-            .cloned()
-            .unwrap_or_default();
-        if let Err(e) = validate_chain(&chain, &policy_host, now, self.pki.trust_store()) {
+        let chain = endpoint.identity.select(&policy_host).unwrap_or_default();
+        if let Err(e) = validate_chain(chain, &policy_host, now, self.pki.trust_store()) {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Tls(TlsFailure::Cert(e))),
             };
         }
@@ -382,35 +364,28 @@ impl World {
         {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Http(503)),
             };
         }
-        let doc = endpoint
-            .document(&policy_host, mtasts::WELL_KNOWN_PATH)
-            .cloned();
-        let (status, body) = match doc {
-            Some(pair) => pair,
-            None => (404, String::new()),
+        let (status, body) = match endpoint.document(&policy_host) {
+            Some((status, body)) => (*status, body.as_str()),
+            None => (404, ""),
         };
         if status != 200 {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Http(status)),
             };
         }
 
         // Layer 5: syntax.
-        match parse_policy(&body) {
+        match parse_policy(body) {
             Ok(policy) => PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(chain),
-                result: Ok((policy, body)),
+                result: Ok((policy, body.to_string())),
             },
             Err(e) => PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(chain),
                 result: Err(PolicyFetchError::Syntax(e)),
             },
         }
@@ -528,7 +503,7 @@ mod tests {
         w.ensure_zone(&n("example.com"));
         let policy_host = n("mta-sts.example.com");
         let mut web = WebEndpoint::up();
-        web.install_chain(
+        web.identity.install(
             policy_host.clone(),
             w.pki.issue_valid(std::slice::from_ref(&policy_host), now()),
         );
@@ -600,14 +575,12 @@ mod tests {
         let expired = w
             .pki
             .issue(&CertKind::Expired, std::slice::from_ref(&host), now());
-        w.with_web(ip, |ep| ep.install_chain(host.clone(), expired));
+        w.with_web(ip, |ep| ep.identity.install(host.clone(), expired));
         let outcome = w.fetch_policy(&n("example.com"), now());
         assert_eq!(
             outcome.result,
             Err(PolicyFetchError::Tls(TlsFailure::Cert(CertError::Expired)))
         );
-        // The invalid chain is still recorded as evidence.
-        assert!(outcome.presented_chain.is_some());
     }
 
     #[test]
@@ -615,7 +588,7 @@ mod tests {
         let mut w = good_world();
         let ip = w.web_ips()[0];
         w.with_web(ip, |ep| {
-            ep.chains.clear();
+            ep.identity.remove(&n("mta-sts.example.com"));
         });
         let outcome = w.fetch_policy(&n("example.com"), now());
         assert_eq!(
@@ -883,8 +856,8 @@ mod tests {
         );
         assert!(!w.mta_sts_txts(&victim, window_end).unwrap().is_empty());
 
-        // Forged CNAME: fetch fails with a name mismatch, forged chain and
-        // CNAME evidence recorded.
+        // Forged CNAME: fetch fails with a name mismatch, CNAME evidence
+        // recorded.
         w.set_attacker(attack(AttackKind::CnameForge));
         let forged = w.fetch_policy(&victim, now());
         assert_eq!(forged.cname_chain, vec![n("mx.attacker.example")]);
@@ -894,7 +867,6 @@ mod tests {
                 CertError::NameMismatch { .. }
             )))
         ));
-        assert!(forged.presented_chain.is_some());
 
         // HTTPS MITM: attacker CA cert for the right name → unknown issuer.
         w.set_attacker(attack(AttackKind::HttpsMitm));

@@ -43,15 +43,8 @@ pub struct WireWorld {
 
 /// Builds the TLS server config for a web endpoint.
 fn web_tls_config(endpoint: &WebEndpoint) -> ServerConfig {
-    let mut identity = ServerIdentity::empty();
-    for (sni, chain) in &endpoint.chains {
-        identity.install(sni.clone(), chain.clone());
-    }
-    if let Some(default) = &endpoint.default_chain {
-        identity.set_default(default.clone());
-    }
     ServerConfig {
-        identity,
+        identity: endpoint.identity.clone(),
         behavior: match endpoint.tls_behavior {
             TlsBehavior::Normal => ServerBehavior::Normal,
             TlsBehavior::Refuse => ServerBehavior::RefuseHandshake,
@@ -105,10 +98,10 @@ impl WireWorld {
                 continue;
             }
             let router = Router::new();
-            for ((host, path), (status, body)) in &endpoint.documents {
+            for (host, (status, body)) in &endpoint.documents {
                 router.route(
                     host.clone(),
-                    path,
+                    mtasts::WELL_KNOWN_PATH,
                     httpsim::Response::text(StatusCode(*status), body),
                 );
             }
@@ -211,7 +204,6 @@ impl WireWorld {
                     .unwrap_or_default();
                 return PolicyFetchOutcome {
                     cname_chain: chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Dns(e.to_string())),
                 };
             }
@@ -219,7 +211,6 @@ impl WireWorld {
         let Some(sim_ip) = addrs.first().copied() else {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Dns("no A records".to_string())),
             };
         };
@@ -228,7 +219,6 @@ impl WireWorld {
         let Some(&addr) = self.web_addrs.get(&sim_ip) else {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: None,
                 result: Err(PolicyFetchError::Tcp(format!(
                     "connection refused to {sim_ip}"
                 ))),
@@ -239,7 +229,6 @@ impl WireWorld {
             Err(e) => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tcp(e.to_string())),
                 }
             }
@@ -264,20 +253,18 @@ impl WireWorld {
                 };
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tls(failure)),
                 };
             }
             Err(httpsim::client::HttpsError::Http(e)) => {
                 return PolicyFetchOutcome {
                     cname_chain,
-                    presented_chain: None,
                     result: Err(PolicyFetchError::Tcp(format!("http transport: {e}"))),
                 }
             }
         };
 
-        // Offline strict validation (the scanner records invalid chains).
+        // Offline strict validation, as on the fast path.
         if let Err(e) = validate_chain(
             &fetch.peer_chain,
             &policy_host,
@@ -286,27 +273,23 @@ impl WireWorld {
         ) {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(fetch.peer_chain),
                 result: Err(PolicyFetchError::Tls(TlsFailure::Cert(e))),
             };
         }
         if fetch.response.status.0 != 200 {
             return PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(fetch.peer_chain),
                 result: Err(PolicyFetchError::Http(fetch.response.status.0)),
             };
         }
-        let body = fetch.response.body_text().unwrap_or_default().to_string();
-        match parse_policy(&body) {
+        let body = fetch.response.body_text().unwrap_or_default();
+        match parse_policy(body) {
             Ok(policy) => PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(fetch.peer_chain),
-                result: Ok((policy, body)),
+                result: Ok((policy, body.to_string())),
             },
             Err(e) => PolicyFetchOutcome {
                 cname_chain,
-                presented_chain: Some(fetch.peer_chain),
                 result: Err(PolicyFetchError::Syntax(e)),
             },
         }
@@ -381,7 +364,7 @@ mod tests {
             let mx_host = domain.prefixed("mx").unwrap();
             w.ensure_zone(&domain);
             let mut web = WebEndpoint::up();
-            web.install_chain(
+            web.identity.install(
                 policy_host.clone(),
                 w.pki
                     .issue(&kind, std::slice::from_ref(&policy_host), now()),

@@ -101,10 +101,20 @@ impl From<FrameError> for HandshakeError {
 }
 
 /// Server certificate inventory: chains selected by SNI.
+///
+/// Selection for an SNI: the chain installed under that exact name; else
+/// the first-installed chain whose leaf carries a wildcard covering it;
+/// else the default chain; else none. A leaf without a wildcard answers
+/// only for the name it was installed under, so a shared host with
+/// thousands of customer chains walks only its wildcard leaves.
 #[derive(Debug, Clone, Default)]
 pub struct ServerIdentity {
     /// Chains keyed by the exact name they were installed for.
     chains: HashMap<DomainName, Vec<SimCert>>,
+    /// The installed names whose leaf carries a wildcard, in install
+    /// order: the only chains an SNI without its own can fall back to.
+    /// Each is a key of `chains`, whose chain has a leaf.
+    wildcards: Vec<DomainName>,
     /// Chain served when no installed name matches (common on shared
     /// hosting: the provider's own certificate — a mismatch the client then
     /// detects).
@@ -118,10 +128,22 @@ impl ServerIdentity {
         ServerIdentity::default()
     }
 
-    /// Installs `chain` for `name` (exact-match SNI selection; the chain's
-    /// leaf may be a wildcard certificate covering more names).
+    /// Installs `chain` for `name`, replacing any chain installed for it.
+    /// A wildcard leaf also covers the other names it matches, after
+    /// every wildcard leaf installed before it.
     pub fn install(&mut self, name: DomainName, chain: Vec<SimCert>) {
+        self.wildcards.retain(|w| *w != name);
+        let leaf_names = chain.first().map(SimCert::dns_names);
+        if leaf_names.is_some_and(|names| names.iter().any(DomainName::is_wildcard)) {
+            self.wildcards.push(name.clone());
+        }
         self.chains.insert(name, chain);
+    }
+
+    /// Removes the chain installed for `name`; returns whether one was.
+    pub fn remove(&mut self, name: &DomainName) -> bool {
+        self.wildcards.retain(|w| w != name);
+        self.chains.remove(name).is_some()
     }
 
     /// Sets the fallback chain served for unknown SNI.
@@ -129,20 +151,22 @@ impl ServerIdentity {
         self.default_chain = Some(chain);
     }
 
-    /// Selects the chain for an SNI: exact installed name, then any
-    /// installed wildcard-covering chain, then the default.
-    pub fn select(&self, sni: &DomainName) -> Option<&Vec<SimCert>> {
+    /// The names chains are installed under, in no particular order.
+    pub fn names(&self) -> impl Iterator<Item = &DomainName> {
+        self.chains.keys()
+    }
+
+    /// Selects the chain presented for `sni` (see [`ServerIdentity`]).
+    pub fn select(&self, sni: &DomainName) -> Option<&[SimCert]> {
         if let Some(chain) = self.chains.get(sni) {
             return Some(chain);
         }
-        self.chains
-            .values()
-            .find(|chain| {
-                chain
-                    .first()
-                    .is_some_and(|leaf| pkix::validate::cert_covers_host(leaf, sni))
-            })
+        self.wildcards
+            .iter()
+            .map(|name| &self.chains[name])
+            .find(|chain| pkix::validate::cert_covers_host(&chain[0], sni))
             .or(self.default_chain.as_ref())
+            .map(Vec::as_slice)
     }
 }
 
@@ -431,6 +455,96 @@ mod tests {
             nonce: 7,
             dh_secret: 1111,
         }
+    }
+
+    /// A one-certificate chain whose leaf carries `names`.
+    fn chain(root: &mut CertAuthority, names: &[&str]) -> Vec<SimCert> {
+        let names: Vec<DomainName> = names.iter().map(|name| n(name)).collect();
+        let nb = SimDate::ymd(2023, 1, 1).at_midnight();
+        let na = SimDate::ymd(2026, 1, 1).at_midnight();
+        vec![root.issue_leaf(&names, nb, na)]
+    }
+
+    // The selection table: one test per rule of `ServerIdentity::select`.
+
+    #[test]
+    fn select_exact_name_beats_a_covering_wildcard() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        let wild = chain(&mut root, &["*.provider.net"]);
+        let exact = chain(&mut root, &["a.provider.net"]);
+        identity.install(n("*.provider.net"), wild.clone());
+        identity.install(n("a.provider.net"), exact.clone());
+        assert_eq!(identity.select(&n("a.provider.net")), Some(&exact[..]));
+        assert_eq!(identity.select(&n("b.provider.net")), Some(&wild[..]));
+    }
+
+    #[test]
+    fn select_first_installed_wildcard_then_the_next_after_removal() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        // Enough wildcard names that a hash-ordered walk would rarely
+        // visit them in install order.
+        let chains: Vec<Vec<SimCert>> = (0..8)
+            .map(|i| {
+                chain(
+                    &mut root,
+                    &["*.provider.net", &format!("w{i}.provider.net")],
+                )
+            })
+            .collect();
+        for (i, c) in chains.iter().enumerate() {
+            identity.install(n(&format!("w{i}.provider.net")), c.clone());
+        }
+        let sni = n("customer.provider.net");
+        assert_eq!(identity.select(&sni), Some(&chains[0][..]));
+        assert!(identity.remove(&n("w0.provider.net")));
+        assert_eq!(identity.select(&sni), Some(&chains[1][..]));
+        assert!(!identity.remove(&n("w0.provider.net")));
+    }
+
+    #[test]
+    fn select_reinstall_without_wildcard_leaves_the_fallback() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        identity.install(n("w.provider.net"), chain(&mut root, &["*.provider.net"]));
+        let sni = n("customer.provider.net");
+        assert!(identity.select(&sni).is_some());
+        // The new leaf names the SNI too, but carries no wildcard.
+        let plain = chain(&mut root, &["w.provider.net", "customer.provider.net"]);
+        identity.install(n("w.provider.net"), plain.clone());
+        assert_eq!(identity.select(&sni), None);
+        assert_eq!(identity.select(&n("w.provider.net")), Some(&plain[..]));
+    }
+
+    #[test]
+    fn select_plain_leaf_answers_only_for_its_installed_name() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        // The leaf also names b.com, but it was installed for a.com only.
+        let both = chain(&mut root, &["mta-sts.a.com", "mta-sts.b.com"]);
+        identity.install(n("mta-sts.a.com"), both.clone());
+        assert_eq!(identity.select(&n("mta-sts.a.com")), Some(&both[..]));
+        assert_eq!(identity.select(&n("mta-sts.b.com")), None);
+    }
+
+    #[test]
+    fn select_overbroad_wildcard_covers_nothing() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        identity.install(n("*.com"), chain(&mut root, &["*.com"]));
+        assert_eq!(identity.select(&n("example.com")), None);
+    }
+
+    #[test]
+    fn select_default_without_a_match_else_none() {
+        let (mut root, _) = pki();
+        let mut identity = ServerIdentity::empty();
+        identity.install(n("mta-sts.a.com"), chain(&mut root, &["mta-sts.a.com"]));
+        assert_eq!(identity.select(&n("mta-sts.b.com")), None);
+        let default = chain(&mut root, &["shared.hosting.net"]);
+        identity.set_default(default.clone());
+        assert_eq!(identity.select(&n("mta-sts.b.com")), Some(&default[..]));
     }
 
     /// Runs a full handshake over a duplex pipe, then echoes one message

@@ -27,7 +27,7 @@ fn main() {
         // Provider infrastructure + the delegation.
         world.ensure_zone(&base);
         let mut web = WebEndpoint::up();
-        web.install_chain(
+        web.identity.install(
             policy_host.clone(),
             world
                 .pki
@@ -86,7 +86,9 @@ fn main() {
                 world
                     .pki
                     .issue(&CertKind::Expired, std::slice::from_ref(&policy_host), now);
-            world.with_web(web_ip, |ep| ep.install_chain(policy_host.clone(), expired));
+            world.with_web(web_ip, |ep| {
+                ep.identity.install(policy_host.clone(), expired)
+            });
         }
 
         let after = world.fetch_policy(&customer, now);

@@ -22,7 +22,7 @@ fn deploy(world: &mut World, domain: &DomainName, kind: CertKind, now: netbase::
     let mx_host = domain.prefixed("mx").unwrap();
     world.ensure_zone(domain);
     let mut web = WebEndpoint::up();
-    web.install_chain(
+    web.identity.install(
         policy_host.clone(),
         world
             .pki

@@ -24,7 +24,7 @@ fn deploy_domain(world: &mut World, domain: &DomainName, mode: &str, now: netbas
 
     // 1. The HTTPS policy host.
     let mut web = WebEndpoint::up();
-    web.install_chain(
+    web.identity.install(
         policy_host.clone(),
         world
             .pki

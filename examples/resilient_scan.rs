@@ -24,7 +24,10 @@ fn main() {
     let last_date = *study.eco.config.full_scan_dates().last().unwrap();
     let victim = study.eco.domains_at(last_date).next().unwrap().name.clone();
 
-    let checkpoint = std::env::temp_dir().join("mtasts-resilient-scan.json");
+    // Only the file name is printed, so the output is the same whatever
+    // the temp directory is.
+    let checkpoint_file = "mtasts-resilient-scan.json";
+    let checkpoint = std::env::temp_dir().join(checkpoint_file);
     let _ = std::fs::remove_file(&checkpoint);
     let mut cfg = SupervisorConfig {
         scan: ScanConfig::resilient(1, 5),
@@ -39,8 +42,7 @@ fn main() {
 
     println!(
         "running 11 monthly full scans under an 8% transient-fault rate,\n\
-         dying after 400 domains (checkpoint: {})...",
-        checkpoint.display()
+         dying after 400 domains (checkpoint: {checkpoint_file})..."
     );
     let mut invocations = 0;
     let outcome = loop {

@@ -25,7 +25,7 @@ fn deploy(provider: &PolicyProvider, now: SimInstant) -> Deployment {
     let base = provider.base_domain();
     world.ensure_zone(&base);
     let mut web = simnet::WebEndpoint::up();
-    web.install_chain(
+    web.identity.install(
         policy_host.clone(),
         world
             .pki
@@ -87,7 +87,7 @@ fn opt_out(d: &mut Deployment, provider: &PolicyProvider, now: SimInstant) {
             now,
         );
         d.world.with_web(d.web_ip, |ep| {
-            ep.install_chain(d.policy_host.clone(), expired);
+            ep.identity.install(d.policy_host.clone(), expired);
         });
     }
 }

@@ -53,14 +53,14 @@ const PINS: &[(&str, u64)] = &[
     ("generate bytes", 6_101_556),
     ("weekly allocs", 699_212),
     ("weekly bytes", 66_326_358),
-    ("full allocs", 1_555_084),
-    ("full bytes", 146_018_061),
+    ("full allocs", 1_459_527),
+    ("full bytes", 141_783_069),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
-    ("delivery allocs", 12_844),
-    ("delivery bytes", 1_080_101),
-    ("resolver allocs", 551),
-    ("resolver bytes", 55_768),
+    ("delivery allocs", 12_708),
+    ("delivery bytes", 1_075_357),
+    ("resolver allocs", 487),
+    ("resolver bytes", 52_336),
     // Span counts.
     ("span ecosystem.advance", 171),
     ("span snapshot.weekly", 160),
