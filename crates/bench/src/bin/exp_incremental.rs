@@ -23,18 +23,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 fn full_digest(snapshots: &[Snapshot]) -> String {
-    let digest: Vec<_> = snapshots
-        .iter()
-        .map(|s| {
-            let mut ips: Vec<_> = s
-                .policy_ips
-                .iter()
-                .map(|(d, ip)| (d.to_string(), ip.to_string()))
-                .collect();
-            ips.sort();
-            (s.date, &s.scans, ips)
-        })
-        .collect();
+    let digest: Vec<_> = snapshots.iter().map(|s| (s.date, &s.scans)).collect();
     serde_json::to_string(&digest).expect("snapshots serialize")
 }
 
@@ -172,15 +161,14 @@ fn main() {
     let combined = (full.scratch_secs + weekly.scratch_secs)
         / (full.incremental_secs + weekly.incremental_secs);
 
-    println!("series   scratch  incremental  speedup  full-hits  partial  misses");
+    println!("series   scratch  incremental  speedup  full-hits  misses");
     for (name, m) in [("full", &full), ("weekly", &weekly)] {
         println!(
-            "{name:<7} {:>7.2}s  {:>10.2}s  {:>6.2}x  {:>9}  {:>7}  {:>6}",
+            "{name:<7} {:>7.2}s  {:>10.2}s  {:>6.2}x  {:>9}  {:>6}",
             m.scratch_secs,
             m.incremental_secs,
             m.speedup(),
             m.stats.full_hits,
-            m.stats.partial_hits,
             m.stats.misses,
         );
     }

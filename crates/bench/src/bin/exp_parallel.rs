@@ -23,13 +23,7 @@ use scanner::{scan_snapshot_with_threads, ScanConfig, Snapshot};
 use std::time::Instant;
 
 fn digest(snap: &Snapshot) -> String {
-    let mut ips: Vec<(String, String)> = snap
-        .policy_ips
-        .iter()
-        .map(|(d, ip)| (d.to_string(), ip.to_string()))
-        .collect();
-    ips.sort();
-    serde_json::to_string(&(&snap.scans, ips)).unwrap()
+    serde_json::to_string(&snap.scans).unwrap()
 }
 
 fn main() {

@@ -721,31 +721,8 @@ impl Ecosystem {
                     full,
                 );
             }
-            PolicyHosting::MiscProvider { idx } => {
-                let target: DomainName =
-                    format!("{}.polhost{idx}.net", spec.name.as_str().replace('.', "-"))
-                        .parse()
-                        .expect("valid");
-                let key = format!("misc{idx}");
-                self.install_delegation(
-                    world,
-                    infra,
-                    spec,
-                    &policy_host,
-                    &target,
-                    &key,
-                    now,
-                    policy_fault,
-                    &document,
-                    full,
-                );
-            }
-            PolicyHosting::SmallProvider { idx } => {
-                let target: DomainName =
-                    format!("{}.smallpol{idx}.net", spec.name.as_str().replace('.', "-"))
-                        .parse()
-                        .expect("valid");
-                let key = format!("small{idx}");
+            PolicyHosting::MiscProvider { .. } | PolicyHosting::SmallProvider { .. } => {
+                let (target, key) = indexed_delegation(spec).expect("an indexed provider");
                 self.install_delegation(
                     world,
                     infra,
@@ -835,14 +812,7 @@ impl Ecosystem {
         policy_fault: Option<PolicyFaultKind>,
         document: &Option<(u16, String)>,
     ) {
-        let cert_kind = match policy_fault {
-            Some(PolicyFaultKind::TlsNoCert) => None, // nothing installed: SSL alert
-            Some(PolicyFaultKind::TlsExpired) => Some(CertKind::Expired),
-            Some(PolicyFaultKind::TlsSelfSigned) => Some(CertKind::SelfSigned),
-            Some(PolicyFaultKind::TlsCnMismatch) => Some(CertKind::WrongName(spec.name.clone())),
-            _ => Some(CertKind::Valid),
-        };
-        let chain = cert_kind.map(|kind| {
+        let chain = policy_cert_kind(spec, policy_fault).map(|kind| {
             world
                 .pki
                 .issue(&kind, std::slice::from_ref(policy_host), now)
@@ -879,14 +849,7 @@ impl Ecosystem {
             }
             _ => {}
         }
-        let cert_kind = match policy_fault {
-            Some(PolicyFaultKind::TlsNoCert) => None,
-            Some(PolicyFaultKind::TlsExpired) => Some(CertKind::Expired),
-            Some(PolicyFaultKind::TlsSelfSigned) => Some(CertKind::SelfSigned),
-            Some(PolicyFaultKind::TlsCnMismatch) => Some(CertKind::WrongName(spec.name.clone())),
-            _ => Some(CertKind::Valid),
-        };
-        if let Some(kind) = cert_kind {
+        if let Some(kind) = policy_cert_kind(spec, policy_fault) {
             let chain = world
                 .pki
                 .issue(&kind, std::slice::from_ref(policy_host), now);
@@ -978,6 +941,34 @@ fn swap_tld(host: &DomainName) -> String {
         "org" => format!("{stem}com"),
         "se" => format!("{stem}nu"),
         other => format!("{stem}x{other}"),
+    }
+}
+
+/// The CNAME target and provider key of a misc- or small-provider
+/// customer, for install and eviction alike; `None` under any other
+/// policy hosting.
+pub(crate) fn indexed_delegation(spec: &DomainSpec) -> Option<(DomainName, String)> {
+    let (zone, key, idx) = match spec.policy {
+        PolicyHosting::MiscProvider { idx } => ("polhost", "misc", idx),
+        PolicyHosting::SmallProvider { idx } => ("smallpol", "small", idx),
+        _ => return None,
+    };
+    let target = format!("{}.{zone}{idx}.net", spec.name.as_str().replace('.', "-"))
+        .parse()
+        .expect("valid");
+    Some((target, format!("{key}{idx}")))
+}
+
+/// The certificate a policy host presents under `policy_fault`, on its
+/// own endpoint or a provider's; `None` installs nothing, so the
+/// handshake ends in an SSL alert.
+fn policy_cert_kind(spec: &DomainSpec, policy_fault: Option<PolicyFaultKind>) -> Option<CertKind> {
+    match policy_fault {
+        Some(PolicyFaultKind::TlsNoCert) => None,
+        Some(PolicyFaultKind::TlsExpired) => Some(CertKind::Expired),
+        Some(PolicyFaultKind::TlsSelfSigned) => Some(CertKind::SelfSigned),
+        Some(PolicyFaultKind::TlsCnMismatch) => Some(CertKind::WrongName(spec.name.clone())),
+        _ => Some(CertKind::Valid),
     }
 }
 

@@ -18,10 +18,11 @@
 //! their verdicts at every later study date, because a valid leaf lives
 //! as long as its issuing CA, and transient faults / attack windows are
 //! excluded at the cache layer, not here).
-//! The component split exists for the RFC 8461 short-circuit: when only
-//! the `mx` component is dirty, a scanner can keep the cached record and
-//! policy-fetch stages — the record `id` is unchanged — and re-run just
-//! the MX probes.
+//! The component split serves the weekly series, which observes DNS
+//! alone: its observation cache keys on the `(record, mx)` pair, so a
+//! policy-side change (the lucidgrow incident rewriting hosted documents)
+//! leaves its observations standing. The monthly campaign compares whole
+//! fingerprints and rescans a domain whole when any component moved.
 //!
 //! Fingerprints deliberately hash *semantic values* (host names, fault
 //! kinds, document inputs) rather than raw date flags, so a future

@@ -30,7 +30,7 @@
 //! by the domain's policy host on shared endpoints.
 
 use crate::config::SnapshotDetail;
-use crate::deploy::{Ecosystem, Infra, TTL};
+use crate::deploy::{indexed_delegation, Ecosystem, Infra, TTL};
 use crate::fingerprint::DomainFingerprint;
 use crate::providers::CnameStyle;
 use crate::spec::{DomainSpec, PolicyHosting};
@@ -320,21 +320,10 @@ fn uninstall_domain(
             }
             remove_customer_state(world, infra.policy_ip[*key], &policy_host);
         }
-        PolicyHosting::MiscProvider { idx } => {
-            let target: DomainName =
-                format!("{}.polhost{idx}.net", spec.name.as_str().replace('.', "-"))
-                    .parse()
-                    .expect("valid");
+        PolicyHosting::MiscProvider { .. } | PolicyHosting::SmallProvider { .. } => {
+            let (target, key) = indexed_delegation(spec).expect("an indexed provider");
             remove_registered_a(world, infra, &target);
-            remove_customer_state(world, infra.policy_ip[&format!("misc{idx}")], &policy_host);
-        }
-        PolicyHosting::SmallProvider { idx } => {
-            let target: DomainName =
-                format!("{}.smallpol{idx}.net", spec.name.as_str().replace('.', "-"))
-                    .parse()
-                    .expect("valid");
-            remove_registered_a(world, infra, &target);
-            remove_customer_state(world, infra.policy_ip[&format!("small{idx}")], &policy_host);
+            remove_customer_state(world, infra.policy_ip[&key], &policy_host);
         }
     }
 }
@@ -362,6 +351,7 @@ fn remove_customer_state(world: &mut World, ip: std::net::Ipv4Addr, policy_host:
 mod tests {
     use super::*;
     use crate::config::EcosystemConfig;
+    use crate::spec::PolicyFaultKind;
     use std::fmt::Write as _;
 
     fn eco() -> Ecosystem {
@@ -423,7 +413,16 @@ mod tests {
 
     #[test]
     fn advancing_matches_from_scratch_at_every_checkpoint() {
-        let eco = eco();
+        let mut eco = eco();
+        // Two June-8 victims whose static fault leaves their provider
+        // endpoint without one piece of customer state. Inside the
+        // window each is re-installed with a self-signed chain and a
+        // document; after it, one has no chain and the other no
+        // document, so an eviction that left either behind shows.
+        let mut victims = eco.population.domains.iter_mut().filter(|d| d.june8_victim);
+        for fault in [PolicyFaultKind::TlsNoCert, PolicyFaultKind::Http404] {
+            victims.next().expect("two June-8 victims").faults.policy = Some(fault);
+        }
         let mut iw = IncrementalWorld::new(SnapshotDetail::Full);
         // Deliberately includes both incident windows (Jan 23 inside
         // lucidgrow, Jun 8 inside the June-8 outage) and the study end.

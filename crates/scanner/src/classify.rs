@@ -83,7 +83,7 @@ struct MxGroup {
     /// How many domains use the group.
     domains: usize,
     /// Of those, how many host their policy directly on each IP.
-    policy_ips: HashMap<Ipv4Addr, usize>,
+    direct_ips: HashMap<Ipv4Addr, usize>,
     /// The single-administrator verdict over the counts above, computed
     /// on first use; [`EntityClassifier::observe`] and
     /// [`EntityClassifier::forget`] clear it whenever they change them.
@@ -99,7 +99,7 @@ impl MxGroup {
             // Two shared IPs (the mxascen case) still count: look at the
             // top two IPs' combined share.
             let (mut top, mut second) = (0, 0);
-            for &n in self.policy_ips.values() {
+            for &n in self.direct_ips.values() {
                 if n > top {
                     (top, second) = (n, top);
                 } else if n > second {
@@ -139,6 +139,15 @@ where
 fn count_out(n: &mut usize) -> bool {
     *n -= 1;
     *n == 0
+}
+
+/// The scan's policy IP when it hosts its policy directly. Only such IPs
+/// (no CNAME delegation) count as single-administrator evidence: a
+/// provider bundling policy hosting (Tutanota) funnels every customer
+/// through one CNAME target, which must not make it look like one
+/// person's fleet.
+fn direct_policy_ip(scan: &DomainScan) -> Option<Ipv4Addr> {
+    scan.policy_ip.filter(|_| scan.policy_cname.is_empty())
 }
 
 /// Each distinct eSLD among `hosts`, in first-seen order. Host lists are
@@ -181,31 +190,23 @@ impl EntityClassifier {
         EntityClassifier::default()
     }
 
-    /// Builds the classifier from one snapshot's scans, with policy-host
-    /// resolutions supplied by the scanner.
-    pub fn from_scans(
-        scans: &[Arc<DomainScan>],
-        policy_ips: &HashMap<DomainName, Ipv4Addr>,
-    ) -> EntityClassifier {
+    /// Builds the classifier from one snapshot's scans.
+    pub fn from_scans(scans: &[Arc<DomainScan>]) -> EntityClassifier {
         let mut c = EntityClassifier::new();
         for scan in scans {
-            c.observe(scan, policy_ips.get(&scan.domain).copied());
+            c.observe(scan);
         }
         c
     }
 
     /// Folds one domain's observations in.
-    pub fn observe(&mut self, scan: &DomainScan, policy_ip: Option<Ipv4Addr>) {
-        // Only *directly hosted* policy IPs (no CNAME delegation) count as
-        // single-administrator evidence: a provider bundling policy hosting
-        // (Tutanota) funnels every customer through one CNAME target, which
-        // must not make it look like one person's fleet.
-        let direct_policy_ip = scan.policy_cname.is_empty().then_some(policy_ip).flatten();
+    pub fn observe(&mut self, scan: &DomainScan) {
+        let direct_ip = direct_policy_ip(scan);
         for esld in distinct_eslds(&scan.mx_records) {
             update(&mut self.mx_groups, esld, |group| {
                 group.domains += 1;
-                if let Some(ip) = direct_policy_ip {
-                    *group.policy_ips.entry(ip).or_default() += 1;
+                if let Some(ip) = direct_ip {
+                    *group.direct_ips.entry(ip).or_default() += 1;
                 }
                 group.single_admin.take();
             });
@@ -219,20 +220,20 @@ impl EntityClassifier {
     }
 
     /// Takes one domain's observations back out: the exact inverse of
-    /// [`EntityClassifier::observe`] with the same scan and policy IP. It
-    /// drops every count it brings to zero and clears the MX groups'
-    /// cached single-administrator verdicts, so forgetting every observed
-    /// scan leaves an empty classifier.
+    /// [`EntityClassifier::observe`] with the same scan. It drops every
+    /// count it brings to zero and clears the MX groups' cached
+    /// single-administrator verdicts, so forgetting every observed scan
+    /// leaves an empty classifier.
     ///
     /// # Panics
     ///
     /// If `scan` was not observed: its eSLDs have no counts to take.
-    pub fn forget(&mut self, scan: &DomainScan, policy_ip: Option<Ipv4Addr>) {
-        let direct_policy_ip = scan.policy_cname.is_empty().then_some(policy_ip).flatten();
+    pub fn forget(&mut self, scan: &DomainScan) {
+        let direct_ip = direct_policy_ip(scan);
         for esld in distinct_eslds(&scan.mx_records) {
             downdate(&mut self.mx_groups, esld, |group| {
-                if let Some(ip) = direct_policy_ip {
-                    downdate(&mut group.policy_ips, &ip, count_out);
+                if let Some(ip) = direct_ip {
+                    downdate(&mut group.direct_ips, &ip, count_out);
                 }
                 group.single_admin.take();
                 count_out(&mut group.domains)
@@ -403,6 +404,7 @@ mod tests {
                 cert_error: None,
             }),
             policy_cname: cname.iter().map(|c| n(c)).collect(),
+            policy_ip: None,
             mx_records: mx.iter().map(|m| n(m)).collect(),
             ns_records: vec![],
             mx_verdicts: vec![],
@@ -413,6 +415,11 @@ mod tests {
 
     fn ip(a: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, a)
+    }
+
+    /// `s` with its policy host resolving to `policy_ip`.
+    fn at(policy_ip: Option<Ipv4Addr>, s: DomainScan) -> DomainScan {
+        DomainScan { policy_ip, ..s }
     }
 
     #[test]
@@ -429,7 +436,7 @@ mod tests {
         let mut c = EntityClassifier::new();
         for i in 0..60 {
             let s = scan(&format!("d{i}.com"), &["aspmx.l.google.com"], &[]);
-            c.observe(&s, Some(ip((i % 200) as u8)));
+            c.observe(&at(Some(ip((i % 200) as u8)), s));
         }
         assert_eq!(
             c.classify_mx(&n("d0.com"), &[n("aspmx.l.google.com")]),
@@ -442,7 +449,7 @@ mod tests {
         let mut c = EntityClassifier::new();
         for i in 0..10 {
             let s = scan(&format!("d{i}.com"), &["in.smallmx1.net"], &[]);
-            c.observe(&s, Some(ip(i)));
+            c.observe(&at(Some(ip(i)), s));
         }
         assert_eq!(
             c.classify_mx(&n("d0.com"), &[n("in.smallmx1.net")]),
@@ -456,7 +463,7 @@ mod tests {
         let mut c = EntityClassifier::new();
         for i in 0..60u8 {
             let s = scan(&format!("m{i}.com"), &["mx.l.mxascen.com"], &[]);
-            c.observe(&s, Some(ip(i % 2)));
+            c.observe(&at(Some(ip(i % 2)), s));
         }
         assert_eq!(
             c.classify_mx(&n("m0.com"), &[n("mx.l.mxascen.com")]),
@@ -471,21 +478,21 @@ mod tests {
         let mx = [n("mx.l.mxascen.com")];
         for i in 0..60u8 {
             let s = scan(&format!("m{i}.com"), &["mx.l.mxascen.com"], &[]);
-            c.observe(&s, Some(ip(i % 2)));
+            c.observe(&at(Some(ip(i % 2)), s));
         }
         assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
         // Six more on distinct IPs: 60 of 66 is still ≥ 0.9.
         for i in 0..6u8 {
             let s = scan(&format!("x{i}.com"), &["mx.l.mxascen.com"], &[]);
-            c.observe(&s, Some(ip(100 + i)));
+            c.observe(&at(Some(ip(100 + i)), s));
         }
         assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
         // A seventh: 60 of 67 falls below, so the verdict must not stick.
-        let s = scan("x6.com", &["mx.l.mxascen.com"], &[]);
-        c.observe(&s, Some(ip(106)));
+        let s = at(Some(ip(106)), scan("x6.com", &["mx.l.mxascen.com"], &[]));
+        c.observe(&s);
         assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::ThirdParty);
         // Forgetting it again brings the share back up to 60 of 66.
-        c.forget(&s, Some(ip(106)));
+        c.forget(&s);
         assert_eq!(c.classify_mx(&n("m0.com"), &mx), EntityClass::SelfManaged);
     }
 
@@ -498,7 +505,7 @@ mod tests {
                 &["aspmx.l.google.com"],
                 &[&format!("d{i}-com.mta-sts.dmarcinput.com")],
             );
-            c.observe(&s, Some(ip(i)));
+            c.observe(&at(Some(ip(i)), s));
         }
         let s = scan(
             "d0.com",
@@ -527,17 +534,17 @@ mod tests {
         let mut c = EntityClassifier::new();
         let mut s = scan("d.com", &["mx1.google.com", "mx2.google.com"], &[]);
         s.ns_records = vec![n("ns1.dnsprov.net"), n("ns2.dnsprov.net")];
-        c.observe(&s, None);
+        c.observe(&s);
         assert_eq!(c.mx_group_size(&n("google.com")), 1);
         assert_eq!(c.ns_esld_domains.get("dnsprov.net"), Some(&1));
     }
 
     #[test]
-    fn popular_mx_with_diverse_policy_ips_stays_third_party() {
+    fn popular_mx_with_diverse_direct_ips_stays_third_party() {
         let mut c = EntityClassifier::new();
         for i in 0..60u8 {
             let s = scan(&format!("g{i}.com"), &["aspmx.l.google.com"], &[]);
-            c.observe(&s, Some(ip(i))); // 60 distinct policy IPs
+            c.observe(&at(Some(ip(i)), s)); // 60 distinct policy IPs
         }
         assert_eq!(
             c.classify_mx(&n("g0.com"), &[n("aspmx.l.google.com")]),
@@ -555,7 +562,7 @@ mod tests {
                 &["aspmx.l.google.com"],
                 &[&format!("d{i}-com.mta-sts.dmarcinput.com")],
             );
-            c.observe(&s, None);
+            c.observe(&s);
         }
         // 3 domains delegate to a tiny host.
         for i in 0..3 {
@@ -564,7 +571,7 @@ mod tests {
                 &["aspmx.l.google.com"],
                 &[&format!("t{i}.tinypol.net")],
             );
-            c.observe(&s, None);
+            c.observe(&s);
         }
         // 20 domains to a mid-size host.
         for i in 0..20 {
@@ -573,7 +580,7 @@ mod tests {
                 &["aspmx.l.google.com"],
                 &[&format!("u{i}.midpol.net")],
             );
-            c.observe(&s, None);
+            c.observe(&s);
         }
         assert_eq!(
             c.classify_policy(&n("d0.com"), &[n("d0-com.mta-sts.dmarcinput.com")]),
@@ -620,14 +627,14 @@ mod tests {
     const FLEET: usize = 64;
     const WALKERS: usize = 128;
 
-    /// Walker `i`'s scan and policy IP in `variant` (0..20). Fleet domains
+    /// Walker `i`'s scan in `variant` (0..20). Fleet domains
     /// list `mx1.fleet.com` first and a backup MX under one of three other
     /// eSLDs, and host their policy directly: 18 variants of 20 on one of
     /// two shared IPs, which puts the group's top-two share near 0.9. The
     /// others run their own MX and alias their policy host to a target
     /// under `polhost.net` in 18 variants of 20, an internal alias or no
     /// alias in the other two.
-    fn walker(i: usize, variant: u8) -> (DomainScan, Option<Ipv4Addr>) {
+    fn walker(i: usize, variant: u8) -> DomainScan {
         if i < FLEET {
             let backup = format!("mx.backup{}.net", i % 3);
             let mut s = scan(&format!("m{i}.com"), &["mx1.fleet.com", &backup], &[]);
@@ -638,7 +645,7 @@ mod tests {
                 18 => Some(Ipv4Addr::new(10, 1, 0, i as u8)),
                 _ => None,
             };
-            (s, policy_ip)
+            at(policy_ip, s)
         } else {
             let d = format!("c{i}.org");
             let target = match variant {
@@ -647,15 +654,15 @@ mod tests {
                 _ => vec![],
             };
             let target: Vec<&str> = target.iter().map(String::as_str).collect();
-            (scan(&d, &[&format!("mx.{d}")], &target), Some(ip(3)))
+            at(Some(ip(3)), scan(&d, &[&format!("mx.{d}")], &target))
         }
     }
 
     /// What a from-scratch build over the live observations says.
-    fn rebuilt(live: &[Option<(DomainScan, Option<Ipv4Addr>)>]) -> EntityClassifier {
+    fn rebuilt(live: &[Option<DomainScan>]) -> EntityClassifier {
         let mut c = EntityClassifier::new();
-        for (s, policy_ip) in live.iter().flatten() {
-            c.observe(s, *policy_ip);
+        for s in live.iter().flatten() {
+            c.observe(s);
         }
         c
     }
@@ -682,7 +689,7 @@ mod tests {
         let mut batches_kept = 0;
         for seed in 0..6 {
             let mut c = EntityClassifier::new();
-            let mut live: Vec<Option<(DomainScan, Option<Ipv4Addr>)>> = vec![None; WALKERS];
+            let mut live: Vec<Option<DomainScan>> = vec![None; WALKERS];
             let mut log = VerdictLog::default();
             let mut before: Vec<Option<EntityClasses>> = vec![None; WALKERS];
             let mut touched = [false; WALKERS];
@@ -697,20 +704,20 @@ mod tests {
                 let observes = if k < half { action < 17 } else { action < 3 };
                 let (mx_was, cname_was) = sizes(&c);
                 let fleet_verdict = c.mx_verdict("fleet.com");
-                if let Some((s, policy_ip)) = live[i].take() {
+                if let Some(s) = live[i].take() {
                     c.note_verdicts(&s, &mut log);
-                    c.forget(&s, policy_ip);
+                    c.forget(&s);
                 }
                 if observes {
-                    let (s, policy_ip) = walker(i, variant);
+                    let s = walker(i, variant);
                     c.note_verdicts(&s, &mut log);
-                    c.observe(&s, policy_ip);
-                    live[i] = Some((s, policy_ip));
+                    c.observe(&s);
+                    live[i] = Some(s);
                 }
                 touched[i] = true;
 
                 let oracle = rebuilt(&live);
-                for (s, _) in live.iter().flatten() {
+                for s in live.iter().flatten() {
                     assert_eq!(c.classify(s), oracle.classify(s), "seed {seed} step {k}");
                 }
                 let (mx_is, cname_is) = sizes(&c);
@@ -749,19 +756,19 @@ mod tests {
                     if !c.verdicts_moved(&mut log) {
                         batches_kept += 1;
                         for (j, s) in live.iter().enumerate() {
-                            if let (Some((s, _)), Some(was), false) = (s, before[j], touched[j]) {
+                            if let (Some(s), Some(was), false) = (s, before[j], touched[j]) {
                                 assert_eq!(c.classify(s), was, "seed {seed} step {k} walker {j}");
                             }
                         }
                     }
                     for (j, s) in live.iter().enumerate() {
-                        before[j] = s.as_ref().map(|(s, _)| c.classify(s));
+                        before[j] = s.as_ref().map(|s| c.classify(s));
                     }
                     touched = [false; WALKERS];
                 }
             }
-            for (s, policy_ip) in live.iter().flatten() {
-                c.forget(s, *policy_ip);
+            for s in live.iter().flatten() {
+                c.forget(s);
             }
             assert!(c.mx_groups.is_empty(), "seed {seed}: {:?}", c.mx_groups);
             assert!(c.cname_esld_domains.is_empty() && c.ns_esld_domains.is_empty());

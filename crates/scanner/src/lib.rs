@@ -10,7 +10,9 @@
 //! - [`classify`]: the managing-entity heuristics of §4.3.1 (≥50-domain
 //!   third parties, same-eSLD self-management, ≤5-domain policy hosts,
 //!   and the single-administrator IP-grouping nuance);
-//! - [`scan`]: one full-component snapshot scan of a world;
+//! - [`scan`]: one full-component snapshot scan of a world, each
+//!   domain's scan carrying its policy host's address as classification
+//!   evidence;
 //! - [`parallel`]: the deterministic parallel scan engine's determinism
 //!   argument (sharding, per-shard clocks, in-order merge); its thread
 //!   count is [`netbase::default_scan_threads`];
@@ -19,7 +21,10 @@
 //!   monthly full scans, plus the from-scratch oracles;
 //! - [`incremental`]: the change-driven rescan cache that makes the
 //!   longitudinal drivers cost O(changes) instead of O(dates × domains)
-//!   while staying byte-identical to from-scratch runs;
+//!   while staying byte-identical to from-scratch runs: the monthly
+//!   campaign keeps one slot per domain (its last scan, that scan's
+//!   fingerprint and its entity classes), reused whole or rescanned
+//!   whole;
 //! - [`supervisor`]: the monthly campaign's one date loop —
 //!   checkpointing, resumable and panic-isolating, with its degradation
 //!   report; `Study::run_full` is this loop under a default config;

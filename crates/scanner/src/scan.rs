@@ -74,8 +74,6 @@ pub struct Snapshot {
     /// Per-domain results, in input order. A scan the rescan cache
     /// reused is the same allocation as the previous snapshot's.
     pub scans: Vec<Arc<DomainScan>>,
-    /// Resolved policy-host IPs (classification evidence).
-    pub policy_ips: HashMap<DomainName, Ipv4Addr>,
     /// Each domain's managing entities, parallel to `scans`.
     pub(crate) classes: Vec<EntityClasses>,
     /// Domain → index into `scans`, built lazily on the first
@@ -87,32 +85,25 @@ pub struct Snapshot {
 impl Snapshot {
     /// Assembles a snapshot from scan results and classifies every domain
     /// from scratch with a classifier built over them. The classes are a
-    /// pure function of the scans and policy IPs: the monthly campaign,
-    /// which carries its classifier across dates and re-classifies only
-    /// what changed, must reproduce them, and its tests check it against
-    /// this.
-    pub fn assemble(
-        date: SimDate,
-        scans: Vec<Arc<DomainScan>>,
-        policy_ips: HashMap<DomainName, Ipv4Addr>,
-    ) -> Snapshot {
-        let classifier = EntityClassifier::from_scans(&scans, &policy_ips);
+    /// pure function of the scans: the monthly campaign, which carries
+    /// its classifier across dates and re-classifies only what changed,
+    /// must reproduce them, and its tests check it against this.
+    pub fn assemble(date: SimDate, scans: Vec<Arc<DomainScan>>) -> Snapshot {
+        let classifier = EntityClassifier::from_scans(&scans);
         let classes = scans.iter().map(|scan| classifier.classify(scan)).collect();
-        Snapshot::classified(date, scans, policy_ips, classes)
+        Snapshot::classified(date, scans, classes)
     }
 
     /// A snapshot whose classes, parallel to `scans`, the caller computed.
     pub(crate) fn classified(
         date: SimDate,
         scans: Vec<Arc<DomainScan>>,
-        policy_ips: HashMap<DomainName, Ipv4Addr>,
         classes: Vec<EntityClasses>,
     ) -> Snapshot {
         debug_assert_eq!(scans.len(), classes.len());
         Snapshot {
             date,
             scans,
-            policy_ips,
             classes,
             index: OnceLock::new(),
         }
@@ -155,21 +146,21 @@ fn layer_error(error: &PolicyFetchError) -> PolicyLayerError {
 }
 
 /// The record stage's output: the `_mta-sts` TXT evaluation.
-pub(crate) struct RecordStage {
+struct RecordStage {
     pub record: Result<String, RecordError>,
     pub attempts: StageAttempts,
 }
 
 /// The policy stage's output: the HTTPS fetch ladder's result plus the
 /// CNAME delegation evidence.
-pub(crate) struct PolicyStage {
+struct PolicyStage {
     pub policy: Result<Policy, PolicyLayerError>,
     pub cname: Vec<DomainName>,
     pub attempts: StageAttempts,
 }
 
 /// The MX stage's output: records, NS evidence, and per-host probes.
-pub(crate) struct MxStage {
+struct MxStage {
     pub mx_records: Vec<DomainName>,
     pub ns_records: Vec<DomainName>,
     pub mx_verdicts: Vec<MxVerdict>,
@@ -180,7 +171,7 @@ pub(crate) struct MxStage {
 /// nothing back). Recovered transients, failed attempts, retries and
 /// real backoff sleeps each get a counter, matching the taxonomy's
 /// retry vocabulary.
-pub(crate) fn note_attempt(ev: AttemptEvent) {
+fn note_attempt(ev: AttemptEvent) {
     match ev {
         AttemptEvent::Success { attempt } => {
             if attempt > 1 {
@@ -204,7 +195,7 @@ pub(crate) fn note_attempt(ev: AttemptEvent) {
 /// telemetry. This is the migration target for the per-call-site
 /// `RetryOutcome.attempts` bookkeeping: stages hand this to
 /// [`RetryPolicy::run_observed`] instead of reading outcome fields back.
-pub(crate) fn tally(acc: &mut StageAttempts) -> impl FnMut(AttemptEvent) + '_ {
+fn tally(acc: &mut StageAttempts) -> impl FnMut(AttemptEvent) + '_ {
     move |ev| {
         acc.attempts += 1;
         if let AttemptEvent::Success { attempt } = ev {
@@ -216,16 +207,8 @@ pub(crate) fn tally(acc: &mut StageAttempts) -> impl FnMut(AttemptEvent) + '_ {
     }
 }
 
-/// The per-domain retry RNG. Each stage forks its own scope off this, so
-/// stages are independent: re-running one stage in isolation (the
-/// incremental engine's partial re-scan) draws exactly the jitter the
-/// full scan would have drawn for it.
-pub(crate) fn stage_rng(config: &ScanConfig, domain: &DomainName) -> DetRng {
-    DetRng::new(config.seed).fork(&domain.to_string())
-}
-
 /// Stage 1: the `_mta-sts` record, retrying SERVFAIL/timeout shapes.
-pub(crate) fn record_stage(
+fn record_stage(
     world: &World,
     domain: &DomainName,
     now: SimInstant,
@@ -258,7 +241,7 @@ pub(crate) fn record_stage(
 // The policy-retry closure's Err carries the whole fetch outcome on
 // purpose — delegation evidence from the final attempt must survive.
 #[allow(clippy::result_large_err)]
-pub(crate) fn policy_stage(
+fn policy_stage(
     world: &World,
     domain: &DomainName,
     now: SimInstant,
@@ -306,7 +289,7 @@ pub(crate) fn policy_stage(
 /// probe count toward the MX stage's attempt budget; a probe that still
 /// tempfails after its last retry is kept with `chain: None`, excluding
 /// the host from certificate analysis rather than miscounting it.
-pub(crate) fn mx_stage(
+fn mx_stage(
     world: &World,
     domain: &DomainName,
     now: SimInstant,
@@ -391,10 +374,9 @@ pub(crate) fn mx_stage(
     }
 }
 
-/// Stage 4: consistency between mx patterns and MX records (§4.4). A
-/// pure function of the policy- and MX-stage outputs, recomputed by the
-/// incremental engine whenever either input stage re-ran.
-pub(crate) fn consistency_mismatches(
+/// Stage 4: consistency between mx patterns and MX records (§4.4), a
+/// pure function of the policy- and MX-stage outputs.
+fn consistency_mismatches(
     policy: &Result<Policy, PolicyLayerError>,
     mx_records: &[DomainName],
 ) -> Vec<(String, MismatchKind)> {
@@ -407,9 +389,35 @@ pub(crate) fn consistency_mismatches(
     }
 }
 
+/// Stage 5: the policy host's address, classification evidence, with
+/// transient DNS failures retried so flaky resolution does not degrade
+/// clustering. It counts toward no stage's attempt budget; telemetry
+/// still sees its attempts.
+fn policy_ip_stage(
+    world: &World,
+    domain: &DomainName,
+    now: SimInstant,
+    config: &ScanConfig,
+    rng: &DetRng,
+) -> Option<Ipv4Addr> {
+    let policy_host = domain.prefixed(mtasts::POLICY_HOST_LABEL).ok()?;
+    let mut span = obsv::span!("scan.policy_ip");
+    let out = config.record_retry.run_observed(
+        rng,
+        "policy-ip",
+        now,
+        dns_error_is_transient,
+        |at, _| world.resolve(&policy_host, RecordType::A, at),
+        note_attempt,
+    );
+    span.set_sim_secs(out.finished_at.since(now).as_secs());
+    out.result.ok()?.a_addrs().first().copied()
+}
+
 /// Scans one domain end to end (§4.1: record, policy over HTTPS,
-/// instrumented SMTP probe of every MX, consistency check), retrying
-/// transient failures per `config` before anything reaches the taxonomy.
+/// instrumented SMTP probe of every MX, consistency check, and the
+/// policy host's address), retrying transient failures per `config`
+/// before anything reaches the taxonomy.
 ///
 /// `now` is the instant the rate limiter admitted this domain — every
 /// per-second fault and attack draw keys off it, so a throttled campaign
@@ -427,11 +435,14 @@ pub fn scan_domain(
     config: &ScanConfig,
 ) -> DomainScan {
     let domain_start = obsv::enabled().then(std::time::Instant::now);
-    let rng = stage_rng(config, domain);
+    // Every stage forks its own retry scope off this one per-domain RNG,
+    // so no stage's draws depend on another's.
+    let rng = DetRng::new(config.seed).fork(&domain.to_string());
     let record = record_stage(world, domain, now, config, &rng);
     let policy = policy_stage(world, domain, now, config, &rng);
     let mx = mx_stage(world, domain, now, config, &rng);
     let mismatches = consistency_mismatches(&policy.policy, &mx.mx_records);
+    let policy_ip = policy_ip_stage(world, domain, now, config, &rng);
     if let Some(started) = domain_start {
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         obsv::histogram!("scan_domain_real_us", micros);
@@ -441,6 +452,7 @@ pub fn scan_domain(
         record: record.record,
         policy: policy.policy,
         policy_cname: policy.cname,
+        policy_ip,
         mx_records: mx.mx_records,
         ns_records: mx.ns_records,
         mx_verdicts: mx.mx_verdicts,
@@ -457,11 +469,7 @@ pub fn scan_domain(
 /// derived from one logical bucket up front, so it is the same for every
 /// thread count (the parallel engine's per-shard clock slices this plan).
 /// Unthrottled scans run the entire population at midnight, as before.
-pub(crate) fn plan_admissions(
-    date: SimDate,
-    rate: Option<&mut TokenBucket>,
-    n: usize,
-) -> Vec<SimInstant> {
+fn plan_admissions(date: SimDate, rate: Option<&mut TokenBucket>, n: usize) -> Vec<SimInstant> {
     let midnight = date.at_midnight();
     match rate {
         Some(bucket) => bucket.plan_admissions(midnight, n),
@@ -494,45 +502,10 @@ pub fn scan_snapshot_with_threads(
     threads: usize,
 ) -> Snapshot {
     let admissions = plan_admissions(date, rate, domains.len());
-    let results = map_sharded(threads, domains, |i, domain| {
-        let now = admissions[i];
-        let scan = scan_domain(world, domain, now, config);
-        let ip = resolve_policy_ip(world, domain, now, config);
-        (Arc::new(scan), ip)
+    let scans = map_sharded(threads, domains, |i, domain| {
+        Arc::new(scan_domain(world, domain, admissions[i], config))
     });
-    let mut scans = Vec::with_capacity(domains.len());
-    let mut policy_ips = HashMap::new();
-    for (scan, ip) in results {
-        if let Some(ip) = ip {
-            policy_ips.insert(scan.domain.clone(), ip);
-        }
-        scans.push(scan);
-    }
-    Snapshot::assemble(date, scans, policy_ips)
-}
-
-/// Resolves the policy host's address as classification evidence, retrying
-/// transient DNS failures so flaky resolution doesn't degrade clustering.
-/// Keyed on the same admitted instant as the domain's scan.
-pub(crate) fn resolve_policy_ip(
-    world: &World,
-    domain: &DomainName,
-    now: SimInstant,
-    config: &ScanConfig,
-) -> Option<Ipv4Addr> {
-    let policy_host = domain.prefixed(mtasts::POLICY_HOST_LABEL).ok()?;
-    let rng = DetRng::new(config.seed).fork(&domain.to_string());
-    let mut span = obsv::span!("scan.policy_ip");
-    let out = config.record_retry.run_observed(
-        &rng,
-        "policy-ip",
-        now,
-        dns_error_is_transient,
-        |at, _| world.resolve(&policy_host, RecordType::A, at),
-        note_attempt,
-    );
-    span.set_sim_secs(out.finished_at.since(now).as_secs());
-    out.result.ok()?.a_addrs().first().copied()
+    Snapshot::assemble(date, scans)
 }
 
 #[cfg(test)]
@@ -667,7 +640,7 @@ mod tests {
         }
         // DNS hosting: self-managed iff the NS shares the domain's eSLD.
         // No figure reads it, so the snapshot does not keep it.
-        let classifier = EntityClassifier::from_scans(&snapshot.scans, &snapshot.policy_ips);
+        let classifier = EntityClassifier::from_scans(&snapshot.scans);
         let mut dns_ok = 0usize;
         let mut dns_total = 0usize;
         for spec in eco.domains_at(date) {
@@ -842,13 +815,7 @@ mod tests {
                 &ScanConfig::default(),
                 threads,
             );
-            let mut ips: Vec<(String, String)> = snap
-                .policy_ips
-                .iter()
-                .map(|(d, ip)| (d.to_string(), ip.to_string()))
-                .collect();
-            ips.sort();
-            serde_json::to_string(&(&snap.scans, ips)).unwrap()
+            serde_json::to_string(&snap.scans).unwrap()
         };
 
         let sequential = digest(1);

@@ -5,6 +5,7 @@ use netbase::DomainName;
 use pkix::CertError;
 use serde::{Deserialize, Serialize};
 use simnet::PolicyFetchError;
+use std::net::Ipv4Addr;
 
 /// The layer a policy-retrieval failure occurred at (Figure 5's series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -174,6 +175,9 @@ pub struct DomainScan {
     pub policy: Result<Policy, PolicyLayerError>,
     /// CNAME chain observed at `mta-sts.<domain>` (delegation evidence).
     pub policy_cname: Vec<DomainName>,
+    /// The first A record of `mta-sts.<domain>`, when it resolves: the
+    /// single-administrator evidence of §4.3.1.
+    pub policy_ip: Option<Ipv4Addr>,
     /// The domain's MX records in preference order.
     pub mx_records: Vec<DomainName>,
     /// The domain's NS records (DNS-hosting classification evidence).
@@ -303,6 +307,7 @@ mod tests {
                 vec![MxPattern::parse("mx.example.com").unwrap()],
             )),
             policy_cname: vec![],
+            policy_ip: None,
             mx_records: vec![n("mx.example.com")],
             ns_records: vec![n("ns1.example.com")],
             mx_verdicts: vec![MxVerdict {

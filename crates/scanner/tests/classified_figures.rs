@@ -42,7 +42,7 @@ fn classified_figures_match_pinned_digests() {
     // an MX outside the domain's own eSLD can only do that through the
     // single-administrator exception.
     let single_admin = run.full.iter().any(|snap| {
-        let classifier = EntityClassifier::from_scans(&snap.scans, &snap.policy_ips);
+        let classifier = EntityClassifier::from_scans(&snap.scans);
         snap.scans.iter().any(|scan| {
             let Some(mx) = scan.mx_records.first() else {
                 return false;

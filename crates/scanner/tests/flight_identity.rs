@@ -24,18 +24,7 @@ fn study() -> Study {
 }
 
 fn fingerprint(snapshots: &[Snapshot]) -> String {
-    let digest: Vec<_> = snapshots
-        .iter()
-        .map(|s| {
-            let mut ips: Vec<_> = s
-                .policy_ips
-                .iter()
-                .map(|(d, ip)| (d.to_string(), ip.to_string()))
-                .collect();
-            ips.sort();
-            (s.date, &s.scans, ips)
-        })
-        .collect();
+    let digest: Vec<_> = snapshots.iter().map(|s| (s.date, &s.scans)).collect();
     serde_json::to_string(&digest).expect("snapshots serialize")
 }
 

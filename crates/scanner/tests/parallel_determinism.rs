@@ -2,7 +2,7 @@
 //! "Concurrency model"): the contract is that thread count is
 //! unobservable in the output. Every test here compares serde digests —
 //! byte equality, not structural equality — so a reordered vector, a
-//! drifted admission instant, or a differently-merged `policy_ips` map
+//! drifted admission instant, or a policy IP resolved at another instant
 //! all fail loudly.
 //!
 //! CI runs this suite twice, with `SCAN_THREADS=1` and `SCAN_THREADS=8`,
@@ -21,22 +21,11 @@ use simnet::TransientFaultConfig;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Scans + sorted policy IPs are the full snapshot state (the classifier
-/// is derived from the scans), so this digest is the byte-identity
+/// The scans, each with its policy IP, are the full snapshot state (the
+/// classifier is derived from them), so this digest is the byte-identity
 /// witness used throughout the suite.
 fn fingerprint(snapshots: &[Snapshot]) -> String {
-    let digest: Vec<_> = snapshots
-        .iter()
-        .map(|s| {
-            let mut ips: Vec<(String, String)> = s
-                .policy_ips
-                .iter()
-                .map(|(d, ip)| (d.to_string(), ip.to_string()))
-                .collect();
-            ips.sort();
-            (s.date, s.scans.clone(), ips)
-        })
-        .collect();
+    let digest: Vec<_> = snapshots.iter().map(|s| (s.date, &s.scans)).collect();
     serde_json::to_string(&digest).unwrap()
 }
 

@@ -94,5 +94,7 @@ fn main() {
         latest.len(),
         100.0 * bad as f64 / latest.len() as f64
     );
+    // The campaign wrote its run manifest next to the checkpoint.
     let _ = std::fs::remove_file(&checkpoint);
+    let _ = std::fs::remove_file(obsv::health::RunManifest::path_for_checkpoint(&checkpoint));
 }

@@ -53,8 +53,8 @@ const PINS: &[(&str, u64)] = &[
     ("generate bytes", 6_101_556),
     ("weekly allocs", 699_212),
     ("weekly bytes", 66_326_358),
-    ("full allocs", 1_459_527),
-    ("full bytes", 141_783_069),
+    ("full allocs", 1_474_955),
+    ("full bytes", 140_092_528),
     ("analysis allocs", 39_168),
     ("analysis bytes", 909_518),
     ("delivery allocs", 12_708),
@@ -65,22 +65,21 @@ const PINS: &[(&str, u64)] = &[
     ("span ecosystem.advance", 171),
     ("span snapshot.weekly", 160),
     ("span snapshot.full", 11),
-    ("span scan.record", 7_415),
-    ("span scan.policy", 7_741),
-    ("span scan.policy_ip", 7_741),
-    ("span scan.mx", 7_475),
-    ("span scan.probe", 9_305),
+    ("span scan.record", 7_801),
+    ("span scan.policy", 7_801),
+    ("span scan.policy_ip", 7_801),
+    ("span scan.mx", 7_801),
+    ("span scan.probe", 9_725),
     ("span delivery.wave", 4),
     // Counters.
     ("counter ecosystem_installs_total", 13_570),
     ("counter ecosystem_reinstalls_total", 2_492),
     ("counter ecosystem_unchanged_total", 601_856),
     ("counter cache_full_hits_total", 1_131_944),
-    ("counter cache_partial_hits_total", 386),
-    ("counter cache_misses_total", 15_350),
+    ("counter cache_misses_total", 15_736),
     ("counter scan_retries_total", 60),
     ("counter scan_backoff_sleeps_total", 60),
-    ("counter scan_failed_attempts_total", 2_007),
+    ("counter scan_failed_attempts_total", 2_016),
     ("counter delivery.delivered", 128),
     ("counter delivery.enqueued", 128),
     ("counter delivery.requeue_total", 74),
