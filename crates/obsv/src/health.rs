@@ -85,7 +85,7 @@ pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Seals `payload` behind a `<magic> <len> <fnv64>` header line: the
 /// payload's byte length and its [`fnv64`] as 16 hex digits. Both
-/// checkpoint formats (`MTASTS-CKPT2`, `MTASTS-DLVQ1`) are this framing
+/// checkpoint formats (`MTASTS-CKPT3`, `MTASTS-DLVQ2`) are this framing
 /// over JSON, each with its own magic.
 pub fn seal(magic: &str, payload: &str) -> String {
     format!(

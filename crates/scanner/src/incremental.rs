@@ -144,10 +144,23 @@ impl SlotTable {
         }
     }
 
-    /// Scans `domain`, whose population index is `pop`. `fp` is its
-    /// installed fingerprint, or `None` when the cache stands down (see
-    /// module docs). A full hit returns the slot's own scan; anything
-    /// else scans the domain whole.
+    /// The slot's own scan when `pop` under `fp` is a full hit: `fp` is
+    /// the domain's installed fingerprint, or `None` when the cache
+    /// stands down (see module docs).
+    pub(crate) fn full_hit(
+        &self,
+        pop: usize,
+        fp: Option<&DomainFingerprint>,
+    ) -> Option<&Arc<DomainScan>> {
+        let slot = self.slots[pop].as_ref()?;
+        (fp.is_some() && slot.fp.as_ref() == fp).then_some(&slot.scan)
+    }
+
+    /// Scans `domain`, whose population index is `pop`, under `fp` (see
+    /// [`SlotTable::full_hit`]). A full hit returns the slot's own scan;
+    /// anything else is `saved`, a scan read back from a checkpoint, or
+    /// scans the domain whole, and counts as the miss or forced scan
+    /// scanning it is.
     pub(crate) fn scan(
         &self,
         world: &World,
@@ -155,21 +168,19 @@ impl SlotTable {
         domain: &DomainName,
         now: SimInstant,
         fp: Option<&DomainFingerprint>,
+        saved: Option<&Arc<DomainScan>>,
     ) -> (Arc<DomainScan>, HitKind) {
-        let kind = match (fp, &self.slots[pop]) {
-            (None, _) => HitKind::Forced,
-            (Some(fp), Some(slot)) if slot.fp.as_ref() == Some(fp) => {
-                return (Arc::clone(&slot.scan), HitKind::Full);
-            }
-            (Some(_), _) => HitKind::Miss,
-        };
-        (
-            Arc::new(scan_domain(world, domain, now, &self.config)),
-            kind,
-        )
+        if let Some(hit) = self.full_hit(pop, fp) {
+            return (Arc::clone(hit), HitKind::Full);
+        }
+        let scan = saved.map_or_else(
+            || Arc::new(scan_domain(world, domain, now, &self.config)),
+            Arc::clone,
+        );
+        (scan, fp.map_or(HitKind::Forced, |_| HitKind::Miss))
     }
 
-    /// Puts one of the date's scans, taken or restored under `fp`, in
+    /// Puts one of the date's scans, taken or read back under `fp`, in
     /// slot `pop`: the slot's own scan (a full hit) costs nothing, while
     /// another is observed after the slot's old scan is forgotten.
     pub(crate) fn absorb(
@@ -272,7 +283,7 @@ mod tests {
             .unwrap();
         let fp = eco.fingerprint_at(spec, &ctx).unwrap();
         let scan = |slots: &SlotTable, fp: Option<&DomainFingerprint>| {
-            slots.scan(&world, pop, &spec.name, date.at_midnight(), fp)
+            slots.scan(&world, pop, &spec.name, date.at_midnight(), fp, None)
         };
 
         // A forced scan is fresh, and its slot keeps no fingerprint, so
@@ -297,6 +308,21 @@ mod tests {
             &fresh
         ));
         assert_eq!(scan(&slots, None).1, HitKind::Forced);
+
+        // A scan read back from a checkpoint stands in for a fresh one,
+        // under the kind scanning would have had; a full hit keeps the
+        // slot's own scan.
+        let read_back = |fp: Option<&DomainFingerprint>| {
+            let saved = Some(&forced);
+            slots.scan(&world, pop, &spec.name, date.at_midnight(), fp, saved)
+        };
+        let (read, kind) = read_back(None);
+        assert!(Arc::ptr_eq(&read, &forced) && kind == HitKind::Forced);
+        let (hit, kind) = read_back(Some(&fp));
+        assert!(Arc::ptr_eq(&hit, &fresh) && kind == HitKind::Full);
+        let moved = DomainFingerprint { mx: !fp.mx, ..fp };
+        let (read, kind) = read_back(Some(&moved));
+        assert!(Arc::ptr_eq(&read, &forced) && kind == HitKind::Miss);
 
         // Any component moved: the domain is scanned whole again.
         for moved in [

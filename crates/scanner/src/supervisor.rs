@@ -22,14 +22,14 @@
 //!   (all of whose scans changed) included, so the classes equal
 //!   [`Snapshot::assemble`]'s at every date;
 //! - **checkpointing**: with a [`SupervisorConfig::checkpoint_path`],
-//!   each date's scans and their population slots are serialized to
-//!   disk every [`SupervisorConfig::checkpoint_every`] domains and when
-//!   the date completes, and a fresh run resumes from what the file
-//!   holds unless another campaign (seed, scale, scan discipline) wrote
-//!   it. Resuming walks the same dates: a saved scan goes into the slot
-//!   that scanning it filled, so kill/resume stays byte-identical,
-//!   degradation accounting included. Without a path no checkpoint form
-//!   is built;
+//!   every scan the campaign took fresh (a miss or a forced scan) is
+//!   saved, in order, every [`SupervisorConfig::checkpoint_every`]
+//!   domains and when a date completes; a full hit is not. A resumed
+//!   run takes the same step from empty state, reading each saved scan
+//!   back instead of taking it, so it rebuilds the slots, snapshots and
+//!   degradation report as the interrupted run built them, unless
+//!   another campaign (seed, scale, scan discipline) wrote the file.
+//!   Without a path nothing of this is built;
 //! - **determinism**: a scan is a pure function of
 //!   `(world, domain, instant, config)` and every world is rebuilt from
 //!   the ecosystem seed, so a killed-and-resumed run is *byte-identical*
@@ -40,11 +40,11 @@
 //! - **accounting**: retries issued, transients recovered and cache
 //!   hits are summed into the degradation report so an operator can see
 //!   how hard the retry layer and the cache worked;
-//! - **telemetry**: one `snapshot.full` span per live date, closed
-//!   before that date's flight-recorder window rolls, and one
-//!   `scan.full` progress tick per date.
+//! - **telemetry**: one `snapshot.full` span per date, closed before
+//!   that date's flight-recorder window rolls, and one `scan.full`
+//!   progress tick per date.
 
-use crate::incremental::{cache_forced, CacheStats, SlotTable};
+use crate::incremental::{cache_forced, CacheStats, HitKind, SlotTable};
 use crate::longitudinal::Study;
 use crate::scan::{ScanConfig, Snapshot};
 use crate::taxonomy::DomainScan;
@@ -54,7 +54,6 @@ use netbase::{map_sharded, DomainName, SimDate};
 use obsv::health::{fnv64, seal, unseal, write_atomic};
 use serde::{Deserialize, Serialize};
 use simnet::TransientFaultConfig;
-use std::iter::Peekable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -69,8 +68,11 @@ pub struct SupervisorConfig {
     /// Persist a partial checkpoint every this many domains (0 = only at
     /// snapshot boundaries).
     pub checkpoint_every: usize,
-    /// Stop (with a checkpoint) after scanning this many domains in this
-    /// invocation — the test hook that simulates a mid-snapshot kill.
+    /// Stop (with a checkpoint) after this many domains went through
+    /// the loop in this invocation — the test hook that simulates a
+    /// mid-snapshot kill. A resumed run counts the domains whose scans
+    /// it reads back too, so the same budget suspends it at the same
+    /// domain as a fresh run; every caller resumes without a budget.
     pub domain_budget: Option<usize>,
     /// Transient faults injected into every snapshot's world.
     pub transient: Option<TransientFaultConfig>,
@@ -138,63 +140,12 @@ impl DegradationReport {
 
     /// The cache-accounting invariant a kill/resume cycle must preserve:
     /// every scanned domain was counted by the cache exactly once, so
-    /// the totals agree. Restoring a checkpoint's scans fills *slots*
-    /// and never touches stats: the report loaded from the checkpoint is
-    /// the single accumulator, already holding those domains' counts
-    /// from the invocation that scanned them. Re-counting restored scans
-    /// (the blind-sum failure mode) would break this equality.
+    /// the totals agree. A resumed run rebuilds its report from empty,
+    /// and a scan it reads back from the checkpoint counts as the run
+    /// that took it counted it, a miss or a forced scan, so the totals
+    /// agree there too.
     pub fn cache_accounting_consistent(&self) -> bool {
         self.cache.total() == self.domains_scanned
-    }
-}
-
-/// One date's scans in checkpoint form: a completed snapshot, or the
-/// scanned prefix of the date in progress. The entity classes are *not*
-/// persisted: they are a pure function of the scans.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SavedSnapshot {
-    date: SimDate,
-    /// Index of the next unscanned domain in the date's adopter list, so
-    /// the adopter count once the date is complete.
-    next_index: usize,
-    /// Each scan's population slot, ascending.
-    slots: Vec<usize>,
-    /// The scans, each with its policy IP. Names and addresses validate
-    /// on load, so a bad one rejects the file.
-    scans: Vec<Arc<DomainScan>>,
-}
-
-impl SavedSnapshot {
-    /// The date's first `next_index` adopters in checkpoint form: `scans`
-    /// at population slots `pops`.
-    fn new(
-        date: SimDate,
-        next_index: usize,
-        pops: &[usize],
-        scans: &[Arc<DomainScan>],
-    ) -> SavedSnapshot {
-        SavedSnapshot {
-            date,
-            next_index,
-            slots: pops.to_vec(),
-            scans: scans.to_vec(),
-        }
-    }
-
-    /// Whether the saved scans are distinct adopters of the date in
-    /// population order, each under its slot's name, all among the first
-    /// `next_index` adopters: what scanning the date could have saved.
-    fn fits(&self, eco: &Ecosystem) -> bool {
-        let adopters = adopters_at(eco, self.date);
-        let Some(scanned) = adopters.get(..self.next_index) else {
-            return false;
-        };
-        let mut scanned = scanned.iter();
-        self.slots.len() == self.scans.len()
-            && self.slots.iter().zip(&self.scans).all(|(&slot, scan)| {
-                scanned.any(|&i| i as usize == slot)
-                    && eco.population.domains[slot].name == scan.domain
-            })
     }
 }
 
@@ -206,15 +157,17 @@ fn adopters_at(eco: &Ecosystem, date: SimDate) -> Vec<u32> {
     adopters
 }
 
-/// The on-disk checkpoint.
+/// The on-disk checkpoint. The entity classes and the degradation
+/// report are *not* persisted: a resumed run rebuilds both from the
+/// scans.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Checkpoint {
     /// [`SupervisorConfig::digest`] of the campaign that wrote it.
     config_digest: u64,
-    /// The campaign's dates so far, in calendar order; the last one may
-    /// be in progress.
-    snapshots: Vec<SavedSnapshot>,
-    report: DegradationReport,
+    /// Every scan the campaign took fresh, a miss or a forced scan, in
+    /// the order it took them, each with its policy IP. Names and
+    /// addresses validate on load, so a bad one rejects the file.
+    scans: Vec<Arc<DomainScan>>,
 }
 
 /// Magic tag of the checkpoint's [`seal`] header line. The payload
@@ -222,34 +175,25 @@ struct Checkpoint {
 /// keys, so a file from before a change of shape can decode into the new
 /// one with evidence silently missing; the tag moves with every such
 /// change. `MTASTS-CKPT1` files saved each date's policy IPs beside its
-/// scans, whose `policy_ip` would decode as `None`.
-const CKPT_MAGIC: &str = "MTASTS-CKPT2";
+/// scans, whose `policy_ip` would decode as `None`; `MTASTS-CKPT2` files
+/// saved every date's scans, full hits included, with their population
+/// slots and the degradation report.
+const CKPT_MAGIC: &str = "MTASTS-CKPT3";
 
 impl Checkpoint {
-    /// Loads the checkpoint, verifying the `MTASTS-CKPT2 <len> <fnv64>`
+    /// Loads the checkpoint, verifying the `MTASTS-CKPT3 <len> <fnv64>`
     /// header. A missing file starts fresh; so does any corruption — a
     /// truncated or bit-rotted checkpoint (a crash mid-write, a full
     /// disk) must cost the saved progress, never the whole campaign —
-    /// and so does a file another campaign wrote (another digest), or one
-    /// whose saved dates are not the calendar's first ones, in order,
-    /// each holding what scanning it could have saved.
-    fn load(path: &Path, config_digest: u64, eco: &Ecosystem) -> Checkpoint {
-        let dates = eco.config.full_scan_dates();
+    /// and so does a file another campaign wrote (another digest).
+    fn load(path: &Path, config_digest: u64) -> Checkpoint {
         std::fs::read_to_string(path)
             .ok()
             .and_then(|text| Checkpoint::parse(&text))
-            .filter(|ckpt| {
-                ckpt.config_digest == config_digest
-                    && ckpt.snapshots.len() <= dates.len()
-                    && ckpt
-                        .snapshots
-                        .iter()
-                        .zip(&dates)
-                        .all(|(saved, &date)| saved.date == date && saved.fits(eco))
-            })
+            .filter(|ckpt| ckpt.config_digest == config_digest)
             .unwrap_or(Checkpoint {
                 config_digest,
-                ..Checkpoint::default()
+                scans: Vec::new(),
             })
     }
 
@@ -269,24 +213,6 @@ impl Checkpoint {
     fn store(&self, path: &Path) -> std::io::Result<()> {
         let payload = serde_json::to_string(self).expect("checkpoint serializes");
         write_atomic(path, seal(CKPT_MAGIC, &payload).as_bytes())
-    }
-}
-
-/// Stores `ckpt` if checkpointing is still enabled; on I/O failure the
-/// error lands in the degradation report and `path_slot` is cleared so
-/// the campaign continues checkpoint-free (satisfying "resilient" even
-/// when the disk is not).
-fn store_or_degrade(ckpt: &mut Checkpoint, path_slot: &mut Option<PathBuf>) {
-    let Some(path) = path_slot else { return };
-    if let Err(e) = ckpt.store(path) {
-        obsv::event!("supervisor.checkpoint_failure");
-        ckpt.report.checkpoint_failures += 1;
-        ckpt.report
-            .checkpoint_errors
-            .push(format!("{}: {e}", path.display()));
-        *path_slot = None;
-    } else {
-        obsv::event!("supervisor.checkpoint_write");
     }
 }
 
@@ -318,21 +244,24 @@ impl SupervisedOutcome {
 
 /// One invocation's state across the calendar: the persistent
 /// delta-built world, the slot table (the rescan cache and the carried
-/// entity classifier), the loaded checkpoint's dates still to restore,
-/// the checkpoint this invocation writes (whose report, loaded at start,
-/// accumulates this invocation's accounting) and the remaining domain
-/// budget.
+/// entity classifier), the accounting, the loaded checkpoint's scans
+/// still to read back, the checkpoint this invocation writes and the
+/// remaining domain budget.
 pub(crate) struct Campaign<'a> {
     eco: &'a Ecosystem,
     cfg: &'a SupervisorConfig,
     threads: usize,
     world: IncrementalWorld,
     slots: SlotTable,
-    /// The loaded checkpoint's dates not restored yet.
-    saved: Peekable<std::vec::IntoIter<SavedSnapshot>>,
+    report: DegradationReport,
+    /// The loaded checkpoint's scans not read back yet.
+    saved: std::vec::IntoIter<Arc<DomainScan>>,
+    /// The fresh scans so far, read back or taken.
     ckpt: Checkpoint,
     /// Where checkpoints go; cleared after the first failed write.
     path: Option<PathBuf>,
+    /// Whether a scan was taken fresh since the last store.
+    unsaved: bool,
     budget: Option<usize>,
 }
 
@@ -342,7 +271,7 @@ impl<'a> Campaign<'a> {
         let path = cfg.checkpoint_path.clone();
         let mut ckpt = path
             .as_deref()
-            .map(|p| Checkpoint::load(p, cfg.digest(eco), eco))
+            .map(|p| Checkpoint::load(p, cfg.digest(eco)))
             .unwrap_or_default();
         Campaign {
             eco,
@@ -350,24 +279,25 @@ impl<'a> Campaign<'a> {
             threads: cfg.effective_threads(),
             world: IncrementalWorld::new(SnapshotDetail::Full),
             slots: SlotTable::new(eco.population.domains.len(), cfg.scan),
-            saved: std::mem::take(&mut ckpt.snapshots).into_iter().peekable(),
+            report: DegradationReport::default(),
+            saved: std::mem::take(&mut ckpt.scans).into_iter(),
             ckpt,
             path,
+            unsaved: false,
             budget: cfg.domain_budget,
         }
     }
 
-    /// The accounting so far, checkpointed invocations included.
+    /// The accounting so far.
     #[cfg(test)]
     pub(crate) fn report(&self) -> &DegradationReport {
-        &self.ckpt.report
+        &self.report
     }
 
-    /// Scans one date: advance the world to `date`, restore what the
-    /// checkpoint saved of it, scan the remaining adopters through the
-    /// slots in rounds, and classify by delta. `None` means the domain
-    /// budget ran out inside the date; its scanned prefix went to the
-    /// checkpoint.
+    /// Scans one date: advance the world to `date`, scan its adopters
+    /// through the slots in rounds, and classify by delta. `None` means
+    /// the domain budget ran out inside the date; the checkpoint holds
+    /// what the run scanned fresh.
     pub(crate) fn scan_date(&mut self, date: SimDate) -> Option<Snapshot> {
         let _span = obsv::span!("snapshot.full");
         let eco = self.eco;
@@ -383,43 +313,26 @@ impl<'a> Campaign<'a> {
         // adopter index in population order and reuse the installed
         // fingerprints — O(adopters), no population sweep and no
         // fingerprint re-hashing. A forced date keys no slot.
-        let key = |pop: usize| -> Option<DomainFingerprint> {
-            let fp = self.world.installed_fingerprint(pop);
-            let fp = fp.expect("adopted domains are installed");
-            (!forced).then_some(fp)
-        };
         let jobs: Vec<(usize, Option<DomainFingerprint>)> = adopters_at(eco, date)
             .into_iter()
-            .map(|i| (i as usize, key(i as usize)))
+            .map(|i| {
+                let fp = self.world.installed_fingerprint(i as usize);
+                let fp = fp.expect("adopted domains are installed");
+                (i as usize, (!forced).then_some(fp))
+            })
             .collect();
         let mut pops = Vec::with_capacity(jobs.len());
         let mut scans = Vec::with_capacity(jobs.len());
-        let mut index = 0;
-
-        // What the checkpoint saved of this date, a completed snapshot or
-        // a scanned prefix, goes where scanning it went: into its slot.
-        // Restoring counts nothing, since the loaded report already
-        // counts these domains (see
-        // [`DegradationReport::cache_accounting_consistent`]).
-        if let Some(saved) = self.saved.next_if(|s| s.date == date) {
-            obsv::event!("supervisor.restore_snapshot");
-            for (pop, scan) in saved.slots.into_iter().zip(saved.scans) {
-                self.slots.absorb(pop, key(pop), &scan);
-                pops.push(pop);
-                scans.push(scan);
-            }
-            index = saved.next_index;
-        }
-        let restored_to = index;
 
         // The campaign is unthrottled: every domain scans at the
         // snapshot's midnight.
         let now = date.at_midnight();
         let every = self.cfg.checkpoint_every;
-        let mut scanned_here = 0usize;
+        let mut restored = false;
+        let mut index = 0;
         while index < jobs.len() {
             if self.budget == Some(0) {
-                self.store_partial(date, index, &pops, &scans);
+                self.store();
                 obsv::event!("supervisor.suspend");
                 return None;
             }
@@ -434,15 +347,20 @@ impl<'a> Campaign<'a> {
                 round_end = round_end.min(index + b);
             }
             if every > 0 {
-                round_end = round_end.min(index + every - scanned_here % every);
+                round_end = round_end.min(index + every - index % every);
             }
             let round = &jobs[index..round_end];
+            let replay = self.read_back(round);
+            if !restored && replay.iter().any(Option::is_some) {
+                obsv::event!("supervisor.restore_snapshot");
+                restored = true;
+            }
             // Per-domain panic isolation inside each shard worker: a
             // panicking domain yields `None` and the round survives. The
             // chaos assert stays ahead of the cache so an injected panic
             // can never be papered over by a hit.
             let world = self.world.world();
-            let results = map_sharded(self.threads, round, |_, &(pop, fp)| {
+            let results = map_sharded(self.threads, round, |i, &(pop, fp)| {
                 let domain = &eco.population.domains[pop].name;
                 catch_unwind(AssertUnwindSafe(|| {
                     let chaos = &self.cfg.chaos_panic_domains;
@@ -450,22 +368,26 @@ impl<'a> Campaign<'a> {
                         !chaos.contains(domain),
                         "chaos: injected panic for {domain}"
                     );
-                    self.slots.scan(world, pop, domain, now, fp.as_ref())
+                    let saved = replay.get(i).and_then(Option::as_ref);
+                    self.slots.scan(world, pop, domain, now, fp.as_ref(), saved)
                 }))
                 .ok()
             });
             // Absorb in input order — identical for every thread count.
-            let report = &mut self.ckpt.report;
-            for (&(pop, fp), outcome) in round.iter().zip(results) {
+            for (i, (&(pop, fp), outcome)) in round.iter().zip(results).enumerate() {
                 let Some((scan, kind)) = outcome else {
                     obsv::event!("supervisor.panic_isolated");
-                    report.domains_abandoned += 1;
+                    self.report.domains_abandoned += 1;
                     let domain = &eco.population.domains[pop].name;
-                    report.abandoned_domains.push(domain.to_string());
+                    self.report.abandoned_domains.push(domain.to_string());
                     continue;
                 };
-                report.absorb(&scan);
-                report.cache.count(kind);
+                self.report.absorb(&scan);
+                self.report.cache.count(kind);
+                if kind != HitKind::Full && self.path.is_some() {
+                    self.unsaved |= replay.get(i).is_none_or(Option::is_none);
+                    self.ckpt.scans.push(Arc::clone(&scan));
+                }
                 self.slots.absorb(pop, fp, &scan);
                 pops.push(pop);
                 scans.push(scan);
@@ -473,41 +395,68 @@ impl<'a> Campaign<'a> {
             if let Some(b) = self.budget.as_mut() {
                 *b -= round.len();
             }
-            scanned_here += round.len();
             index = round_end;
-            if every > 0 && scanned_here.is_multiple_of(every) && index < jobs.len() {
-                self.store_partial(date, index, &pops, &scans);
+            if every > 0 && index.is_multiple_of(every) && index < jobs.len() {
+                self.store();
             }
         }
 
-        if self.cfg.checkpoint_path.is_some() {
-            let done = SavedSnapshot::new(date, index, &pops, &scans);
-            self.ckpt.snapshots.push(done);
-            // A date the file already held complete leaves it as it is.
-            if restored_to < jobs.len() {
-                store_or_degrade(&mut self.ckpt, &mut self.path);
-            }
-        }
+        self.store();
         let classes = self.slots.settle(&pops, &scans);
         Some(Snapshot::classified(date, scans, classes))
     }
 
-    /// Persists the date's scanned prefix, while a checkpoint path is
-    /// still set.
-    fn store_partial(
+    /// The round's scans to read back, by position: one walk in input
+    /// order hands each domain that is not a full hit (nor a chaos
+    /// domain, which never leaves a scan) the checkpoint's next scan.
+    /// At the first such domain the next scan is not of, the run reads
+    /// no further, so a scan only lands where it was taken. Empty, and
+    /// nothing allocated, once nothing is left to read.
+    fn read_back(
         &mut self,
-        date: SimDate,
-        next_index: usize,
-        pops: &[usize],
-        scans: &[Arc<DomainScan>],
-    ) {
-        if self.path.is_none() {
+        round: &[(usize, Option<DomainFingerprint>)],
+    ) -> Vec<Option<Arc<DomainScan>>> {
+        if self.saved.as_slice().is_empty() {
+            return Vec::new();
+        }
+        let chaos = &self.cfg.chaos_panic_domains;
+        round
+            .iter()
+            .map(|&(pop, fp)| {
+                let domain = &self.eco.population.domains[pop].name;
+                if self.slots.full_hit(pop, fp.as_ref()).is_some() || chaos.contains(domain) {
+                    return None;
+                }
+                match self.saved.as_slice().first() {
+                    Some(next) if next.domain == *domain => self.saved.next(),
+                    _ => {
+                        self.saved = Vec::new().into_iter();
+                        None
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Stores the checkpoint if a path is still set and a scan was taken
+    /// fresh since the last store, so a run that only read scans back
+    /// leaves the file as it is. An I/O failure lands in the report and
+    /// clears the path: the campaign continues checkpoint-free, and no
+    /// store follows a failed one.
+    fn store(&mut self) {
+        let Some(path) = &self.path else { return };
+        if !std::mem::take(&mut self.unsaved) {
             return;
         }
-        let prefix = SavedSnapshot::new(date, next_index, pops, scans);
-        self.ckpt.snapshots.push(prefix);
-        store_or_degrade(&mut self.ckpt, &mut self.path);
-        self.ckpt.snapshots.pop();
+        if let Err(e) = self.ckpt.store(path) {
+            obsv::event!("supervisor.checkpoint_failure");
+            self.report.checkpoint_failures += 1;
+            let error = format!("{}: {e}", path.display());
+            self.report.checkpoint_errors.push(error);
+            self.path = None;
+        } else {
+            obsv::event!("supervisor.checkpoint_write");
+        }
     }
 }
 
@@ -525,13 +474,14 @@ impl Study {
         for (date_ord, date) in dates.into_iter().enumerate() {
             let Some(snapshot) = campaign.scan_date(date) else {
                 return SupervisedOutcome::Suspended {
-                    report: campaign.ckpt.report,
+                    report: campaign.report,
                 };
             };
             snapshots.push(snapshot);
-            // Close this date's flight-recorder window (a restored date's
-            // window holds its world advance and the restore event, the
-            // truthful record of what this execution did there). Runs on the calling
+            // Close this date's flight-recorder window (a resumed date's
+            // window holds the restore event and no spans for the scans
+            // it read back, the truthful record of what this execution
+            // did there). Runs on the calling
             // thread after the date's span closed and its workers were
             // absorbed, and draws from no RNG — the identity suites pin
             // that it cannot perturb outputs.
@@ -539,11 +489,12 @@ impl Study {
             obsv::health::progress("scan.full", date_ord as u64 + 1, date_count);
         }
 
-        let Campaign { ckpt, threads, .. } = campaign;
+        let Campaign {
+            report, threads, ..
+        } = campaign;
         debug_assert!(
-            ckpt.report.cache_accounting_consistent(),
-            "cache stats drifted from domains_scanned: {:?}",
-            ckpt.report
+            report.cache_accounting_consistent(),
+            "cache stats drifted from domains_scanned: {report:?}"
         );
         // Write the run manifest next to the checkpoint. Its identity
         // section (seed, config digest, output digest, report totals) is
@@ -559,9 +510,10 @@ impl Study {
                 config_digest: cfg.digest(&self.eco),
                 ..Default::default()
             };
-            let output = serde_json::to_string(&ckpt.snapshots).expect("snapshots serialize");
+            let output: Vec<_> = snapshots.iter().map(|s| (s.date, &s.scans)).collect();
+            let output = serde_json::to_string(&output).expect("snapshots serialize");
             manifest.output_digest = fnv64(output.as_bytes());
-            flatten_totals("report", &ckpt.report.to_value(), &mut manifest.totals);
+            flatten_totals("report", &report.to_value(), &mut manifest.totals);
             manifest.capture_execution();
             let manifest_path = obsv::health::RunManifest::path_for_checkpoint(ckpt_path);
             if manifest.write(&manifest_path).is_ok() {
@@ -570,17 +522,14 @@ impl Study {
                 obsv::event!("supervisor.manifest_failure");
             }
         }
-        SupervisedOutcome::Complete {
-            snapshots,
-            report: ckpt.report,
-        }
+        SupervisedOutcome::Complete { snapshots, report }
     }
 }
 
 /// Flattens a serialized report into named numeric totals for the run
 /// manifest: numeric leaves keep their dotted path, sequences record
-/// their length (their contents live in the checkpoint, not the
-/// manifest). Every total is deterministic because the report is.
+/// their length (their contents live in the report a run returns, not
+/// the manifest). Every total is deterministic because the report is.
 fn flatten_totals(
     prefix: &str,
     v: &serde::Value,
@@ -705,6 +654,14 @@ mod tests {
         // layer actually worked during the faulted runs.
         assert_eq!(want_report, got_report);
         assert!(want_report.retries_issued > 0);
+        // Under transient faults every scan is forced, so the checkpoint
+        // the resumed run finished holds every scan, in order.
+        let saved = Checkpoint::load(&path, base.digest(&study.eco));
+        let every_scan: Vec<_> = want.iter().flat_map(|s| &s.scans).collect();
+        assert_eq!(
+            serde_json::to_string(&saved.scans).unwrap(),
+            serde_json::to_string(&every_scan).unwrap()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -780,11 +737,10 @@ mod tests {
         // Regression guard for the cache-stat merge semantics: with the
         // rescan cache ENGAGED (no transient faults, so nothing forces
         // it off), a killed-and-resumed campaign must report exactly the
-        // cache totals of an uninterrupted one. Restoring a checkpoint
-        // fills cache entries; if it ever re-counted the restored entries
-        // into the live stats, the resumed
-        // report's hits would exceed the reference and the per-report
-        // total/domains_scanned invariant would break.
+        // cache totals of an uninterrupted one. The resumed run rebuilds
+        // its report while it reads the saved scans back; if it counted a
+        // read-back scan twice, or not at all, its totals would leave the
+        // reference's.
         let study = study();
         let dir = std::env::temp_dir().join(format!(
             "mtasts-supervisor-{}-cache-resume",
@@ -847,148 +803,153 @@ mod tests {
             std::env::temp_dir().join(format!("mtasts-supervisor-{}-corrupt", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
+        let _ = std::fs::remove_file(&path);
         let study = study();
         let eco = &study.eco;
-
-        let mut ckpt = Checkpoint::default();
-        ckpt.report.domains_scanned = 123;
-        ckpt.store(&path).unwrap();
-
-        // Intact: round-trips.
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 123);
-        // Intact but written by another campaign: starts fresh, stamped
-        // with the loading campaign's digest.
-        let other = Checkpoint::load(&path, 1, eco);
-        assert_eq!((other.report.domains_scanned, other.config_digest), (0, 1));
-        // Intact but from before checkpoints carried a digest: starts
-        // fresh too.
-        let payload = serde_json::to_string(&ckpt).unwrap();
-        let undigested = payload.replace("\"config_digest\":0,", "");
-        assert_ne!(undigested, payload);
-        std::fs::write(&path, vouched(&undigested)).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
-        // Intact but in the shape from before saved snapshots carried
-        // their population slots (completed and partial lists): fresh.
-        let old_shape = payload.replace("\"snapshots\":[]", "\"completed\":[],\"partial\":null");
-        assert_ne!(old_shape, payload);
-        std::fs::write(&path, vouched(&old_shape)).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
-        ckpt.store(&path).unwrap();
-
-        let stored = std::fs::read_to_string(&path).unwrap();
-
-        // Truncated at every prefix (a crash mid-write): clean restart,
-        // never a panic.
-        for cut in 0..stored.len() {
-            std::fs::write(&path, &stored[..cut]).unwrap();
-            assert_eq!(
-                Checkpoint::load(&path, 0, eco).report.domains_scanned,
-                0,
-                "truncation at {cut} must start fresh"
-            );
-        }
-
-        // One corrupted payload byte: the hash catches it.
-        let mut flipped = stored.clone().into_bytes();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
-
-        // Valid JSON without the header is still rejected.
-        std::fs::write(&path, "{\"snapshots\":[]}").unwrap();
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
-
-        // And a missing file starts fresh.
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path, 0, eco).report.domains_scanned, 0);
-
-        // This campaign's own complete checkpoint, written over the
-        // missing file.
         let cfg = SupervisorConfig {
             checkpoint_path: Some(path.clone()),
             ..SupervisorConfig::default()
         };
+        let digest = cfg.digest(eco);
         let resume = || match study.run_full_supervised(&cfg) {
             SupervisedOutcome::Complete { snapshots, report } => (snapshots, report),
             SupervisedOutcome::Suspended { .. } => panic!("no budget set: must complete"),
         };
-        let (fresh, _) = resume();
-        let mut saved = Checkpoint::load(&path, cfg.digest(eco), eco);
-        assert_eq!(saved.snapshots.len(), fresh.len());
-        assert!(saved.report.domains_scanned > 0);
+
+        // This campaign's own complete checkpoint is exactly its fresh
+        // scans: as many as its misses and forced scans, in the order
+        // taken, each the scan of a snapshot that is not the previous
+        // date's `Arc`.
+        let (fresh, fresh_report) = resume();
+        let saved = Checkpoint::load(&path, digest);
+        let cache = fresh_report.cache;
+        assert_eq!(saved.scans.len() as u64, cache.misses + cache.forced);
+        let later_dates = fresh.windows(2).flat_map(|pair| {
+            let prev = &pair[0];
+            pair[1].scans.iter().filter(move |scan| {
+                !prev
+                    .scan_of(&scan.domain)
+                    .is_some_and(|old| std::ptr::eq(old, Arc::as_ptr(scan)))
+            })
+        });
+        let taken: Vec<_> = fresh[0].scans.iter().chain(later_dates).collect();
+        let valid = serde_json::to_string(&saved).unwrap();
+        assert_eq!(
+            serde_json::to_string(&saved.scans).unwrap(),
+            serde_json::to_string(&taken).unwrap()
+        );
+
+        // Written by another campaign: starts fresh, stamped with the
+        // loading campaign's digest.
+        let other = Checkpoint::load(&path, digest ^ 1);
+        assert!(other.scans.is_empty() && other.config_digest == digest ^ 1);
+        // From before checkpoints carried a digest: starts fresh too.
+        let undigested = valid.replacen(&format!("\"config_digest\":{digest},"), "", 1);
+        assert_ne!(undigested, valid);
+        std::fs::write(&path, vouched(&undigested)).unwrap();
+        assert!(Checkpoint::load(&path, digest).scans.is_empty());
+        // The first date's scans in the shape `MTASTS-CKPT2` files had,
+        // each date with its population slots and the report beside them,
+        // under that tag: the header starts the run fresh.
+        let first = &fresh[0];
+        let slots = adopters_at(eco, first.date);
+        let old = format!(
+            "{{\"config_digest\":{digest},\"snapshots\":[{{\"date\":{},\"next_index\":{},\
+             \"slots\":{},\"scans\":{}}}],\"report\":{}}}",
+            serde_json::to_string(&first.date).unwrap(),
+            slots.len(),
+            serde_json::to_string(&slots).unwrap(),
+            serde_json::to_string(&first.scans).unwrap(),
+            serde_json::to_string(&fresh_report).unwrap(),
+        );
+        std::fs::write(&path, seal("MTASTS-CKPT2", &old)).unwrap();
+        assert!(Checkpoint::load(&path, digest).scans.is_empty());
+
+        // A checkpoint of the campaign's first two scans, truncated at
+        // every prefix (a crash mid-write), with one payload byte flipped,
+        // without its header, and missing: each starts fresh, never a
+        // panic.
+        let small = Checkpoint {
+            config_digest: digest,
+            scans: saved.scans[..2].to_vec(),
+        };
+        small.store(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path, digest).scans.len(), 2);
+        let stored = std::fs::read_to_string(&path).unwrap();
+        for cut in 0..stored.len() {
+            std::fs::write(&path, &stored[..cut]).unwrap();
+            assert!(
+                Checkpoint::load(&path, digest).scans.is_empty(),
+                "truncation at {cut} must start fresh"
+            );
+        }
+        let mut flipped = stored.clone().into_bytes();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        assert!(Checkpoint::load(&path, digest).scans.is_empty());
+        std::fs::write(&path, &stored[stored.find('\n').unwrap() + 1..]).unwrap();
+        assert!(Checkpoint::load(&path, digest).scans.is_empty());
+        std::fs::remove_file(&path).unwrap();
+        assert!(Checkpoint::load(&path, digest).scans.is_empty());
 
         // A correct header over a scan whose policy IP or name does not
         // parse (a writer bug, a hand edit): the decoder rejects the file,
         // and a resume over it restarts clean instead of panicking
-        // mid-replay.
-        let valid = serde_json::to_string(&saved).unwrap();
-        let scan = saved.snapshots[0]
-            .scans
-            .iter()
-            .find(|s| s.policy_ip.is_some());
+        // mid-replay. Over the same scan with another valid IP, the resume
+        // reads it back instead of scanning: the altered IP lands in the
+        // output.
+        let scan = saved.scans.iter().find(|s| s.policy_ip.is_some());
         let scan = scan.expect("some policy host resolves");
         let ip = format!("\"policy_ip\":\"{}\"", scan.policy_ip.unwrap());
         let name = format!("\"domain\":\"{}\"", scan.domain);
         for (good, bad) in [
-            (ip, "\"policy_ip\":\"not-an-ip\""),
-            (name, "\"domain\":\"bad..name\""),
+            (&ip, "\"policy_ip\":\"not-an-ip\""),
+            (&name, "\"domain\":\"bad..name\""),
         ] {
-            std::fs::write(&path, vouched(&valid.replacen(&good, bad, 1))).unwrap();
-            let loaded = Checkpoint::load(&path, cfg.digest(eco), eco);
-            assert_eq!(loaded.report.domains_scanned, 0, "{bad}");
+            std::fs::write(&path, vouched(&valid.replacen(good, bad, 1))).unwrap();
+            assert!(Checkpoint::load(&path, digest).scans.is_empty(), "{bad}");
             let (snapshots, report) = resume();
-            let scanned: usize = snapshots.iter().map(Snapshot::len).sum();
-            assert_eq!(report.domains_scanned, scanned as u64, "{bad}");
+            let got = snapshot_fingerprint(&snapshots);
+            assert_eq!(snapshot_fingerprint(&fresh), got, "{bad}");
+            assert_eq!(report, fresh_report, "{bad}");
         }
-
-        // The same checkpoint in the shape from before scans carried their
-        // policy IP, under the header that shape was written with. The
-        // payload decoder alone takes it, leaving every scan without its
-        // IP; the header starts the run fresh instead.
-        let old = before_scan_ips(&saved);
-        let decoded = Checkpoint::parse(&vouched(&old)).expect("the decoder takes the old shape");
-        let mut decoded_scans = decoded.snapshots.iter().flat_map(|s| &s.scans);
-        assert!(decoded_scans.all(|scan| scan.policy_ip.is_none()));
-        std::fs::write(&path, seal("MTASTS-CKPT1", &old)).unwrap();
-        let loaded = Checkpoint::load(&path, cfg.digest(eco), eco);
-        assert_eq!(
-            (loaded.snapshots.len(), loaded.report.domains_scanned),
-            (0, 0)
-        );
+        let altered = "\"policy_ip\":\"192.0.2.254\"";
+        std::fs::write(&path, vouched(&valid.replacen(&ip, altered, 1))).unwrap();
         let (snapshots, _) = resume();
-        assert_eq!(
-            snapshot_fingerprint(&fresh),
-            snapshot_fingerprint(&snapshots)
-        );
+        let altered_ip = Some(std::net::Ipv4Addr::new(192, 0, 2, 254));
+        let mut scans = snapshots.iter().flat_map(|s| &s.scans);
+        let read_back = scans.any(|s| s.domain == scan.domain && s.policy_ip == altered_ip);
+        assert!(read_back, "the saved scan was not read back");
 
-        // This campaign's own complete checkpoint, with one scan of a
-        // domain that adopts later slipped into the first snapshot at its
-        // population slot: no date could have saved it, so the run starts
-        // fresh instead of replaying it.
-        let first = &mut saved.snapshots[0];
-        let foreign = fresh
-            .last()
-            .unwrap()
-            .scans
-            .iter()
-            .find(|scan| first.scans.iter().all(|s| s.domain != scan.domain))
-            .expect("a domain adopts after the first date");
-        let slot = eco
-            .population
-            .domains
-            .iter()
-            .position(|d| d.name == foreign.domain)
-            .unwrap();
-        let at = first.slots.partition_point(|&s| s < slot);
-        first.slots.insert(at, slot);
-        first.scans.insert(at, Arc::clone(foreign));
-        std::fs::write(&path, vouched(&serde_json::to_string(&saved).unwrap())).unwrap();
-        let (snapshots, _) = resume();
-        assert_eq!(
-            snapshot_fingerprint(&fresh),
-            snapshot_fingerprint(&snapshots)
-        );
+        // Vouched-for checkpoints whose scans do not replay as taken: a
+        // later adopter's scan at the head, the scans reversed, and the
+        // first half alone. A resume reads back at most the prefix that
+        // matches and scans the rest live, so it equals the uninterrupted
+        // run, report included.
+        let mut later = fresh.last().unwrap().scans.iter();
+        let later = later.find(|scan| first.scan_of(&scan.domain).is_none());
+        let later = later.expect("a domain adopts after the first date");
+        let mut head = saved.scans.clone();
+        head.insert(0, Arc::clone(later));
+        let mut reversed = saved.scans.clone();
+        reversed.reverse();
+        let half = saved.scans[..saved.scans.len() / 2].to_vec();
+        for (what, scans) in [
+            ("a later adopter at the head", head),
+            ("reversed", reversed),
+            ("the first half", half),
+        ] {
+            let ckpt = Checkpoint {
+                config_digest: digest,
+                scans,
+            };
+            std::fs::write(&path, vouched(&serde_json::to_string(&ckpt).unwrap())).unwrap();
+            let (snapshots, report) = resume();
+            let got = snapshot_fingerprint(&snapshots);
+            assert_eq!(snapshot_fingerprint(&fresh), got, "{what}");
+            assert_eq!(report, fresh_report, "{what}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -996,26 +957,6 @@ mod tests {
     /// or a hand edit would leave it.
     fn vouched(payload: &str) -> String {
         seal(CKPT_MAGIC, payload)
-    }
-
-    /// `ckpt`'s payload in the shape from before scans carried their
-    /// policy IP: no scan holds one. Those files listed each date's IPs
-    /// beside its scans, under a key the decoder skips, so the list is
-    /// left out here.
-    fn before_scan_ips(ckpt: &Checkpoint) -> String {
-        fn strip(value: &mut serde::Value) {
-            match value {
-                serde::Value::Map(fields) => {
-                    fields.retain(|(key, _)| key != "policy_ip");
-                    fields.iter_mut().for_each(|(_, v)| strip(v));
-                }
-                serde::Value::Seq(items) => items.iter_mut().for_each(strip),
-                _ => {}
-            }
-        }
-        let mut value = ckpt.to_value();
-        strip(&mut value);
-        serde_json::to_string(&value).unwrap()
     }
 
     /// A checkpoint to mutate: the scanned prefix a budgeted run left.
@@ -1053,12 +994,8 @@ mod tests {
     fn every_truncation_of_a_real_checkpoint_is_rejected() {
         let text = sample_checkpoint();
         let whole = Checkpoint::parse(std::str::from_utf8(text).unwrap()).expect("sample parses");
-        let prefix: Vec<_> = whole
-            .snapshots
-            .iter()
-            .map(|s| (s.next_index, s.scans.len()))
-            .collect();
-        assert_eq!(prefix, [(24, 24)]);
+        // The budget stopped the first date after 24 domains, all misses.
+        assert_eq!(whole.scans.len(), 24);
         for cut in 0..text.len() {
             let prefix = String::from_utf8_lossy(&text[..cut]);
             assert!(Checkpoint::parse(&prefix).is_none(), "cut at {cut}");
@@ -1101,6 +1038,38 @@ mod tests {
             let payload = &text[text.find('\n').map_or(0, |n| n + 1)..];
             let _ = Checkpoint::parse(&vouched(payload));
         }
+    }
+
+    #[test]
+    fn read_back_passes_over_chaos_domains_and_stops_at_a_stranger() {
+        let study = study();
+        let eco = &study.eco;
+        let date = eco.config.full_scan_dates()[0];
+        let plain = SupervisorConfig::default();
+        let taken = Campaign::new(eco, &plain).scan_date(date).unwrap().scans;
+        // Four forced domains, the second a chaos domain, against the
+        // first and third domains' scans and then the first's again.
+        let cfg = SupervisorConfig {
+            chaos_panic_domains: vec![taken[1].domain.clone()],
+            ..plain
+        };
+        let mut campaign = Campaign::new(eco, &cfg);
+        let round: Vec<_> = adopters_at(eco, date)[..4]
+            .iter()
+            .map(|&pop| (pop as usize, None))
+            .collect();
+        let saved: Vec<_> = [0, 2, 0].map(|k| Arc::clone(&taken[k])).into();
+        campaign.saved = saved.into_iter();
+        // The chaos domain is passed over; the fourth domain is not the
+        // next scan's, so the run reads no further.
+        let got = campaign.read_back(&round);
+        let same = |got: &Option<Arc<DomainScan>>, want: &Arc<DomainScan>| {
+            got.as_ref().is_some_and(|got| Arc::ptr_eq(got, want))
+        };
+        assert!(same(&got[0], &taken[0]) && same(&got[2], &taken[2]));
+        assert!(got[1].is_none() && got[3].is_none());
+        assert!(campaign.saved.as_slice().is_empty());
+        assert!(campaign.read_back(&round).is_empty());
     }
 
     #[test]
@@ -1165,16 +1134,17 @@ mod tests {
             ..SupervisorConfig::default()
         };
 
-        // The first study suspends a few dates in, leaving completed
-        // snapshots and a partial one behind.
+        // The first study suspends a few dates in, leaving more fresh
+        // scans behind than its first date has adopters.
         let first = study();
         let killed = first.run_full_supervised(&SupervisorConfig {
             domain_budget: Some(1_500),
             ..base.clone()
         });
         assert!(matches!(killed, SupervisedOutcome::Suspended { .. }));
-        let left = Checkpoint::load(&path, base.digest(&first.eco), &first.eco);
-        assert!(left.snapshots.len() > 1);
+        let left = Checkpoint::load(&path, base.digest(&first.eco));
+        let first_date = first.eco.config.full_scan_dates()[0];
+        assert!(left.scans.len() > adopters_at(&first.eco, first_date).len());
 
         // Another seed resumes on the same path: it must scan afresh.
         let other = Study::new(Ecosystem::generate(EcosystemConfig::paper(7, 0.01)));
@@ -1255,8 +1225,10 @@ mod tests {
                 let path = &path;
                 scope.spawn(move || {
                     for round in 0..50 {
-                        let mut ckpt = Checkpoint::default();
-                        ckpt.report.domains_scanned = writer * 1000 + round;
+                        let ckpt = Checkpoint {
+                            config_digest: writer * 1000 + round,
+                            scans: Vec::new(),
+                        };
                         ckpt.store(path).unwrap();
                     }
                 });
@@ -1269,11 +1241,11 @@ mod tests {
         let loaded = Checkpoint::parse(&stored).expect("one writer's whole checkpoint");
         assert!(
             (0..4).any(|w| {
-                let d = loaded.report.domains_scanned;
+                let d = loaded.config_digest;
                 d >= w * 1000 && d < w * 1000 + 50
             }),
-            "final checkpoint holds an unexpected count: {}",
-            loaded.report.domains_scanned
+            "final checkpoint holds an unexpected digest: {}",
+            loaded.config_digest
         );
         // No leftover temp files accumulate.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -1370,9 +1342,9 @@ mod tests {
         let faulted = complete("transient faults", &faults);
 
         // Suspended and resumed, plain and under transient faults: inside
-        // the first date, exactly where the first date ends (the second
-        // one is saved with nothing scanned), and inside a later date. The
-        // resumed run restores the saved dates and scans on.
+        // the first date, exactly where the first date ends, and inside a
+        // later date. The resumed run reads the saved scans back and scans
+        // on.
         let dir = std::env::temp_dir().join(format!(
             "mtasts-supervisor-{}-classes-resume",
             std::process::id()

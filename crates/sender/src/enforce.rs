@@ -25,7 +25,7 @@
 //!   queue's transport, the deliverability platform and the downgrade
 //!   sweep's sender all call it.
 //!
-//! The cache itself rides the `MTASTS-DLVQ1` checkpoint (see
+//! The cache itself rides the `MTASTS-DLVQ2` checkpoint (see
 //! `pipeline.rs`), so kill/resume replays the same resolution sequence
 //! a straight-through run performs.
 

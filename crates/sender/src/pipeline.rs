@@ -356,7 +356,9 @@ pub struct QueueConfig {
     pub retry: RetryPolicy,
     /// Per-host circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Where to persist the queue checkpoint; `None` disables.
+    /// Where to persist the queue checkpoint; `None` disables. A run
+    /// resumes only a checkpoint written under its own config and
+    /// messages; any other file starts it fresh.
     pub checkpoint_path: Option<PathBuf>,
     /// Stop (with a checkpoint) at the first wave boundary after this
     /// many messages processed in this invocation — the kill hook the
@@ -401,6 +403,20 @@ impl QueueConfig {
             n => n,
         }
     }
+
+    /// The identity a checkpoint records: this config without `threads`,
+    /// `checkpoint_path` and `message_budget`, which only say how a run
+    /// was driven, plus the messages. The transport's world is not part
+    /// of it, because the queue cannot see it.
+    fn identity(&self, messages: &[QueuedMessage]) -> u64 {
+        let queue = QueueConfig {
+            threads: 0,
+            checkpoint_path: None,
+            message_budget: None,
+            ..self.clone()
+        };
+        fnv64(format!("{queue:?}|{messages:?}").as_bytes())
+    }
 }
 
 /// The outcome of one queue invocation.
@@ -429,16 +445,20 @@ pub fn ledger_digest(records: &[MessageRecord]) -> String {
     format!("{:016x}", fnv64(payload.as_bytes()))
 }
 
-/// Magic tag of the queue checkpoint header line.
-const QUEUE_CKPT_MAGIC: &str = "MTASTS-DLVQ1";
+/// Magic tag of the queue checkpoint header line. `MTASTS-DLVQ1` files
+/// recorded no queue identity.
+const QUEUE_CKPT_MAGIC: &str = "MTASTS-DLVQ2";
 
 /// The on-disk queue checkpoint: the completed ledger prefix plus the
 /// folded breaker board at the wave boundary it was taken on. Same
 /// integrity discipline as the scan supervisor's checkpoint: a
-/// `MTASTS-DLVQ1 <len> <fnv64>` header, and any corruption starts the
-/// run fresh instead of resuming wrong.
+/// `MTASTS-DLVQ2 <len> <fnv64>` header, and any corruption starts the
+/// run fresh instead of resuming wrong, as does a file another queue
+/// wrote.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct QueueCheckpoint {
+    /// [`QueueConfig::identity`] of the queue that wrote it.
+    identity: u64,
     records: Vec<MessageRecord>,
     board: BreakerBoard,
     next_index: usize,
@@ -446,18 +466,22 @@ struct QueueCheckpoint {
     /// The MTA-STS policy-cache snapshot at the wave boundary, sorted
     /// by domain. Resuming restores it, so the resumed run replays the
     /// same cache decisions (and §3.3 fallbacks) the uninterrupted run
-    /// makes — the determinism contract with enforcement on. `default`
-    /// so pre-enforcement checkpoints still parse.
-    #[serde(default)]
+    /// makes — the determinism contract with enforcement on.
     sts_cache: Vec<(DomainName, CachedPolicy)>,
 }
 
 impl QueueCheckpoint {
-    fn load(path: &PathBuf) -> QueueCheckpoint {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return QueueCheckpoint::default();
-        };
-        QueueCheckpoint::parse(&text).unwrap_or_default()
+    /// Loads the checkpoint the queue of `identity` wrote. A missing or
+    /// corrupt file starts fresh, and so does one another queue wrote.
+    fn load(path: &Path, identity: u64) -> QueueCheckpoint {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| QueueCheckpoint::parse(&text))
+            .filter(|ckpt| ckpt.identity == identity)
+            .unwrap_or(QueueCheckpoint {
+                identity,
+                ..QueueCheckpoint::default()
+            })
     }
 
     fn parse(text: &str) -> Option<QueueCheckpoint> {
@@ -527,14 +551,9 @@ impl DeliveryQueue {
         let rng = DetRng::new(self.cfg.seed);
         let mut checkpoint_path = self.cfg.checkpoint_path.clone();
         let mut ckpt = match &checkpoint_path {
-            Some(path) => QueueCheckpoint::load(path),
+            Some(path) => QueueCheckpoint::load(path, self.cfg.identity(messages)),
             None => QueueCheckpoint::default(),
         };
-        // A checkpoint from a different (longer) queue run would resume
-        // nonsense; treat it as absent.
-        if ckpt.next_index > messages.len() {
-            ckpt = QueueCheckpoint::default();
-        }
         // The TOFU policy cache rides the checkpoint so a resumed run
         // replays the same cache decisions the uninterrupted run makes.
         // Only the driver thread touches it, between waves. A queue
@@ -1252,11 +1271,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("queue.ckpt");
         good.store(&path).unwrap();
-        assert_eq!(QueueCheckpoint::load(&path).next_index, 5);
+        assert_eq!(QueueCheckpoint::load(&path, 0).next_index, 5);
+        // Another queue's identity: fresh, stamped with the loader's.
+        let other = QueueCheckpoint::load(&path, 1);
+        assert_eq!((other.next_index, other.identity), (0, 1));
         let stored = std::fs::read_to_string(&path).unwrap();
         for cut in 0..stored.len() {
             std::fs::write(&path, &stored[..cut]).unwrap();
-            assert_eq!(QueueCheckpoint::load(&path).next_index, 0);
+            assert_eq!(QueueCheckpoint::load(&path, 0).next_index, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -440,7 +440,7 @@ fn corrupt_cache_section_degrades_to_clean_refetch() {
     std::fs::write(
         &path,
         format!(
-            "MTASTS-DLVQ1 {} {:016x}\n{forged}",
+            "MTASTS-DLVQ2 {} {:016x}\n{forged}",
             forged.len(),
             fnv64(forged.as_bytes())
         ),
@@ -463,11 +463,11 @@ fn corrupt_cache_section_degrades_to_clean_refetch() {
         "fresh restart must equal the uninterrupted run"
     );
 
-    // A checkpoint *missing* the section (pre-enforcement format) still
-    // parses — serde default — and resumes from the ledger prefix with
-    // an empty cache: availability preserved, policies refetched. `path`
-    // now holds the fresh *final* checkpoint, so rebuild a suspended
-    // prefix first by re-running the killed leg.
+    // A checkpoint *missing* the section no longer parses (pre-enforcement
+    // files carry the older tag anyway): the queue restarts from scratch
+    // and again matches the uninterrupted run. `path` now holds the fresh
+    // *final* checkpoint, so rebuild a suspended prefix first by
+    // re-running the killed leg.
     let _ = std::fs::remove_file(&path);
     let killed = DeliveryQueue::new(QueueConfig {
         checkpoint_path: Some(path.clone()),
@@ -479,14 +479,14 @@ fn corrupt_cache_section_degrades_to_clean_refetch() {
     let text = std::fs::read_to_string(&path).unwrap();
     let (_, payload) = text.split_once('\n').unwrap();
     // Renaming the key drops the section: the real snapshot hides under
-    // an unknown key (ignored by the deserializer) and `sts_cache` falls
-    // back to its serde default, the empty cache.
+    // an unknown key (ignored by the deserializer) and `sts_cache` is
+    // missing.
     let forged = payload.replacen("\"sts_cache\":", "\"zz_dropped\":", 1);
     assert_ne!(forged, payload, "checkpoint lost its cache section");
     std::fs::write(
         &path,
         format!(
-            "MTASTS-DLVQ1 {} {:016x}\n{forged}",
+            "MTASTS-DLVQ2 {} {:016x}\n{forged}",
             forged.len(),
             fnv64(forged.as_bytes())
         ),
@@ -498,7 +498,10 @@ fn corrupt_cache_section_degrades_to_clean_refetch() {
     })
     .run(&transport, &s.messages);
     assert!(!resumed.suspended, "missing section must not block resume");
-    assert_eq!(resumed.records.len(), s.messages.len());
-    assert_eq!(resumed.stats.delivered, s.messages.len() as u64);
+    assert_eq!(
+        ledger_digest(&reference.records),
+        ledger_digest(&resumed.records),
+        "fresh restart must equal the uninterrupted run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

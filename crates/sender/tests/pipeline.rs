@@ -9,7 +9,8 @@
 //! - **thread invariance**: the ledger digest is byte-identical for
 //!   every worker-thread count;
 //! - **kill/resume**: a budget-suspended run resumed from its
-//!   checkpoint produces the same ledger as an uninterrupted one;
+//!   checkpoint produces the same ledger as an uninterrupted one, and
+//!   another queue's checkpoint on the same path is not resumed;
 //! - **circuit breaking**: a dead host is skipped after the threshold
 //!   (throughput degrades, the queue never stalls), and a recovered
 //!   host is re-admitted through a half-open probe;
@@ -142,6 +143,56 @@ fn killed_queue_resumes_to_the_same_ledger() {
         ledger_digest(&reference.records),
         ledger_digest(&resumed.records),
         "kill/resume must be byte-identical to an uninterrupted run"
+    );
+    assert_eq!(reference.stats, resumed.stats);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn another_queues_checkpoint_restarts_fresh() {
+    // A queue killed halfway leaves its checkpoint behind. Another queue
+    // (another seed, scenario and message list) on the same path must
+    // not resume it: its ledger equals its own uninterrupted run's.
+    let dir = std::env::temp_dir().join(format!("mtasts-dlvq-{}-foreign", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("queue.ckpt");
+    let _ = std::fs::remove_file(&path);
+
+    let first = build(ScenarioSpec::small(
+        11,
+        Degradation::FlappingMx {
+            down_secs: 120,
+            up_secs: 240,
+            cycles: 4,
+        },
+    ));
+    let killed = DeliveryQueue::new(QueueConfig {
+        seed: 1,
+        checkpoint_path: Some(path.clone()),
+        message_budget: Some(16),
+        ..queue_cfg(2)
+    })
+    .run(&FastTransport::new(&first.world), &first.messages);
+    assert!(killed.suspended);
+    assert_eq!((killed.records.len(), first.messages.len()), (16, 32));
+
+    let second = build(ScenarioSpec::small(7, Degradation::OneMxDown));
+    let transport = FastTransport::new(&second.world);
+    let cfg = QueueConfig {
+        seed: 2,
+        ..queue_cfg(2)
+    };
+    let reference = DeliveryQueue::new(cfg.clone()).run(&transport, &second.messages);
+    let resumed = DeliveryQueue::new(QueueConfig {
+        checkpoint_path: Some(path.clone()),
+        ..cfg
+    })
+    .run(&transport, &second.messages);
+    assert!(!resumed.suspended);
+    assert_eq!(
+        ledger_digest(&reference.records),
+        ledger_digest(&resumed.records),
+        "another queue's checkpoint must not be resumed"
     );
     assert_eq!(reference.stats, resumed.stats);
     let _ = std::fs::remove_dir_all(&dir);
