@@ -21,9 +21,11 @@
 //!   [`TlsEvidence`] so `testing` mode can account soft failures for
 //!   RFC 8460 TLSRPT without refusing anything.
 //! - **One TLS check.** [`TlsRequirement::check`] turns one MX session
-//!   ([`simnet::World::probe_mx`]) into evidence or a refusal. The
-//!   queue's transport, the deliverability platform and the downgrade
-//!   sweep's sender all call it.
+//!   ([`simnet::World::probe_mx`], or the wire's
+//!   [`simnet::wire::probe_mx_at`]) into evidence or a refusal. The
+//!   queue's transports reach it through
+//!   [`crate::AttemptDisposition::judge`]; the deliverability platform
+//!   and the downgrade sweep's sender call it directly.
 //!
 //! The cache itself rides the `MTASTS-DLVQ2` checkpoint (see
 //! `pipeline.rs`), so kill/resume replays the same resolution sequence

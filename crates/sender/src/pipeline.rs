@@ -40,7 +40,9 @@ use mtasts::{CachedPolicy, Mode, PolicyCache, ReportBuilder, StsFailure, StsOutc
 use netbase::AttemptEvent;
 use netbase::{map_sharded, DetRng, DomainName, Duration, RetryPolicy, RetryVerdict, SimInstant};
 use obsv::health::{fnv64, seal, unseal, write_atomic};
+use pkix::TrustStore;
 use serde::{Deserialize, Serialize};
+use simnet::MxProbeOutcome;
 use std::path::{Path, PathBuf};
 
 /// One per-recipient envelope in the queue.
@@ -110,11 +112,43 @@ pub enum AttemptDisposition {
     },
 }
 
+impl AttemptDisposition {
+    /// Judges one SMTP session with `mx_host` under `tls`: the last step
+    /// of every transport's attempt, whether the session was modelled
+    /// ([`simnet::World::probe_mx`]) or run over a socket
+    /// ([`simnet::wire::probe_mx_at`]). An unreachable host or a broken
+    /// upgrade is [`AttemptDisposition::HostUnreachable`], a reply that
+    /// ended the session is [`AttemptDisposition::Reply`], and the rest
+    /// is [`TlsRequirement::check`]'s verdict.
+    pub fn judge(
+        probe: MxProbeOutcome<'_>,
+        mx_host: &DomainName,
+        now: SimInstant,
+        roots: &TrustStore,
+        tls: &TlsRequirement,
+    ) -> AttemptDisposition {
+        if !probe.reachable || probe.tls_failure.is_some() {
+            return AttemptDisposition::HostUnreachable;
+        }
+        if let Some(reply) = probe.reply {
+            return AttemptDisposition::Reply {
+                code: reply.code,
+                text: reply.text,
+            };
+        }
+        match tls.check(&probe, mx_host, now, roots) {
+            Ok(tls) => AttemptDisposition::Delivered { tls },
+            Err(failure) => AttemptDisposition::TlsRefused { failure },
+        }
+    }
+}
+
 /// How the queue reaches recipient infrastructure. The fast path walks
 /// the in-process [`simnet::World`]; the wire path (assembled in the
-/// root-package tests) speaks real SMTP over localhost TCP. Both
-/// implementations must be pure functions of `(domain/host, message,
-/// now)` for the determinism contract to hold.
+/// root-package tests) speaks real SMTP over localhost TCP. Both end an
+/// attempt in [`AttemptDisposition::judge`], and both must be pure
+/// functions of `(domain/host, message, now)` for the determinism
+/// contract to hold.
 pub trait MxTransport: Sync {
     /// The recipient domain's MX RRset as `(preference, host)` pairs.
     /// `Err` is treated as a transient routing failure (requeue);
@@ -1155,9 +1189,10 @@ fn attempt_ladder<T: MxTransport>(
 /// The fast-path transport: routes and attempts against the in-process
 /// [`simnet::World`]. Each attempt is one [`simnet::World::probe_mx`]
 /// session naming the message's recipient, judged by
-/// [`TlsRequirement::check`]; the wire deployment (real SMTP over
-/// localhost, assembled in the root-package tests) produces the same
-/// ledger for fault-free scenarios.
+/// [`AttemptDisposition::judge`]; the wire leg (assembled in the
+/// root-package tests) runs the same session over real SMTP, ends in the
+/// same judgment, and produces the same ledger wherever the world's
+/// behaviour is static.
 pub struct FastTransport<'a> {
     world: &'a simnet::World,
 }
@@ -1188,19 +1223,7 @@ impl MxTransport for FastTransport<'_> {
         tls: &TlsRequirement,
     ) -> AttemptDisposition {
         let probe = self.world.probe_mx(mx_host, Some(&message.rcpt_to), now);
-        if !probe.reachable {
-            return AttemptDisposition::HostUnreachable;
-        }
-        if let Some(reply) = probe.reply {
-            return AttemptDisposition::Reply {
-                code: reply.code,
-                text: reply.text,
-            };
-        }
-        match tls.check(&probe, mx_host, now, self.world.pki.trust_store()) {
-            Ok(tls) => AttemptDisposition::Delivered { tls },
-            Err(failure) => AttemptDisposition::TlsRefused { failure },
-        }
+        AttemptDisposition::judge(probe, mx_host, now, self.world.pki.trust_store(), tls)
     }
 
     fn sts_record(&self, domain: &DomainName, now: SimInstant) -> Option<Vec<String>> {
@@ -1259,6 +1282,31 @@ mod tests {
         assert_eq!(out.stats.bounced_unroutable, 1);
         assert_eq!(out.records[0].attempts, 0);
         assert!(!out.suspended);
+    }
+
+    #[test]
+    fn a_broken_upgrade_is_an_unreachable_host() {
+        // Only a wire session reports a broken upgrade. It never reached
+        // a mail transaction, so no requirement may read it as plaintext.
+        let broken = MxProbeOutcome {
+            reachable: true,
+            used_helo: false,
+            starttls_offered: true,
+            chain: None,
+            tls_failure: Some("handshake: connection reset".to_string()),
+            reply: None,
+        };
+        let host: DomainName = "mx.d0.test".parse().unwrap();
+        let now = SimInstant::from_unix_secs(1_717_200_000);
+        for tls in [
+            TlsRequirement::Opportunistic,
+            TlsRequirement::OpportunisticAudit,
+            TlsRequirement::RequirePkix,
+        ] {
+            let judged =
+                AttemptDisposition::judge(broken.clone(), &host, now, &TrustStore::empty(), &tls);
+            assert_eq!(judged, AttemptDisposition::HostUnreachable, "{tls:?}");
+        }
     }
 
     #[test]

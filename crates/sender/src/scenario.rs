@@ -109,8 +109,7 @@ impl Degradation {
 /// Whether (and how) the scenario domains deploy MTA-STS.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StsDeployment {
-    /// No MTA-STS anywhere; plaintext MXes (the pre-enforcement worlds,
-    /// and the only shape the wire deployment serves).
+    /// No MTA-STS anywhere; plaintext MXes (the pre-enforcement worlds).
     None,
     /// Every domain publishes a policy in `mode`: STARTTLS-capable MXes
     /// with valid chains, a `_mta-sts` TXT record, and a policy host

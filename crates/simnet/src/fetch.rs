@@ -173,7 +173,7 @@ impl MxProbeOutcome<'_> {
     }
 
     /// A reachable session that `reply` ended before any upgrade.
-    fn ended(reply: SmtpReply) -> MxProbeOutcome<'static> {
+    pub(crate) fn ended(reply: SmtpReply) -> MxProbeOutcome<'static> {
         MxProbeOutcome {
             reachable: true,
             reply: Some(reply),

@@ -18,7 +18,8 @@
 //! - the **wire path** ([`wire`]): the same endpoints served over real
 //!   tokio TCP/UDP sockets with the full `httpsim`/`smtp`/`tlssim`
 //!   protocol stacks, used by examples and differential tests that assert
-//!   both paths agree.
+//!   both paths agree. Its one SMTP session, [`wire::probe_mx_at`], reads
+//!   into the fast path's [`MxProbeOutcome`], recipient refusal included.
 //!
 //! Fault injection is first-class: every endpoint models the reachability,
 //! TLS and content failures the paper's taxonomy needs — and, through

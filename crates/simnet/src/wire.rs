@@ -6,14 +6,15 @@
 //! ladders ([`WireWorld::fetch_policy`], [`WireWorld::probe_mx`]) that
 //! return the *same* outcome types as the fast path, so tests can assert
 //! layer-for-layer agreement between the in-memory walk and the real
-//! protocol stacks.
+//! protocol stacks. [`probe_mx_at`] is the one wire SMTP session; the
+//! delivery queue's wire leg runs it against a known socket.
 //!
 //! Approximation: endpoints with `Reachability::Timeout` are simply not
 //! deployed (localhost cannot swallow SYNs), so both timeout and refusal
 //! surface as the TCP layer — the granularity Figure 5 uses anyway.
 
 use crate::endpoint::{MxEndpoint, Reachability, TlsBehavior, WebEndpoint};
-use crate::fetch::{MxProbeOutcome, PolicyFetchError, PolicyFetchOutcome, TlsFailure};
+use crate::fetch::{MxProbeOutcome, PolicyFetchError, PolicyFetchOutcome, SmtpReply, TlsFailure};
 use crate::world::World;
 use dns::server::AuthServer;
 use dns::{RecordType, UdpTransport};
@@ -295,45 +296,63 @@ impl WireWorld {
         }
     }
 
-    /// The wire-path MX probe: the instrumented client over real TCP.
-    pub async fn probe_mx(&self, mx_host: &DomainName) -> MxProbeOutcome<'static> {
-        let unreachable = MxProbeOutcome::unreachable();
+    /// The wire-path MX session: the A lookup over UDP DNS, then
+    /// [`probe_mx_at`] against the host's listener.
+    pub async fn probe_mx(
+        &self,
+        mx_host: &DomainName,
+        rcpt_to: Option<&str>,
+    ) -> MxProbeOutcome<'static> {
         let Ok(lookup) = self.wire_resolve(mx_host.clone(), RecordType::A).await else {
-            return unreachable;
+            return MxProbeOutcome::unreachable();
         };
-        let Some(sim_ip) = lookup.a_addrs().first().copied() else {
-            return unreachable;
+        let Some(&addr) = lookup
+            .a_addrs()
+            .first()
+            .and_then(|ip| self.mx_addrs.get(ip))
+        else {
+            return MxProbeOutcome::unreachable();
         };
-        let Some(&addr) = self.mx_addrs.get(&sim_ip) else {
-            return unreachable;
-        };
-        let Ok(socket) = TcpStream::connect(addr).await else {
-            return unreachable;
-        };
-        let config = ProbeConfig {
-            helo_name: "scanner.mta-sts-lab.example".parse().expect("static name"),
-            mx_hostname: mx_host.clone(),
-            nonce: 0x9806,
-            dh_secret: 0x9806_5EC2,
-        };
-        match smtp::probe_mx(socket, &config).await {
-            Ok(result) => {
-                let (chain, tls_failure) = match result.tls {
-                    Some(Ok(chain)) => (Some(chain.into()), None),
-                    Some(Err(e)) => (None, Some(e)),
-                    None => (None, None),
-                };
-                MxProbeOutcome {
-                    reachable: true,
-                    used_helo: result.used_helo_fallback,
-                    starttls_offered: result.starttls_offered,
-                    chain,
-                    tls_failure,
-                    reply: None,
-                }
-            }
-            Err(_) => unreachable,
-        }
+        probe_mx_at(addr, mx_host, rcpt_to).await
+    }
+}
+
+/// One SMTP session over real TCP with the MX for `mx_host` listening at
+/// `addr`: the instrumented client ([`smtp::probe_mx`]) read into the fast
+/// path's outcome. `rcpt_to` is the recipient a sender names, as in
+/// [`World::probe_mx`]; a refusal ends the session as that reply.
+pub async fn probe_mx_at(
+    addr: SocketAddr,
+    mx_host: &DomainName,
+    rcpt_to: Option<&str>,
+) -> MxProbeOutcome<'static> {
+    let Ok(socket) = TcpStream::connect(addr).await else {
+        return MxProbeOutcome::unreachable();
+    };
+    let config = ProbeConfig {
+        helo_name: "scanner.mta-sts-lab.example".parse().expect("static name"),
+        mx_hostname: mx_host.clone(),
+        nonce: 0x9806,
+        dh_secret: 0x9806_5EC2,
+    };
+    let Ok(result) = smtp::probe_mx(socket, &config, rcpt_to).await else {
+        return MxProbeOutcome::unreachable();
+    };
+    if let Some((code, text)) = result.reply {
+        return MxProbeOutcome::ended(SmtpReply { code: code.0, text });
+    }
+    let (chain, tls_failure) = match result.tls {
+        Some(Ok(chain)) => (Some(chain.into()), None),
+        Some(Err(e)) => (None, Some(e)),
+        None => (None, None),
+    };
+    MxProbeOutcome {
+        reachable: true,
+        used_helo: result.used_helo_fallback,
+        starttls_offered: result.starttls_offered,
+        chain,
+        tls_failure,
+        reply: None,
     }
 }
 
@@ -412,7 +431,7 @@ mod tests {
                 other => panic!("paths disagree for {domain}: {other:?}"),
             }
             let fast_probe = world.probe_mx(&domain.prefixed("mx").unwrap(), None, now());
-            let slow_probe = wire.probe_mx(&domain.prefixed("mx").unwrap()).await;
+            let slow_probe = wire.probe_mx(&domain.prefixed("mx").unwrap(), None).await;
             assert_eq!(fast_probe.reachable, slow_probe.reachable);
             assert_eq!(fast_probe.starttls_offered, slow_probe.starttls_offered);
             assert_eq!(fast_probe.chain, slow_probe.chain, "{domain}");

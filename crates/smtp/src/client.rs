@@ -1,54 +1,17 @@
-//! The SMTP client side: the instrumented probe and the delivering sender.
+//! The SMTP client side: the instrumented session with an MX.
 //!
 //! [`probe_mx`] is the paper's measurement client (§4.1): it connects from a
 //! host with forward-confirmed reverse DNS, EHLOs (falling back to HELO),
 //! checks the STARTTLS capability, upgrades, captures the presented
-//! certificate chain, and quits without sending mail.
-//!
-//! [`deliver`] is a real sender with a configurable [`TlsPolicy`], covering
-//! the behaviours §6.2 measures: plaintext-only, opportunistic TLS (93.2% of
-//! senders), and PKIX-required (the validation step MTA-STS/DANE enforcement
-//! builds on).
+//! certificate chain, and quits without sending mail. A sender's session
+//! names its recipient first, so the same client carries the wire leg of
+//! the delivery queue; the chain is judged offline by the caller.
 
-use crate::types::{Capability, Envelope, ReplyCode, SmtpError};
-use netbase::{DomainName, SimInstant};
-use pkix::{validate_chain, CertError, SimCert, TrustStore};
+use crate::types::{Capability, ReplyCode, SmtpError};
+use netbase::DomainName;
+use pkix::SimCert;
 use tlssim::{client_handshake, ClientConfig};
 use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt, BufReader};
-
-/// TLS enforcement levels for [`deliver`].
-#[derive(Debug, Clone)]
-pub enum TlsPolicy {
-    /// Never upgrade; send in plaintext (legacy senders).
-    Disabled,
-    /// Upgrade when STARTTLS is offered; accept any certificate; fall back
-    /// to plaintext when it is not offered.
-    Opportunistic,
-    /// Opportunistic delivery with PKIX accounting: upgrade when offered
-    /// and never fail the delivery, but validate the certificate for
-    /// `host` against `roots` and surface the verdict via
-    /// [`DeliveryOutcome::Delivered::cert_validated`] — the behaviour an
-    /// MTA-STS `testing` policy wants (§2.4: report, don't refuse).
-    OpportunisticAudit {
-        /// Trust anchors.
-        roots: TrustStore,
-        /// Validation time.
-        now: SimInstant,
-        /// The host name the certificate must cover (the MX hostname).
-        host: DomainName,
-    },
-    /// Require STARTTLS and a PKIX-valid certificate for `host`, validated
-    /// against `roots` at `now`. Fail delivery otherwise — the behaviour
-    /// MTA-STS "enforce" mandates (§2.4).
-    RequirePkix {
-        /// Trust anchors.
-        roots: TrustStore,
-        /// Validation time.
-        now: SimInstant,
-        /// The host name the certificate must cover (the MX hostname).
-        host: DomainName,
-    },
-}
 
 /// Probe configuration (§4.1's instrumented client).
 #[derive(Debug, Clone)]
@@ -74,8 +37,11 @@ pub struct ProbeResult {
     pub capabilities: Vec<Capability>,
     /// Whether STARTTLS was advertised.
     pub starttls_offered: bool,
+    /// The non-positive reply (code and first line) that ended a session
+    /// naming a recipient before any upgrade.
+    pub reply: Option<(ReplyCode, String)>,
     /// When STARTTLS was offered: the result of the upgrade — the presented
-    /// chain on success (validated offline by the scanner), or the error.
+    /// chain on success (validated offline by the caller), or the error.
     pub tls: Option<Result<Vec<SimCert>, String>>,
 }
 
@@ -215,20 +181,20 @@ fn expect_positive(
 }
 
 /// Runs the instrumented probe over an established transport stream.
+///
+/// With `rcpt_to`, the session first names that recipient, as a sender
+/// would (`MAIL FROM:<>`, `RCPT TO`, then `RSET`), in the order the fast
+/// path's `simnet::World::probe_mx` draws: recipient before STARTTLS. A
+/// non-positive reply ends the session in [`ProbeResult::reply`]. With
+/// `None` the session names nobody.
 pub async fn probe_mx<S: AsyncRead + AsyncWrite + Unpin>(
     io: S,
     config: &ProbeConfig,
+    rcpt_to: Option<&str>,
 ) -> Result<ProbeResult, SmtpError> {
     let mut reader = BufReader::new(io);
-    let (code, greeting_lines) = read_reply(&mut reader).await?;
-    if !code.is_positive() {
-        return Err(SmtpError::UnexpectedReply {
-            phase: "greeting",
-            code,
-            text: greeting_lines.first().cloned().unwrap_or_default(),
-        });
-    }
-    let greeting = greeting_lines.first().cloned().unwrap_or_default();
+    let (_, greeting_lines) = expect_positive("greeting", read_reply(&mut reader).await?)?;
+    let greeting = greeting_lines.into_iter().next().unwrap_or_default();
 
     // EHLO, falling back to HELO on 500-class refusals (§4.1 footnote 3).
     let mut used_helo_fallback = false;
@@ -249,257 +215,63 @@ pub async fn probe_mx<S: AsyncRead + AsyncWrite + Unpin>(
         )?;
     }
     let starttls_offered = capabilities.contains(&Capability::StartTls);
-
-    // STARTTLS + certificate retrieval (opportunistic: we validate offline).
-    if starttls_offered {
-        let go_ahead = command(&mut reader, "STARTTLS").await?;
-        if go_ahead.0 != ReplyCode::READY {
-            let _ = command(&mut reader, "QUIT").await;
-            return Ok(ProbeResult {
-                greeting,
-                used_helo_fallback,
-                capabilities,
-                starttls_offered,
-                tls: Some(Err(format!("STARTTLS refused with {}", go_ahead.0))),
-            });
-        }
-        let inner = reader.into_inner();
-        let tls = match client_handshake(
-            inner,
-            ClientConfig::opportunistic(config.mx_hostname.clone(), config.nonce, config.dh_secret),
-        )
-        .await
-        {
-            Ok(session) => {
-                // End the session politely over TLS, ignoring failures —
-                // the evidence is already in hand.
-                let chain = session.peer_chain;
-                let mut tls_reader = BufReader::new(session.stream);
-                let _ = command(&mut tls_reader, "QUIT").await;
-                Ok(chain)
-            }
-            Err(e) => Err(e.to_string()),
-        };
-        return Ok(ProbeResult {
-            greeting,
-            used_helo_fallback,
-            capabilities,
-            starttls_offered,
-            tls: Some(tls),
-        });
-    }
-
-    // No STARTTLS: quit in plaintext.
-    let _ = command(&mut reader, "QUIT").await;
-    Ok(ProbeResult {
+    let mut result = ProbeResult {
         greeting,
         used_helo_fallback,
         capabilities,
         starttls_offered,
+        reply: None,
         tls: None,
-    })
-}
-
-/// How a delivery attempt concluded.
-#[derive(Debug)]
-pub enum DeliveryOutcome {
-    /// The message was accepted.
-    Delivered {
-        /// Whether the session was upgraded to TLS.
-        tls_used: bool,
-        /// Whether the certificate was validated (PKIX policy only).
-        cert_validated: bool,
-    },
-    /// The server rejected the transaction (5xx/4xx on MAIL/RCPT/DATA).
-    Rejected {
-        /// Phase in which rejection occurred.
-        phase: &'static str,
-        /// Reply code.
-        code: ReplyCode,
-        /// Reply text.
-        text: String,
-    },
-}
-
-/// The mail transaction once a (possibly TLS) session is established and
-/// greeted.
-async fn transact<S: AsyncRead + AsyncWrite + Unpin>(
-    reader: &mut BufReader<S>,
-    envelope: &Envelope,
-) -> Result<Option<(&'static str, ReplyCode, String)>, SmtpError> {
-    let from = command(reader, &format!("MAIL FROM:<{}>", envelope.mail_from)).await?;
-    if !from.0.is_positive() {
-        return Ok(Some((
-            "MAIL",
-            from.0,
-            from.1.first().cloned().unwrap_or_default(),
-        )));
-    }
-    for rcpt in &envelope.rcpt_to {
-        let r = command(reader, &format!("RCPT TO:<{rcpt}>")).await?;
-        if !r.0.is_positive() {
-            return Ok(Some((
-                "RCPT",
-                r.0,
-                r.1.first().cloned().unwrap_or_default(),
-            )));
-        }
-    }
-    let data = command(reader, "DATA").await?;
-    if data.0 != ReplyCode::START_INPUT {
-        return Ok(Some((
-            "DATA",
-            data.0,
-            data.1.first().cloned().unwrap_or_default(),
-        )));
-    }
-    // Dot-stuff the body per RFC 5321 §4.5.2.
-    let mut payload = String::new();
-    for line in envelope.body.lines() {
-        if line.starts_with('.') {
-            payload.push('.');
-        }
-        payload.push_str(line);
-        payload.push_str("\r\n");
-    }
-    payload.push_str(".\r\n");
-    reader.get_mut().write_all(payload.as_bytes()).await?;
-    reader.get_mut().flush().await?;
-    let fin = read_reply(reader).await?;
-    if !fin.0.is_positive() {
-        return Ok(Some((
-            "END-OF-DATA",
-            fin.0,
-            fin.1.first().cloned().unwrap_or_default(),
-        )));
-    }
-    let _ = command(reader, "QUIT").await;
-    Ok(None)
-}
-
-/// Delivers `envelope` over an established transport under `policy`.
-pub async fn deliver<S: AsyncRead + AsyncWrite + Unpin>(
-    io: S,
-    helo_name: &DomainName,
-    mx_hostname: &DomainName,
-    envelope: &Envelope,
-    policy: &TlsPolicy,
-    nonce: u64,
-    dh_secret: u64,
-) -> Result<DeliveryOutcome, SmtpError> {
-    let mut reader = BufReader::new(io);
-    expect_positive("greeting", read_reply(&mut reader).await?)?;
-    let ehlo = command(&mut reader, &format!("EHLO {helo_name}")).await?;
-    let capabilities: Vec<Capability> = if ehlo.0.is_positive() {
-        ehlo.1
-            .iter()
-            .skip(1)
-            .map(|l| Capability::parse(l))
-            .collect()
-    } else {
-        expect_positive(
-            "HELO",
-            command(&mut reader, &format!("HELO {helo_name}")).await?,
-        )?;
-        Vec::new()
     };
-    let starttls_offered = capabilities.contains(&Capability::StartTls);
 
-    let want_tls = !matches!(policy, TlsPolicy::Disabled);
-    let must_tls = matches!(policy, TlsPolicy::RequirePkix { .. });
-    if must_tls && !starttls_offered {
-        return Err(SmtpError::StartTlsNotOffered);
-    }
-
-    if want_tls && starttls_offered {
-        let go_ahead = command(&mut reader, "STARTTLS").await?;
-        if go_ahead.0 != ReplyCode::READY {
-            if must_tls {
-                return Err(SmtpError::UnexpectedReply {
-                    phase: "STARTTLS",
-                    code: go_ahead.0,
-                    text: go_ahead.1.first().cloned().unwrap_or_default(),
-                });
+    if let Some(rcpt) = rcpt_to {
+        for line in [
+            "MAIL FROM:<>".to_string(),
+            format!("RCPT TO:<{rcpt}>"),
+            "RSET".to_string(),
+        ] {
+            let (code, text) = command(&mut reader, &line).await?;
+            if !code.is_positive() {
+                let _ = command(&mut reader, "QUIT").await;
+                result.reply = Some((code, text.into_iter().next().unwrap_or_default()));
+                return Ok(result);
             }
-            // Opportunistic: carry on in plaintext.
-            return finish_plaintext(&mut reader, helo_name, envelope).await;
         }
-        let inner = reader.into_inner();
-        let session = client_handshake(
-            inner,
-            ClientConfig::opportunistic(mx_hostname.clone(), nonce, dh_secret),
-        )
-        .await
-        .map_err(SmtpError::Tls)?;
+    }
 
-        let mut cert_validated = false;
-        match policy {
-            TlsPolicy::RequirePkix { roots, now, host } => {
-                validate_cert(&session.peer_chain, host, *now, roots)?;
-                cert_validated = true;
-            }
-            TlsPolicy::OpportunisticAudit { roots, now, host } => {
-                // Audit-only: a bad chain is recorded, never fatal.
-                cert_validated = validate_chain(&session.peer_chain, host, *now, roots).is_ok();
-            }
-            _ => {}
+    // STARTTLS + certificate retrieval (opportunistic: we validate offline).
+    if !starttls_offered {
+        let _ = command(&mut reader, "QUIT").await;
+        return Ok(result);
+    }
+    let go_ahead = command(&mut reader, "STARTTLS").await?;
+    if go_ahead.0 != ReplyCode::READY {
+        let _ = command(&mut reader, "QUIT").await;
+        result.tls = Some(Err(format!("STARTTLS refused with {}", go_ahead.0)));
+        return Ok(result);
+    }
+    let tls =
+        ClientConfig::opportunistic(config.mx_hostname.clone(), config.nonce, config.dh_secret);
+    result.tls = Some(match client_handshake(reader.into_inner(), tls).await {
+        Ok(session) => {
+            // End the session politely over TLS, ignoring failures — the
+            // evidence is already in hand.
+            let chain = session.peer_chain;
+            let mut tls_reader = BufReader::new(session.stream);
+            let _ = command(&mut tls_reader, "QUIT").await;
+            Ok(chain)
         }
-
-        let mut tls_reader = BufReader::new(session.stream);
-        // Fresh EHLO over TLS per RFC 3207.
-        let ehlo2 = command(&mut tls_reader, &format!("EHLO {helo_name}")).await?;
-        expect_positive("EHLO-over-TLS", ehlo2)?;
-        return match transact(&mut tls_reader, envelope).await? {
-            None => Ok(DeliveryOutcome::Delivered {
-                tls_used: true,
-                cert_validated,
-            }),
-            Some((phase, code, text)) => Ok(DeliveryOutcome::Rejected { phase, code, text }),
-        };
-    }
-
-    finish_plaintext(&mut reader, helo_name, envelope).await
-}
-
-async fn finish_plaintext<S: AsyncRead + AsyncWrite + Unpin>(
-    reader: &mut BufReader<S>,
-    _helo_name: &DomainName,
-    envelope: &Envelope,
-) -> Result<DeliveryOutcome, SmtpError> {
-    match transact(reader, envelope).await? {
-        None => Ok(DeliveryOutcome::Delivered {
-            tls_used: false,
-            cert_validated: false,
-        }),
-        Some((phase, code, text)) => Ok(DeliveryOutcome::Rejected { phase, code, text }),
-    }
-}
-
-fn validate_cert(
-    chain: &[SimCert],
-    host: &DomainName,
-    now: SimInstant,
-    roots: &TrustStore,
-) -> Result<(), SmtpError> {
-    validate_chain(chain, host, now, roots).map_err(SmtpError::Cert)
-}
-
-/// Re-export for callers that classify probe chains offline.
-pub fn classify_chain(
-    chain: &[SimCert],
-    host: &DomainName,
-    now: SimInstant,
-    roots: &TrustStore,
-) -> Result<(), CertError> {
-    validate_chain(chain, host, now, roots)
+        Err(e) => Err(e.to_string()),
+    });
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{serve_connection, MxBehavior, MxConfig, RecipientPolicy};
-    use netbase::SimDate;
-    use pkix::CertAuthority;
+    use netbase::{SimDate, SimInstant};
+    use pkix::{validate_chain, CertAuthority, CertError, TrustStore};
     use tlssim::{ServerConfig, ServerIdentity};
 
     fn n(s: &str) -> DomainName {
@@ -559,14 +331,14 @@ mod tests {
         let config = mx_with_cert(&mut pki, "mx.example.com");
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let result = probe_mx(client_io, &probe_config("mx.example.com"))
+        let result = probe_mx(client_io, &probe_config("mx.example.com"), None)
             .await
             .unwrap();
         assert!(result.greeting.contains("mx.example.com"));
         assert!(!result.used_helo_fallback);
         assert!(result.starttls_offered);
         let chain = result.peer_chain().expect("chain retrieved");
-        assert!(classify_chain(chain, &n("mx.example.com"), now(), &pki.store).is_ok());
+        assert!(validate_chain(chain, &n("mx.example.com"), now(), &pki.store).is_ok());
     }
 
     #[tokio::test]
@@ -574,7 +346,7 @@ mod tests {
         let config = MxConfig::new(n("mx.plain.com"), None);
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let result = probe_mx(client_io, &probe_config("mx.plain.com"))
+        let result = probe_mx(client_io, &probe_config("mx.plain.com"), None)
             .await
             .unwrap();
         assert!(!result.starttls_offered);
@@ -587,7 +359,7 @@ mod tests {
         config.behavior = MxBehavior::HeloOnly;
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let result = probe_mx(client_io, &probe_config("mx.old.com"))
+        let result = probe_mx(client_io, &probe_config("mx.old.com"), None)
             .await
             .unwrap();
         assert!(result.used_helo_fallback);
@@ -621,169 +393,56 @@ mod tests {
         );
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let result = probe_mx(client_io, &probe_config("mx.selfsigned.com"))
+        let result = probe_mx(client_io, &probe_config("mx.selfsigned.com"), None)
             .await
             .unwrap();
         let chain = result.peer_chain().unwrap();
-        let verdict = classify_chain(chain, &dn, now(), &pki().store);
+        let verdict = validate_chain(chain, &dn, now(), &pki().store);
         assert_eq!(verdict, Err(CertError::SelfSigned));
     }
 
     #[tokio::test]
-    async fn deliver_opportunistic_with_tls() {
+    async fn probe_names_an_accepted_recipient_then_upgrades() {
         let mut pki = pki();
         let config = mx_with_cert(&mut pki, "mx.example.com");
         let sink = config.sink.clone();
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let envelope = Envelope::new("a@sender.org", "user@example.com", "hello\n.dot-stuffed\n");
-        let outcome = deliver(
+        let result = probe_mx(
             client_io,
-            &n("sender.org"),
-            &n("mx.example.com"),
-            &envelope,
-            &TlsPolicy::Opportunistic,
-            1,
-            2,
+            &probe_config("mx.example.com"),
+            Some("user@example.com"),
         )
         .await
         .unwrap();
-        assert!(matches!(
-            outcome,
-            DeliveryOutcome::Delivered {
-                tls_used: true,
-                cert_validated: false
-            }
-        ));
-        assert_eq!(sink.len(), 1);
-        assert!(sink.messages()[0].body.contains(".dot-stuffed"));
+        assert_eq!(result.reply, None);
+        let chain = result.peer_chain().expect("chain retrieved");
+        assert!(validate_chain(chain, &n("mx.example.com"), now(), &pki.store).is_ok());
+        assert!(sink.is_empty(), "a probe sends no message");
     }
 
     #[tokio::test]
-    async fn deliver_opportunistic_falls_back_to_plaintext() {
-        let config = MxConfig::new(n("mx.plain.com"), None);
-        let sink = config.sink.clone();
+    async fn probe_ends_at_a_refused_recipient_before_upgrading() {
+        let mut pki = pki();
+        let mut config = mx_with_cert(&mut pki, "mail.tutanota.de");
+        config.recipient_policy = RecipientPolicy::RejectDomains(vec![n("cancelled.com")]);
         let (client_io, server_io) = tokio::io::duplex(8192);
         tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let envelope = Envelope::new("a@sender.org", "user@plain.com", "body");
-        let outcome = deliver(
+        let result = probe_mx(
             client_io,
-            &n("sender.org"),
-            &n("mx.plain.com"),
-            &envelope,
-            &TlsPolicy::Opportunistic,
-            1,
-            2,
+            &probe_config("mail.tutanota.de"),
+            Some("user@Cancelled.com"),
         )
         .await
         .unwrap();
-        assert!(matches!(
-            outcome,
-            DeliveryOutcome::Delivered {
-                tls_used: false,
-                ..
-            }
-        ));
-        assert_eq!(sink.len(), 1);
-    }
-
-    #[tokio::test]
-    async fn deliver_pkix_required_rejects_self_signed() {
-        let nb = SimDate::ymd(2023, 1, 1).at_midnight();
-        let na = SimDate::ymd(2026, 1, 1).at_midnight();
-        let dn = n("mx.selfsigned.com");
-        let mut identity = ServerIdentity::empty();
-        identity.install(
-            dn.clone(),
-            vec![pkix::authority::self_signed_leaf(
-                std::slice::from_ref(&dn),
-                nb,
-                na,
-            )],
+        assert!(result.starttls_offered);
+        assert_eq!(
+            result.reply,
+            Some((
+                ReplyCode::REJECTED,
+                "5.7.1 relaying denied for cancelled.com".to_string()
+            ))
         );
-        let config = MxConfig::new(
-            dn.clone(),
-            Some(ServerConfig {
-                identity,
-                behavior: Default::default(),
-                nonce: 1,
-                dh_secret: 2,
-            }),
-        );
-        let sink = config.sink.clone();
-        let (client_io, server_io) = tokio::io::duplex(8192);
-        tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let envelope = Envelope::new("a@sender.org", "user@selfsigned.com", "body");
-        let err = deliver(
-            client_io,
-            &n("sender.org"),
-            &dn,
-            &envelope,
-            &TlsPolicy::RequirePkix {
-                roots: pki().store,
-                now: now(),
-                host: dn.clone(),
-            },
-            1,
-            2,
-        )
-        .await
-        .err()
-        .expect("delivery must fail");
-        assert!(matches!(err, SmtpError::Cert(CertError::SelfSigned)));
-        assert!(
-            sink.is_empty(),
-            "no mail must be delivered on enforce-failure"
-        );
-    }
-
-    #[tokio::test]
-    async fn deliver_pkix_required_fails_without_starttls() {
-        let config = MxConfig::new(n("mx.plain.com"), None);
-        let (client_io, server_io) = tokio::io::duplex(8192);
-        tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let envelope = Envelope::new("a@sender.org", "user@plain.com", "body");
-        let err = deliver(
-            client_io,
-            &n("sender.org"),
-            &n("mx.plain.com"),
-            &envelope,
-            &TlsPolicy::RequirePkix {
-                roots: pki().store,
-                now: now(),
-                host: n("mx.plain.com"),
-            },
-            1,
-            2,
-        )
-        .await
-        .err()
-        .expect("must fail");
-        assert!(matches!(err, SmtpError::StartTlsNotOffered));
-    }
-
-    #[tokio::test]
-    async fn deliver_surfaces_recipient_rejection() {
-        let mut config = MxConfig::new(n("mail.tutanota.de"), None);
-        config.recipient_policy = RecipientPolicy::RejectAll;
-        let (client_io, server_io) = tokio::io::duplex(8192);
-        tokio::spawn(async move { serve_connection(server_io, &config).await });
-        let envelope = Envelope::new("a@sender.org", "user@cancelled.com", "body");
-        let outcome = deliver(
-            client_io,
-            &n("sender.org"),
-            &n("mail.tutanota.de"),
-            &envelope,
-            &TlsPolicy::Disabled,
-            1,
-            2,
-        )
-        .await
-        .unwrap();
-        let DeliveryOutcome::Rejected { phase, code, .. } = outcome else {
-            panic!("expected rejection")
-        };
-        assert_eq!(phase, "RCPT");
-        assert_eq!(code, ReplyCode::REJECTED);
+        assert!(result.tls.is_none(), "a refused session never upgrades");
     }
 }

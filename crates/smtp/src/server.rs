@@ -50,25 +50,20 @@ pub enum RecipientPolicy {
 }
 
 impl RecipientPolicy {
-    fn accepts(&self, rcpt: &str) -> bool {
+    /// Whether a recipient whose address has domain `domain` (`None`
+    /// when it has no parseable one) is accepted.
+    fn accepts(&self, domain: Option<&DomainName>) -> bool {
         match self {
             RecipientPolicy::AcceptAll => true,
             RecipientPolicy::RejectAll => false,
             RecipientPolicy::RejectDomains(domains) => {
-                let Some((_, domain)) = rcpt.rsplit_once('@') else {
-                    return false;
-                };
-                let Ok(domain) = domain.parse::<DomainName>() else {
-                    return false;
-                };
-                !domains.contains(&domain)
+                domain.is_some_and(|domain| !domains.contains(domain))
             }
         }
     }
 }
 
-/// Messages accepted by a server, observable by tests and the notification
-/// campaign analysis.
+/// Messages accepted by a server, observable by tests.
 #[derive(Clone, Default)]
 pub struct MailSink {
     inner: Arc<Mutex<Vec<Envelope>>>,
@@ -277,11 +272,18 @@ async fn session_loop<S: AsyncRead + AsyncWrite + Unpin>(
                 continue;
             }
             let rcpt = extract_address(&line);
-            if config.recipient_policy.accepts(&rcpt) {
+            let domain = rcpt
+                .rsplit_once('@')
+                .and_then(|(_, domain)| domain.parse::<DomainName>().ok());
+            if config.recipient_policy.accepts(domain.as_ref()) {
                 rcpt_to.push(rcpt);
                 reply(stream, ReplyCode::OK, "recipient ok").await?;
             } else {
-                reply(stream, ReplyCode::REJECTED, "no such user here").await?;
+                // The fast path's refusal (`simnet::World::probe_mx`), so a
+                // bounce reads the same on either leg.
+                let refused = domain.map_or(rcpt, |domain| domain.to_string());
+                let text = format!("5.7.1 relaying denied for {refused}");
+                reply(stream, ReplyCode::REJECTED, &text).await?;
             }
         } else if upper == "DATA" {
             if mail_from.is_none() || rcpt_to.is_empty() {

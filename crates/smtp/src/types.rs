@@ -164,12 +164,6 @@ pub enum SmtpError {
         /// The enforced cap.
         limit: usize,
     },
-    /// STARTTLS was required by the client's policy but not offered.
-    StartTlsNotOffered,
-    /// The TLS upgrade failed.
-    Tls(tlssim::HandshakeError),
-    /// Certificate validation failed under the client's policy.
-    Cert(pkix::CertError),
 }
 
 impl fmt::Display for SmtpError {
@@ -186,9 +180,6 @@ impl fmt::Display for SmtpError {
             SmtpError::TooManyReplyLines { limit } => {
                 write!(f, "multiline reply exceeded {limit} lines")
             }
-            SmtpError::StartTlsNotOffered => write!(f, "STARTTLS not offered"),
-            SmtpError::Tls(e) => write!(f, "starttls upgrade failed: {e}"),
-            SmtpError::Cert(e) => write!(f, "certificate validation failed: {e}"),
         }
     }
 }

@@ -99,7 +99,7 @@ async fn main() {
 
         // Probe the MX over the wire too.
         let mx = domain.prefixed("mx").unwrap();
-        let probe = wire.probe_mx(&mx).await;
+        let probe = wire.probe_mx(&mx, None).await;
         println!(
             "  MX probe over wire: reachable={} starttls={} chain={}",
             probe.reachable,

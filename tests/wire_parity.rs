@@ -31,11 +31,27 @@ async fn fast_and_wire_paths_agree_on_generated_domains() {
     let eco = Ecosystem::generate(EcosystemConfig::paper(7, 0.005));
     let date = SimDate::ymd(2024, 9, 29);
     let now = date.at_midnight();
-    let world = eco.world_at(date, SnapshotDetail::Full);
-    let wire = WireWorld::deploy(&world).await.expect("deploys");
-
+    let mut world = eco.world_at(date, SnapshotDetail::Full);
     let sample = sample_domains(&eco, date, 3);
     assert!(sample.len() >= 6, "sample too small: {}", sample.len());
+    // One sampled domain's first MX refuses that domain's recipients, so
+    // the recipient-named probes below compare a refusal as well as
+    // accepted sessions.
+    let refusing = sample
+        .iter()
+        .find_map(|domain| {
+            let mx = world.mx_records(domain, now).ok()?.into_iter().next()?;
+            let ip = world
+                .resolve(&mx, dns::RecordType::A, now)
+                .ok()?
+                .a_addrs()
+                .first()
+                .copied()?;
+            world.with_mx(ip, |e| e.reject_rcpt_domains.push(domain.clone()))?;
+            Some(domain.clone())
+        })
+        .expect("a sampled domain has an MX endpoint");
+    let wire = WireWorld::deploy(&world).await.expect("deploys");
 
     let mut compared = 0;
     for domain in &sample {
@@ -65,21 +81,34 @@ async fn fast_and_wire_paths_agree_on_generated_domains() {
     }
     assert!(compared >= 6);
 
-    // MX probes agree on a few hosts too.
+    // MX probes agree on a few hosts too: the scanner's, which names no
+    // recipient, and a sender's, which names one before the upgrade.
     let mut probed = 0;
+    let mut refused = 0;
     for domain in sample.iter().take(5) {
         let Ok(mx_records) = world.mx_records(domain, now) else {
             continue;
         };
         for mx in mx_records.iter().take(1) {
             let fast = world.probe_mx(mx, None, now);
-            let slow = wire.probe_mx(mx).await;
+            let slow = wire.probe_mx(mx, None).await;
             assert_eq!(fast.reachable, slow.reachable, "{mx}");
             assert_eq!(fast.starttls_offered, slow.starttls_offered, "{mx}");
             assert_eq!(fast.chain, slow.chain, "{mx}");
+            let rcpt = format!("postmaster@{domain}");
+            let fast = world.probe_mx(mx, Some(&rcpt), now);
+            let slow = wire.probe_mx(mx, Some(&rcpt)).await;
+            assert_eq!(fast.reply, slow.reply, "{mx} for {rcpt}");
+            assert_eq!(
+                fast.starttls_offered, slow.starttls_offered,
+                "{mx} for {rcpt}"
+            );
+            assert_eq!(fast.chain, slow.chain, "{mx} for {rcpt}");
+            refused += usize::from(slow.reply.is_some());
             probed += 1;
         }
     }
     assert!(probed >= 3);
+    assert!(refused >= 1, "{refusing}'s refusal was never probed");
     wire.shutdown().await;
 }
