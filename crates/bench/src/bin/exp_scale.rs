@@ -297,7 +297,7 @@ fn main() {
     }
 
     // Peak-RSS growth: the resident population makes total RSS linear
-    // in scale (~6 kB/domain marginal), so the gate is two-sided:
+    // in scale (~3 kB/domain marginal), so the gate is two-sided:
     // total growth per step must not exceed the population ratio
     // (super-linear ⇒ an O(population × dates) regression), and the
     // per-domain peak must not rise — the fixed process floor can only

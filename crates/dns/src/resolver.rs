@@ -18,7 +18,7 @@
 use crate::types::{Message, Question, Rcode, Record, RecordData, RecordType};
 use crate::wire;
 use crate::zone::{Zone, ZoneLookup};
-use netbase::DomainName;
+use netbase::{DomainName, NameKey};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
@@ -125,8 +125,8 @@ pub trait DnsTransport: Send + Sync {
 /// threads share it by reference.
 #[derive(Clone, Default)]
 pub struct InMemoryAuthorities {
-    /// Zones keyed by apex.
-    zones: HashMap<DomainName, Zone>,
+    /// Zones keyed by apex, probed by the borrowed suffixes of a name.
+    zones: HashMap<NameKey, Zone>,
 }
 
 impl InMemoryAuthorities {
@@ -137,17 +137,17 @@ impl InMemoryAuthorities {
 
     /// Installs (or replaces) a zone.
     pub fn upsert_zone(&mut self, zone: Zone) {
-        self.zones.insert(zone.apex().clone(), zone);
+        self.zones.insert(NameKey(zone.apex().clone()), zone);
     }
 
     /// Removes a zone entirely; returns whether it existed.
     pub fn remove_zone(&mut self, apex: &DomainName) -> bool {
-        self.zones.remove(apex).is_some()
+        self.zones.remove(apex.as_str()).is_some()
     }
 
-    /// Runs `f` against the zone with the given apex, if present.
-    pub fn with_zone<R>(&mut self, apex: &DomainName, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        self.zones.get_mut(apex).map(f)
+    /// The zone whose apex is spelled `apex`, if present, for editing.
+    pub fn zone_mut(&mut self, apex: &str) -> Option<&mut Zone> {
+        self.zones.get_mut(apex)
     }
 
     /// Number of installed zones.
@@ -157,14 +157,7 @@ impl InMemoryAuthorities {
 
     /// The zone authoritative for `name` (longest match).
     fn authority_for(&self, name: &DomainName) -> Option<&Zone> {
-        let mut candidate = Some(name.clone());
-        while let Some(c) = candidate {
-            if let Some(zone) = self.zones.get(&c) {
-                return Some(zone);
-            }
-            candidate = c.parent();
-        }
-        None
+        name.suffixes().find_map(|suffix| self.zones.get(suffix))
     }
 }
 
@@ -176,8 +169,11 @@ impl DnsTransport for InMemoryAuthorities {
             // TLD for unregistered names.
             return Err(DnsError::NxDomain);
         };
-        let query = Message::query(0, question.clone());
-        let mut resp = Message::response_to(&query, Rcode::NoError);
+        // The query `resolve` would send, turned into its authoritative
+        // response in place: one message, one copy of the question.
+        let mut resp = Message::query(0, question.clone());
+        resp.flags.qr = true;
+        resp.flags.aa = true;
         match zone.lookup(question) {
             ZoneLookup::Answer(records) => {
                 resp.answers = records;
@@ -275,37 +271,31 @@ pub fn resolve(
             Rcode::NxDomain => return Err(DnsError::NxDomain),
             other => return Err(DnsError::ServFail(other)),
         }
-        // Partition the answer section: records of the target type at
-        // any name (post-CNAME owners differ from the query name), and
-        // CNAMEs to chase.
-        let hits: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.rtype() == rtype)
-            .cloned()
-            .collect();
-        // Collect the CNAME links present in the answer.
-        let mut links: HashMap<DomainName, DomainName> = HashMap::new();
-        for r in &resp.answers {
-            if let RecordData::Cname(target) = &r.data {
-                links.insert(r.name.clone(), target.clone());
-            }
-        }
-        // Follow links from `current` as far as the answer takes us.
-        while let Some(target) = links.get(&current) {
+        let mut answers = resp.answers;
+        // Follow the answer's CNAME links from `current` as far as they
+        // go; of two links at one owner, the later one counts.
+        while let Some(target) = answers.iter().rev().find_map(|r| match &r.data {
+            RecordData::Cname(target) if r.name == current => Some(target),
+            _ => None,
+        }) {
             chain.push(target.clone());
             if chain.len() > MAX_CNAME_LINKS {
                 return Err(DnsError::CnameChainTooLong);
             }
             current = target.clone();
         }
-        if !hits.is_empty() {
+        let answered = !answers.is_empty();
+        // What answers the question: the records of the target type at
+        // any owner (post-CNAME owners differ from the query name), kept
+        // in place and moved into the lookup.
+        answers.retain(|r| r.rtype() == rtype);
+        if !answers.is_empty() {
             return Ok(Lookup {
-                records: hits,
+                records: answers,
                 cname_chain: chain,
             });
         }
-        if chain.last() == Some(&current) && !resp.answers.is_empty() {
+        if chain.last() == Some(&current) && answered {
             // The answer ended on a CNAME whose target this authority
             // does not serve: restart the query at the target.
             continue;
@@ -412,9 +402,9 @@ mod tests {
     #[test]
     fn dangling_cname_is_nxdomain() {
         let mut auth = world();
-        auth.with_zone(&n("provider.net"), |z| {
-            z.remove_all(&n("mta-sts.provider.net"));
-        });
+        auth.zone_mut("provider.net")
+            .unwrap()
+            .remove_all(&n("mta-sts.provider.net"));
         let got = resolve(&auth, &n("mta-sts.example.com"), RecordType::A);
         assert_eq!(got, Err(DnsError::NxDomain));
     }

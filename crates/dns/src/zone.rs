@@ -13,6 +13,7 @@
 use crate::types::{Question, Record, RecordData, RecordType, SoaRecord, TlsaRecord};
 use netbase::DomainName;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -37,31 +38,93 @@ pub enum ZoneLookup {
 }
 
 /// An authoritative zone: an apex plus a name→records map.
+///
+/// Sized for a world of tens of thousands of zones, most holding a few
+/// owners of one record each: an owner's single record sits inline in
+/// the map, and a zone that keeps the default SOA stores no SOA names at
+/// all (they derive from the apex when a negative answer carries them).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Zone {
     /// Apex (origin) of the zone.
     apex: DomainName,
-    /// SOA parameters advertised in negative answers.
-    soa: SoaRecord,
+    /// SOA parameters given by [`Zone::set_soa`]; `None` is the default
+    /// (see [`Zone::soa`]). Boxed, since almost every zone keeps it.
+    soa: Option<Box<SoaRecord>>,
     /// All records, keyed by owner name.
-    records: BTreeMap<DomainName, Vec<Record>>,
+    records: BTreeMap<DomainName, RecordSet>,
+}
+
+/// The records at one owner name, in the order they were added. One
+/// record stays inline; a second moves the set into a vector, and a
+/// removal that leaves one record moves it back, so equal sets have one
+/// representation.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+enum RecordSet {
+    One(Record),
+    Many(Vec<Record>),
+}
+
+impl RecordSet {
+    fn as_slice(&self) -> &[Record] {
+        match self {
+            RecordSet::One(record) => std::slice::from_ref(record),
+            RecordSet::Many(records) => records,
+        }
+    }
+
+    fn push(&mut self, record: Record) {
+        match self {
+            RecordSet::Many(records) => records.push(record),
+            RecordSet::One(_) => {
+                let RecordSet::One(first) = std::mem::replace(self, RecordSet::Many(Vec::new()))
+                else {
+                    unreachable!("matched a single record")
+                };
+                *self = RecordSet::Many(vec![first, record]);
+            }
+        }
+    }
+
+    /// Drops the records of type `rtype`; returns how many went and how
+    /// many are left. At zero left the set still holds a record, and the
+    /// caller drops the set.
+    fn remove(&mut self, rtype: RecordType) -> (usize, usize) {
+        match self {
+            RecordSet::One(record) if record.rtype() == rtype => (1, 0),
+            RecordSet::One(_) => (0, 1),
+            RecordSet::Many(records) => {
+                let before = records.len();
+                records.retain(|r| r.rtype() != rtype);
+                let left = records.len();
+                if left == 1 {
+                    let last = records.pop().expect("one record left");
+                    *self = RecordSet::One(last);
+                }
+                (before - left, left)
+            }
+        }
+    }
+}
+
+/// The SOA a zone serves unless [`Zone::set_soa`] replaced it.
+fn default_soa(apex: &DomainName) -> SoaRecord {
+    SoaRecord {
+        mname: apex.prefixed("ns1").expect("apex accepts ns1 label"),
+        rname: apex.prefixed("hostmaster").expect("apex accepts label"),
+        serial: 1,
+        refresh: 7200,
+        retry: 3600,
+        expire: 1_209_600,
+        minimum: 300,
+    }
 }
 
 impl Zone {
-    /// Creates an empty zone with a default SOA.
+    /// Creates an empty zone with the default SOA.
     pub fn new(apex: DomainName) -> Zone {
-        let soa = SoaRecord {
-            mname: apex.prefixed("ns1").expect("apex accepts ns1 label"),
-            rname: apex.prefixed("hostmaster").expect("apex accepts label"),
-            serial: 1,
-            refresh: 7200,
-            retry: 3600,
-            expire: 1_209_600,
-            minimum: 300,
-        };
         Zone {
             apex,
-            soa,
+            soa: None,
             records: BTreeMap::new(),
         }
     }
@@ -71,14 +134,20 @@ impl Zone {
         &self.apex
     }
 
-    /// The zone's SOA parameters.
-    pub fn soa(&self) -> &SoaRecord {
-        &self.soa
+    /// The zone's SOA parameters: those [`Zone::set_soa`] gave, or the
+    /// default, `ns1.<apex>` and `hostmaster.<apex>` with fixed timers,
+    /// whose two names are built on each call.
+    pub fn soa(&self) -> SoaRecord {
+        match &self.soa {
+            Some(soa) => SoaRecord::clone(soa),
+            None => default_soa(&self.apex),
+        }
     }
 
-    /// Replaces the SOA parameters.
+    /// Replaces the SOA parameters. The default's values store as the
+    /// default, so a zone compares equal however its SOA was set.
     pub fn set_soa(&mut self, soa: SoaRecord) {
-        self.soa = soa;
+        self.soa = (soa != default_soa(&self.apex)).then(|| Box::new(soa));
     }
 
     /// Adds a record.
@@ -94,10 +163,12 @@ impl Zone {
             record.name,
             self.apex
         );
-        self.records
-            .entry(record.name.clone())
-            .or_default()
-            .push(record);
+        match self.records.entry(record.name.clone()) {
+            Entry::Occupied(mut set) => set.get_mut().push(record),
+            Entry::Vacant(slot) => {
+                slot.insert(RecordSet::One(record));
+            }
+        }
     }
 
     /// Convenience: add a record by parts.
@@ -108,13 +179,11 @@ impl Zone {
     /// Removes all records at `name` of type `rtype`; returns how many were
     /// removed.
     pub fn remove(&mut self, name: &DomainName, rtype: RecordType) -> usize {
-        let Some(list) = self.records.get_mut(name) else {
+        let Some(set) = self.records.get_mut(name) else {
             return 0;
         };
-        let before = list.len();
-        list.retain(|r| r.rtype() != rtype);
-        let removed = before - list.len();
-        if list.is_empty() {
+        let (removed, left) = set.remove(rtype);
+        if left == 0 {
             self.records.remove(name);
         }
         removed
@@ -122,15 +191,23 @@ impl Zone {
 
     /// Removes every record at `name`.
     pub fn remove_all(&mut self, name: &DomainName) -> usize {
-        self.records.remove(name).map_or(0, |v| v.len())
+        self.records
+            .remove(name)
+            .map_or(0, |set| set.as_slice().len())
+    }
+
+    /// Every record at `name`, borrowed, in the order added.
+    pub fn records(&self, name: &DomainName) -> &[Record] {
+        self.records.get(name).map_or(&[], RecordSet::as_slice)
     }
 
     /// All records at `name` of type `rtype` (no CNAME processing).
     pub fn get(&self, name: &DomainName, rtype: RecordType) -> Vec<Record> {
-        self.records
-            .get(name)
-            .map(|v| v.iter().filter(|r| r.rtype() == rtype).cloned().collect())
-            .unwrap_or_default()
+        self.records(name)
+            .iter()
+            .filter(|r| r.rtype() == rtype)
+            .cloned()
+            .collect()
     }
 
     /// Whether any record exists at exactly `name`.
@@ -157,16 +234,13 @@ impl Zone {
 
     /// Iterates over all records.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.records.values().flat_map(RecordSet::as_slice)
     }
 
     /// The SOA as a record at the apex (for negative responses).
     pub fn soa_record(&self) -> Record {
-        Record::new(
-            self.apex.clone(),
-            self.soa.minimum,
-            RecordData::Soa(self.soa.clone()),
-        )
+        let soa = self.soa();
+        Record::new(self.apex.clone(), soa.minimum, RecordData::Soa(soa))
     }
 
     /// Answers a question with RFC 1034 §4.3.2 semantics, following CNAMEs
@@ -176,33 +250,28 @@ impl Zone {
             return ZoneLookup::NotAuthoritative;
         }
         let mut chain: Vec<Record> = Vec::new();
-        let mut current = q.name.clone();
+        let mut current = &q.name;
         for _ in 0..8 {
-            let here = self.records.get(&current);
-            if let Some(records) = here {
-                // Exact-type match?
-                let hits: Vec<Record> = records
-                    .iter()
-                    .filter(|r| r.rtype() == q.rtype)
-                    .cloned()
-                    .collect();
-                if !hits.is_empty() {
+            if let Some(set) = self.records.get(current) {
+                let records = set.as_slice();
+                // Exact-type match? The answer is the chain plus the hits,
+                // each cloned once.
+                let is_hit = |r: &&Record| r.rtype() == q.rtype;
+                if records.iter().any(|r| is_hit(&r)) {
                     let mut out = chain;
-                    out.extend(hits);
+                    out.extend(records.iter().filter(is_hit).cloned());
                     return ZoneLookup::Answer(out);
                 }
                 // CNAME present (and the query itself is not for CNAME)?
                 if q.rtype != RecordType::Cname {
-                    if let Some(cname) = records
-                        .iter()
-                        .find(|r| matches!(r.data, RecordData::Cname(_)))
-                    {
-                        chain.push(cname.clone());
-                        let RecordData::Cname(target) = &cname.data else {
-                            unreachable!()
-                        };
+                    let cname = records.iter().find_map(|r| match &r.data {
+                        RecordData::Cname(target) => Some((r, target)),
+                        _ => None,
+                    });
+                    if let Some((record, target)) = cname {
+                        chain.push(record.clone());
                         if target.is_subdomain_of(&self.apex) {
-                            current = target.clone();
+                            current = target;
                             continue;
                         }
                         // Target is out-of-zone: the resolver restarts there.
@@ -212,7 +281,7 @@ impl Zone {
                 return ZoneLookup::NoData(chain);
             }
             // Name has no records: empty non-terminal or NXDOMAIN.
-            if self.subtree_exists(&current) || current == self.apex {
+            if *current == self.apex || self.subtree_exists(current) {
                 return ZoneLookup::NoData(chain);
             }
             return ZoneLookup::NxDomain;
@@ -224,18 +293,19 @@ impl Zone {
     /// Serializes the zone to the textual format accepted by
     /// [`Zone::parse`].
     pub fn to_zonefile(&self) -> String {
+        let soa = self.soa();
         let mut out = String::new();
         out.push_str(&format!("$ORIGIN {}.\n", self.apex));
         out.push_str(&format!(
             "@ {} IN SOA {}. {}. {} {} {} {} {}\n",
-            self.soa.minimum,
-            self.soa.mname,
-            self.soa.rname,
-            self.soa.serial,
-            self.soa.refresh,
-            self.soa.retry,
-            self.soa.expire,
-            self.soa.minimum
+            soa.minimum,
+            soa.mname,
+            soa.rname,
+            soa.serial,
+            soa.refresh,
+            soa.retry,
+            soa.expire,
+            soa.minimum
         ));
         for r in self.iter() {
             out.push_str(&format_record(r, &self.apex));
@@ -747,5 +817,214 @@ ext 300 IN CNAME mta-sts.provider.net.
         assert_eq!(t.data, vec![0xab, 0xcd, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89]);
         let back = Zone::parse(&z.to_zonefile()).unwrap();
         assert_eq!(back.get(&n("_25._tcp.mx.d.net"), RecordType::Tlsa), recs);
+    }
+
+    /// The zone against a reference model: a plain name→records map with
+    /// the RFC 1034 lookup written over it.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Model = BTreeMap<DomainName, Vec<Record>>;
+
+        const APEX: &str = "zone.test";
+        /// Owners at and below the apex, some below other owners.
+        const NAMES: [&str; 7] = [
+            "zone.test",
+            "a.zone.test",
+            "b.a.zone.test",
+            "c.b.a.zone.test",
+            "mx.zone.test",
+            "d.zone.test",
+            "e.d.zone.test",
+        ];
+        const TYPES: [RecordType; 7] = [
+            RecordType::A,
+            RecordType::Ns,
+            RecordType::Cname,
+            RecordType::Soa,
+            RecordType::Mx,
+            RecordType::Txt,
+            RecordType::Aaaa,
+        ];
+
+        /// One edit: (operation, owner, data kind, data variant).
+        type Op = (u8, usize, u8, u8);
+
+        fn data(kind: u8, k: u8) -> RecordData {
+            let target = |k: u8| match k {
+                // In-zone targets, then one outside the zone.
+                0..=3 => n(NAMES[usize::from(k) * 2 % NAMES.len()]),
+                _ => n("ext.other.test"),
+            };
+            match kind {
+                0 => RecordData::A(Ipv4Addr::new(192, 0, 2, k)),
+                1 => RecordData::Txt(vec![format!("t{k}")]),
+                2 => RecordData::Mx {
+                    preference: u16::from(k) * 10,
+                    exchange: target(k),
+                },
+                3 => RecordData::Cname(target(k)),
+                _ => RecordData::Ns(target(k)),
+            }
+        }
+
+        fn apply(zone: &mut Zone, model: &mut Model, (op, owner, kind, k): Op) {
+            let name = n(NAMES[owner]);
+            let record = Record::new(name.clone(), 300, data(kind, k));
+            match op {
+                0 => {
+                    zone.add(record.clone());
+                    model.entry(name).or_default().push(record);
+                }
+                1 => {
+                    zone.add_rr(&name, 300, record.data.clone());
+                    model.entry(name).or_default().push(record);
+                }
+                2 => {
+                    let rtype = record.rtype();
+                    let expect = model.get_mut(&name).map_or(0, |list| {
+                        let before = list.len();
+                        list.retain(|r| r.rtype() != rtype);
+                        before - list.len()
+                    });
+                    if model.get(&name).is_some_and(Vec::is_empty) {
+                        model.remove(&name);
+                    }
+                    assert_eq!(zone.remove(&name, rtype), expect, "remove {name} {rtype}");
+                }
+                _ => {
+                    let expect = model.remove(&name).map_or(0, |list| list.len());
+                    assert_eq!(zone.remove_all(&name), expect, "remove_all {name}");
+                }
+            }
+        }
+
+        /// RFC 1034 §4.3.2 over the model, written without the zone's
+        /// inline records or borrowed answers.
+        fn model_lookup(model: &Model, apex: &DomainName, q: &Question) -> ZoneLookup {
+            if !q.name.is_subdomain_of(apex) {
+                return ZoneLookup::NotAuthoritative;
+            }
+            let mut chain = Vec::new();
+            let mut current = q.name.clone();
+            for _ in 0..8 {
+                if let Some(records) = model.get(&current) {
+                    let hits: Vec<Record> = records
+                        .iter()
+                        .filter(|r| r.rtype() == q.rtype)
+                        .cloned()
+                        .collect();
+                    if !hits.is_empty() {
+                        chain.extend(hits);
+                        return ZoneLookup::Answer(chain);
+                    }
+                    if q.rtype != RecordType::Cname {
+                        if let Some(cname) = records.iter().find(|r| r.rtype() == RecordType::Cname)
+                        {
+                            chain.push(cname.clone());
+                            let RecordData::Cname(target) = &cname.data else {
+                                unreachable!()
+                            };
+                            if target.is_subdomain_of(apex) {
+                                current = target.clone();
+                                continue;
+                            }
+                            return ZoneLookup::NoData(chain);
+                        }
+                    }
+                    return ZoneLookup::NoData(chain);
+                }
+                if current == *apex || model.keys().any(|k| k.is_subdomain_of(&current)) {
+                    return ZoneLookup::NoData(chain);
+                }
+                return ZoneLookup::NxDomain;
+            }
+            ZoneLookup::NoData(chain)
+        }
+
+        fn check(zone: &Zone, model: &Model) {
+            let apex = n(APEX);
+            // Every owner and each ancestor up to the apex (the pool is
+            // closed under parents within the zone), one missing name and
+            // one outside the zone.
+            let probes =
+                NAMES
+                    .iter()
+                    .chain(&["missing.zone.test", "x.c.b.a.zone.test", "other.test"]);
+            for name in probes.map(|s| n(s)) {
+                for rtype in TYPES {
+                    let q = Question::new(name.clone(), rtype);
+                    assert_eq!(zone.lookup(&q), model_lookup(model, &apex, &q), "{q}");
+                    let want: Vec<Record> = model
+                        .get(&name)
+                        .into_iter()
+                        .flatten()
+                        .filter(|r| r.rtype() == rtype)
+                        .cloned()
+                        .collect();
+                    assert_eq!(zone.get(&name, rtype), want, "get {q}");
+                }
+                assert_eq!(
+                    zone.records(&name),
+                    model.get(&name).map_or(&[][..], Vec::as_slice)
+                );
+                assert_eq!(zone.name_exists(&name), model.contains_key(&name));
+            }
+            let all: Vec<&Record> = model.values().flatten().collect();
+            assert_eq!(zone.iter().collect::<Vec<_>>(), all);
+            assert_eq!(zone.len(), model.len());
+            assert_eq!(zone.is_empty(), model.is_empty());
+
+            // The default SOA derives from the apex, in the zone file and
+            // in the record negative answers carry.
+            let mut text = format!(
+                "$ORIGIN {APEX}.\n@ 300 IN SOA ns1.{APEX}. hostmaster.{APEX}. 1 7200 3600 1209600 300\n"
+            );
+            for r in all {
+                text.push_str(&format_record(r, &apex));
+                text.push('\n');
+            }
+            assert_eq!(zone.to_zonefile(), text);
+            assert_eq!(Zone::parse(&text).as_ref(), Ok(zone));
+            let soa = zone.soa_record();
+            assert_eq!((soa.name.as_str(), soa.ttl), (APEX, 300));
+            let RecordData::Soa(soa) = soa.data else {
+                panic!("an SOA record")
+            };
+            assert_eq!(soa.mname.as_str(), "ns1.zone.test");
+            assert_eq!(soa.rname.as_str(), "hostmaster.zone.test");
+
+            // A zone given its own SOA keeps it through the zone file.
+            let mut custom = zone.clone();
+            let set = SoaRecord {
+                mname: n("primary.other.test"),
+                rname: n("admin.zone.test"),
+                serial: 7,
+                minimum: 60,
+                ..soa
+            };
+            custom.set_soa(set.clone());
+            assert_ne!(&custom, zone);
+            let back = Zone::parse(&custom.to_zonefile()).expect("own output parses");
+            assert_eq!(back.soa(), set);
+            assert_eq!(back, custom);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+
+            #[test]
+            fn zone_agrees_with_the_map_model(
+                ops in prop::collection::vec((0u8..4, 0usize..NAMES.len(), 0u8..5, 0u8..5), 0..40),
+            ) {
+                let mut zone = Zone::new(n(APEX));
+                let mut model = Model::new();
+                for op in ops {
+                    apply(&mut zone, &mut model, op);
+                    check(&zone, &model);
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ pub mod rng;
 pub mod time;
 
 pub use editdist::{levenshtein, levenshtein_within};
-pub use name::{DomainName, NameError};
+pub use name::{DomainName, NameError, NameKey};
 pub use pool::{default_scan_threads, map_sharded, shard_bounds};
 pub use rate::TokenBucket;
 pub use retry::{AttemptEvent, RetryOutcome, RetryPolicy, RetryVerdict};

@@ -16,8 +16,10 @@
 //! `parent`/`effective_sld` allocate at most the one suffix they return.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -228,6 +230,15 @@ impl DomainName {
         }
     }
 
+    /// The name and each of its ancestors, longest first, borrowed as
+    /// label-aligned suffixes of its string: `mail.example.com`,
+    /// `example.com`, `com`. A walk up the tree allocates nothing.
+    pub fn suffixes(&self) -> impl Iterator<Item = &str> {
+        std::iter::successors(Some(self.as_str()), |s| {
+            s.split_once('.').map(|(_, rest)| rest)
+        })
+    }
+
     /// The name with its leftmost label removed, or `None` at the TLD.
     pub fn parent(&self) -> Option<DomainName> {
         self.after_leftmost().map(|rest| self.suffix_name(rest))
@@ -347,6 +358,36 @@ impl Ord for DomainName {
 impl PartialOrd for DomainName {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// A [`DomainName`] as a hash key that a borrowed `&str` can probe.
+///
+/// Its `Hash` and `Eq` are its presentation string's, so a map keyed by
+/// it answers `get(suffix)` for each suffix [`DomainName::suffixes`]
+/// yields without building that suffix as a name. `DomainName` cannot
+/// lend itself as `str`: its label-wise `Ord` disagrees with `str`'s,
+/// which `Borrow`'s contract forbids. A `NameKey` has no order.
+#[derive(Clone, Debug)]
+pub struct NameKey(pub DomainName);
+
+impl Hash for NameKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.as_str().hash(state);
+    }
+}
+
+impl PartialEq for NameKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.as_str() == other.0.as_str()
+    }
+}
+
+impl Eq for NameKey {}
+
+impl Borrow<str> for NameKey {
+    fn borrow(&self) -> &str {
+        self.0.as_str()
     }
 }
 
@@ -492,6 +533,28 @@ mod tests {
         assert_eq!(p.to_string(), "b.c");
         assert_eq!(p.parent().unwrap().to_string(), "c");
         assert_eq!(p.parent().unwrap().parent(), None);
+        // The borrowed walk visits the same names.
+        let mut owned = vec![d.to_string()];
+        let mut at = d.parent();
+        while let Some(name) = at {
+            owned.push(name.to_string());
+            at = name.parent();
+        }
+        assert_eq!(d.suffixes().collect::<Vec<_>>(), owned);
+    }
+
+    #[test]
+    fn name_keys_probe_by_str() {
+        use std::collections::HashSet;
+        let keys: HashSet<NameKey> = [n("example.com"), n("a-b.com")]
+            .into_iter()
+            .map(NameKey)
+            .collect();
+        // `a.com < a-b.com` label-wise but not as strings; a key has no
+        // order, only the string's hash and equality.
+        assert!(keys.contains("a-b.com"));
+        assert!(n("mail.example.com").suffixes().any(|s| keys.contains(s)));
+        assert!(!n("mail.example.org").suffixes().any(|s| keys.contains(s)));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! SMTP protocol types.
 
-use netbase::DomainName;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -116,25 +115,6 @@ pub struct Envelope {
     pub body: String,
 }
 
-impl Envelope {
-    /// A single-recipient message.
-    pub fn new(from: &str, to: &str, body: &str) -> Envelope {
-        Envelope {
-            mail_from: from.to_string(),
-            rcpt_to: vec![to.to_string()],
-            body: body.to_string(),
-        }
-    }
-
-    /// The domain part of the first recipient, if well-formed.
-    pub fn first_rcpt_domain(&self) -> Option<DomainName> {
-        self.rcpt_to
-            .first()
-            .and_then(|r| r.rsplit_once('@'))
-            .and_then(|(_, d)| d.parse().ok())
-    }
-}
-
 /// Client-side SMTP failures, layered for the error taxonomy.
 #[derive(Debug)]
 pub enum SmtpError {
@@ -222,13 +202,5 @@ mod tests {
     fn capability_parse_is_case_insensitive() {
         assert_eq!(Capability::parse("starttls"), Capability::StartTls);
         assert_eq!(Capability::parse("Size 100"), Capability::Size(100));
-    }
-
-    #[test]
-    fn envelope_rcpt_domain() {
-        let e = Envelope::new("a@scanner.test", "postmaster@example.com", "hi");
-        assert_eq!(e.first_rcpt_domain().unwrap().to_string(), "example.com");
-        let bad = Envelope::new("a@scanner.test", "no-at-sign", "hi");
-        assert_eq!(bad.first_rcpt_domain(), None);
     }
 }
