@@ -43,4 +43,4 @@ pub use fetch::{
     TlsFailure,
 };
 pub use pki::SharedPki;
-pub use world::{World, DYNAMIC_IP_LIMIT};
+pub use world::{World, ZoneApex, DYNAMIC_IP_LIMIT};
